@@ -10,6 +10,7 @@ stdout is byte-identical across reruns.  Exit codes: 0 = computed
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from decimal import Decimal, getcontext
@@ -42,6 +43,12 @@ from .ietfile import (
 from .polys import Poly
 
 FLOAT_DIGITS = 20
+
+# Options whose values are comma lists that may start with a minus sign.
+# argparse reads a token such as '-1,-1,-1,1' as an option, so main()
+# joins it to its option ('--minpoly=-1,-1,-1,1') before parsing.
+SIGNED_VALUE_OPTIONS = ("--minpoly", "--sub", "--interval")
+_SIGNED_VALUE = re.compile(r"-[\d.]")
 
 
 def algnum_decimal(value: AlgNum, digits: int = FLOAT_DIGITS) -> str:
@@ -295,9 +302,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_signed_values(argv) -> list:
+    """Rewrite '--minpoly -1,2' as '--minpoly=-1,2' for SIGNED_VALUE_OPTIONS."""
+    out = []
+    for token in argv:
+        if out and out[-1] in SIGNED_VALUE_OPTIONS and _SIGNED_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_signed_values(sys.argv[1:] if argv is None else argv))
     start = time.perf_counter()
     try:
         code = args.func(args)

@@ -3,10 +3,32 @@
 A NumberField is a monic integer modulus together with a rational
 interval isolating exactly one of its real roots; the field element
 alpha is *that* root.  An AlgNum is a rational coordinate vector in the
-power basis 1, alpha, ..., alpha^(d-1).  All arithmetic is exact;
-comparisons are decided by interval evaluation with on-demand bisection
-of the isolating interval, which terminates because a nonzero element of
-a field cannot vanish at the root.
+power basis 1, alpha, ..., alpha^(d-1).  All arithmetic is exact.
+
+Signs and comparisons are decided in two stages.
+
+1. A filter.  The field keeps an outward-rounded fixed-point copy of its
+   isolating interval, [floor(lo*2^P), ceil(hi*2^P)] with
+   P = max(64, 32 + log2(1/width)), and each element caches an enclosure
+   of its value: interval Horner on integers, rounding lower bounds down
+   and upper bounds up, with every coordinate rounded outward.  An
+   enclosure strictly on one side of 0 decides a sign; two disjoint
+   enclosures decide a comparison without forming the difference.
+2. The exact path.  Interval Horner over `Fraction` on the isolating
+   interval, bisecting on demand, with a gcd check against the modulus
+   after a fixed number of bisections.  It terminates because a nonzero
+   element of a field cannot vanish at the root.
+
+The filter is sound and never moves the isolating interval.  Interval
+arithmetic is inclusion-monotone, so the fixed-point enclosure contains
+the exact rational interval-Horner result on the same interval; by
+subdistributivity enc(a) - enc(b) contains the Horner enclosure of
+a - b.  Whenever the filter decides, the first step of the exact path
+would have decided the same way without bisecting.  The interval
+therefore evolves exactly as it would on the exact path alone, and
+every printed isolating interval is the same.  Bisection bumps the
+field's generation counter, which marks the fixed-point interval and
+the cached element enclosures as stale; they are recomputed on first use.
 
 Irreducibility of the modulus is certified best-effort by reduction
 modulo small primes.  When certification fails, arithmetic still
@@ -67,6 +89,8 @@ class NumberField:
         self._lo, self._hi = lo, hi
         self._sign_lo = _sign(modulus(lo))
         self._exact_root = None
+        self._generation = 0
+        self._fixed = None
         self._high_powers = self._power_table()
         self.refine_interval(Fraction(1, 2 ** 20))
 
@@ -95,6 +119,22 @@ class NumberField:
     def exact_root(self):
         return self._exact_root
 
+    def _fixed_point(self):
+        """(P, floor(lo*2^P), ceil(hi*2^P)) for the current isolating interval."""
+        fixed = self._fixed
+        if fixed is None or fixed[0] != self._generation:
+            lo, hi = self._lo, self._hi
+            width = hi - lo
+            prec = max(64, 32 + width.denominator.bit_length()
+                       - width.numerator.bit_length() + 1)
+            fixed = self._fixed = (
+                self._generation,
+                prec,
+                (lo.numerator << prec) // lo.denominator,
+                -((-hi.numerator << prec) // hi.denominator),
+            )
+        return fixed[1:]
+
     def _bisect_once(self) -> None:
         if self._exact_root is not None:
             return
@@ -106,22 +146,12 @@ class NumberField:
             self._lo = mid
         else:
             self._hi = mid
+        self._generation += 1
 
     def refine_interval(self, width: Fraction) -> None:
         """Shrink the isolating interval below the given width."""
         while self._exact_root is None and self._hi - self._lo > width:
             self._bisect_once()
-
-    def root_approx(self, eps) -> Fraction:
-        """A rational within eps of alpha."""
-        eps = Fraction(eps)
-        if self._exact_root is not None:
-            return self._exact_root
-        self.refine_interval(eps)
-        return (self._lo + self._hi) / 2
-
-    def float_root(self) -> float:
-        return float(self.root_approx(Fraction(1, 10 ** 20)))
 
     # -- element constructors -------------------------------------------
 
@@ -179,11 +209,12 @@ class NumberField:
 class AlgNum:
     """An element of a NumberField: rational coordinates on the power basis."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "coords", "_enclosure_cache")
 
     def __init__(self, field: NumberField, coords):
         self.field = field
         self.coords = coords
+        self._enclosure_cache = None
 
     # -- coercion and ring operations --------------------------------------
 
@@ -286,8 +317,56 @@ class AlgNum:
             raise InputError(f"{self!r} is not rational")
         return self.coords[0]
 
+    def _enclosure(self):
+        """(lo, hi) with lo <= value * 2^P <= hi, P the field's fixed-point precision.
+
+        Interval Horner on integers over the field's fixed-point interval,
+        with lower bounds rounded down and upper bounds rounded up.  Cached
+        until the field bisects.
+        """
+        field = self.field
+        cached = self._enclosure_cache
+        if cached is not None and cached[0] == field._generation:
+            return cached[1], cached[2]
+        prec, xlo, xhi = field._fixed_point()
+        lo = hi = 0
+        for c in reversed(self.coords):
+            if lo or hi:
+                products = (lo * xlo, lo * xhi, hi * xlo, hi * xhi)
+                lo = min(products) >> prec
+                hi = -(-max(products) >> prec)
+            if c:
+                n, d = c.numerator, c.denominator
+                if d == 1:
+                    lo += n << prec
+                    hi += n << prec
+                else:
+                    lo += (n << prec) // d
+                    hi -= (-n << prec) // d
+        self._enclosure_cache = (field._generation, lo, hi)
+        return lo, hi
+
     def sign(self) -> int:
-        """Sign of the real value at the field's distinguished root."""
+        """Sign of the real value at the field's distinguished root.
+
+        Unless the root is exactly rational, the cached fixed-point
+        enclosure decides first, when it lies strictly on one side of 0.  It
+        contains the exact interval-Horner result on the same interval, so
+        it decides only where the exact path would decide without
+        bisecting, and the isolating interval moves exactly as it would on
+        the exact path alone.  Zero coordinates, a rational root and an
+        enclosure that straddles 0 go to the exact path.
+        """
+        if self.field._exact_root is None:
+            lo, hi = self._enclosure()
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+        return self._exact_sign()
+
+    def _exact_sign(self) -> int:
+        """Sign by interval Horner over Fraction with bisection: the exact path."""
         if self.is_zero():
             return 0
         field = self.field
@@ -321,17 +400,30 @@ class AlgNum:
     def __hash__(self):
         return hash((self.field.modulus, self.coords))
 
+    def _compare(self, other) -> int:
+        """Sign of self - other; disjoint enclosures decide without subtracting."""
+        if isinstance(other, (int, Fraction)):
+            other = self.field.from_rational(other)
+        if isinstance(other, AlgNum) and other.field is self.field:
+            alo, ahi = self._enclosure()
+            blo, bhi = other._enclosure()
+            if ahi < blo:
+                return -1
+            if alo > bhi:
+                return 1
+        return (self - other).sign()
+
     def __lt__(self, other):
-        return (self - other).sign() < 0
+        return self._compare(other) < 0
 
     def __le__(self, other):
-        return (self - other).sign() <= 0
+        return self._compare(other) <= 0
 
     def __gt__(self, other):
-        return (self - other).sign() > 0
+        return self._compare(other) > 0
 
     def __ge__(self, other):
-        return (self - other).sign() >= 0
+        return self._compare(other) >= 0
 
     def approx(self, eps) -> Fraction:
         """A rational within eps of the element's real value."""

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,8 +10,12 @@ from ietsaf import (
     NumberField,
     Poly,
     ReducibleModulusError,
+    count_real_roots,
     eval_at,
+    is_squarefree,
+    isolate_real_roots,
 )
+from ietsaf.polys import cauchy_root_bound
 
 from helpers import random_cubic_field
 
@@ -177,3 +182,159 @@ def test_pow():
     assert a ** 0 == k3.one()
     assert a ** 3 == a * a * a
     assert a ** -2 == (a * a).inverse()
+
+
+# -- the fixed-point filter and its exact fallback -------------------------------
+
+
+def _outcome(fn):
+    """fn()'s value, or the type of the library error it raised."""
+    try:
+        return fn()
+    except ReducibleModulusError:
+        return ReducibleModulusError
+
+
+def test_near_zero_element_bisects_to_the_right_sign():
+    twin = NumberField(AY3, 0, 1)
+    twin.refine_interval(Fraction(1, 2 ** 50))
+    below, above = twin.interval          # |alpha - r| < 2^-50 for both
+    field = NumberField(AY3, 0, 1)
+    a = field.gen()
+    lo, hi = (a - below)._enclosure()
+    assert lo <= 0 <= hi                  # the filter cannot decide
+    assert (a - below).sign() == 1
+    lo, hi = field.interval
+    assert hi - lo < Fraction(1, 2 ** 40)
+    assert (a - above).sign() == -1
+    assert below < a < above
+    assert not a <= below and not a >= above
+
+
+def test_equal_elements_compare_through_the_exact_path(monkeypatch):
+    field = NumberField(TRIB, 1, 2)
+    a = field.gen() * field.gen() + Fraction(1, 3)
+    b = field.element(list(a.coords))
+    calls = []
+    exact_sign = AlgNum.sign
+
+    def spy(self):
+        calls.append(self.coords)
+        return exact_sign(self)
+
+    monkeypatch.setattr(AlgNum, "sign", spy)
+    assert a <= b and a >= b
+    assert not a < b and not a > b
+    assert calls == [(0, 0, 0)] * 4
+    calls.clear()
+    assert a < a + Fraction(1, 10)        # disjoint enclosures: no subtraction
+    assert calls == []
+
+
+def test_rational_root_hit_exactly_by_bisection():
+    modulus = Poly([-1, 1]) * Poly([-2, 0, 1])   # (x - 1)(x^2 - 2)
+    field = NumberField(modulus, Fraction(3, 4), Fraction(5, 4))
+    assert field.exact_root == 1          # the first midpoint
+    assert field.interval == (Fraction(3, 4), Fraction(5, 4))
+    a = field.gen()
+    assert (a - 1).sign() == 0
+    assert (a * a - 2).sign() == -1
+    assert (a - Fraction(1, 2)).sign() == 1
+    assert a <= 1 and a >= 1 and not a < 1 and not a > 1
+    assert Fraction(99, 100) < a < Fraction(101, 100)
+
+
+def test_zero_divisor_raises_through_the_gcd_check():
+    modulus = Poly([-2, 0, 1]) * Poly([-3, 0, 1])  # x^4 - 5x^2 + 6
+    field = NumberField(modulus, 1, Fraction(3, 2))
+    a = field.gen()
+    with pytest.raises(ReducibleModulusError) as info:
+        (a * a - 2).sign()
+    assert info.value.factor == Poly([-2, 0, 1])
+    with pytest.raises(ReducibleModulusError):
+        a * a < 2
+
+
+try:
+    from hypothesis import HealthCheck, assume, given, settings
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is an optional test dependency
+    given = None
+
+
+if given is None:
+
+    def test_filter_properties():
+        pytest.skip("hypothesis is not installed")
+
+else:
+
+    @st.composite
+    def fields(draw):
+        """Modulus of degree 2..6 and an isolating interval with odd denominators."""
+        degree = draw(st.integers(2, 6))
+        coeffs = draw(st.lists(st.integers(-6, 6), min_size=degree,
+                               max_size=degree)) + [1]
+        p = Poly(coeffs)
+        assume(is_squarefree(p))
+        roots = isolate_real_roots(p, -cauchy_root_bound(p), cauchy_root_bound(p))
+        assume(roots)
+        a, b = roots[draw(st.integers(0, len(roots) - 1))]
+        q = draw(st.sampled_from([3, 5, 7, 9, 11, 21, 99]))
+        lo = Fraction(math.floor(a * q) - draw(st.integers(0, 2)), q)
+        hi = Fraction(math.ceil(b * q) + draw(st.integers(0, 2)), q)
+        assume(p(lo) != 0 and p(hi) != 0 and count_real_roots(p, lo, hi) == 1)
+        return p, lo, hi
+
+    def coords(degree):
+        rational = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+        return st.lists(rational, min_size=degree, max_size=degree)
+
+    def near_root(lo, hi, offset):
+        """Coordinates of alpha - r with r near the root: forces bisection."""
+        r = (lo + hi) / 2 + Fraction(offset, 2 ** 30)
+        return [-r, 1]
+
+    filter_settings = settings(max_examples=40, deadline=None,
+                               suppress_health_check=[HealthCheck.filter_too_much,
+                                                      HealthCheck.too_slow])
+
+    @filter_settings
+    @given(fields(), st.data())
+    def test_filtered_sign_equals_exact_sign(spec, data):
+        p, lo, hi = spec
+        field, twin = NumberField(p, lo, hi), NumberField(p, lo, hi)
+        batch = [data.draw(coords(field.degree)) for _ in range(6)]
+        offset = data.draw(st.integers(-3, 3))
+        batch.append(near_root(*field.interval, offset) + [0] * (field.degree - 2))
+        for c in batch:
+            filtered = _outcome(field.element(c).sign)
+            exact = _outcome(twin.element(c)._exact_sign)
+            assert filtered == exact
+        assert field.interval == twin.interval
+
+    @filter_settings
+    @given(fields(), st.data())
+    def test_comparisons_equal_exact_sign_of_difference(spec, data):
+        p, lo, hi = spec
+        field, twin = NumberField(p, lo, hi), NumberField(p, lo, hi)
+        batch = [data.draw(coords(field.degree)) for _ in range(5)]
+        batch.append(near_root(*field.interval, data.draw(st.integers(-3, 3)))
+                     + [0] * (field.degree - 2))
+        batch.append(list(batch[0]))
+        rationals = [data.draw(st.fractions(min_value=-8, max_value=8,
+                                            max_denominator=12))
+                     for _ in range(2)]
+        for i, x in enumerate(batch):
+            a = field.element(x)
+            others = [field.element(y) for y in batch[i:]] + rationals
+            for b in others:
+                bt = (twin.element(b.coords) if isinstance(b, AlgNum)
+                      else twin.from_rational(b))
+                exact = _outcome((twin.element(x) - bt)._exact_sign)
+                got = _outcome(lambda: (a < b, a <= b, a > b, a >= b))
+                if exact is ReducibleModulusError:
+                    assert got is ReducibleModulusError
+                else:
+                    assert got == (exact < 0, exact <= 0, exact > 0, exact >= 0)
+        assert field.interval == twin.interval
