@@ -113,12 +113,15 @@ def ay_lift(g: int, field: NumberField | None = None,
     return involution.scale(HALF).rotate(HALF)
 
 
-def ay_self_similarity_witness(g: int, involution: IET | None = None):
+def ay_self_similarity_witness(g: int, involution: IET | None = None,
+                               lift: IET | None = None):
     """The exact rotation offset conjugating the alpha-scaled lift to the
-    first-return map on [0, alpha), or None when no conjugacy exists."""
+    first-return map on [0, alpha), or None when no conjugacy exists.
+    A `lift` already built is used as it is."""
     if g < GENUS_MIN:
         raise InputError(f"construction requires g >= {GENUS_MIN}")
-    lift = ay_lift(g, involution=involution)
+    if lift is None:
+        lift = ay_lift(g, involution=involution)
     alpha = lift.field.gen()
     returned = lift.first_return(alpha)
     scaled = lift.scale(alpha)
@@ -140,13 +143,15 @@ class AYSystem:
     boundary_involution: IET
     lift: IET
     stretch_minpoly: Poly
+    involution_square: IET
 
     @classmethod
     def build(cls, g: int) -> "AYSystem":
         field = ay_alpha(g)
         involution = ay_boundary_involution(g, field)
         lift = involution.scale(HALF).rotate(HALF)
-        system = cls(g, field, involution, lift, ay_stretch_minpoly(g))
+        system = cls(g, field, involution, lift, ay_stretch_minpoly(g),
+                     involution.compose(involution))
         system._check()
         return system
 
@@ -160,12 +165,14 @@ class AYSystem:
             acc = acc + power
         if not (acc - 1).is_zero():
             raise InputError("alpha powers do not sum to 1")
-        two = field.from_rational(2)
-        if self.boundary_involution.compose(self.boundary_involution) != \
-                IET.identity(field, two):
+        if not self.is_involution():
             raise InputError("boundary map is not an involution")
         if self.lift != self.boundary_involution.scale(HALF).rotate(HALF):
             raise InputError("lift does not match its construction")
+
+    def is_involution(self) -> bool:
+        return self.involution_square == IET.identity(
+            self.field, self.boundary_involution.total)
 
     def alpha(self) -> AlgNum:
         return self.field.gen()

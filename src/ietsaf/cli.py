@@ -32,7 +32,6 @@ from .certificates import (
 )
 from .errors import InputError, IterationCapError
 from .field import AlgNum
-from .iet import IET
 from .ietfile import (
     dumps_iet,
     dumps_report,
@@ -170,12 +169,9 @@ def cmd_ay(args) -> int:
     system = AYSystem.build(args.genus)
     lift = system.lift
     checks = {}
-    checks["involution"] = system.boundary_involution.compose(
-        system.boundary_involution
-    ) == IET.identity(system.field, system.boundary_involution.total)
+    checks["involution"] = system.is_involution()
     checks["saf_vanishes"] = lift.saf().is_zero()
-    witness = ay_self_similarity_witness(args.genus,
-                                         involution=system.boundary_involution)
+    witness = ay_self_similarity_witness(args.genus, lift=lift)
     checks["self_similar"] = witness is not None
     by_rec = vanishing_by_reciprocity(system.stretch_minpoly)
     by_deg = vanishing_by_field_degree(system.stretch_minpoly)

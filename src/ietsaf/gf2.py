@@ -47,12 +47,6 @@ def mod(a: int, b: int) -> int:
     return divmod_(a, b)[1]
 
 
-def gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, mod(a, b)
-    return a
-
-
 def reverse(a: int) -> int:
     """Bit reversal x^n p(1/x); trailing zero coefficients drop the degree."""
     if a == 0:
@@ -83,19 +77,6 @@ def to_string(a: int) -> str:
         if (a >> i) & 1:
             terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
     return " + ".join(terms)
-
-
-def is_irreducible(a: int) -> bool:
-    """Trial-division irreducibility check."""
-    d = degree(a)
-    if d <= 0:
-        return False
-    for b in range(2, a):
-        if degree(b) > d // 2:
-            break
-        if mod(a, b) == 0:
-            return False
-    return True
 
 
 def factor(a: int) -> dict:

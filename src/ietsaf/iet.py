@@ -11,6 +11,11 @@ The Sah-Arnoux-Fathi invariant of the map, sum of length wedge
 translation over Q, is returned as an exact antisymmetric rational
 matrix in the field's power basis (WedgeClass).  Vanishing of the
 invariant does not depend on the basis choice.
+
+On the circle a map is the cyclic word of its arcs: (gap from one
+genuine discontinuity to the next, translation mod L on that arc).
+Conjugating by a rotation R_c moves the discontinuities by c and keeps
+the word, so rotation conjugacy is an exact cyclic-shift test on words.
 """
 
 from __future__ import annotations
@@ -405,50 +410,58 @@ class IET:
                 f"{kind})")
 
 
+def _arcs(f: IET):
+    """The arcs of f as a circle map: (start, translation mod L) pairs.
+
+    Translations lie in (-L, L), so one sign normalises each into [0, L).
+    A breakpoint starts an arc when the normalised translations on its two
+    sides differ; the seam point 0 compares the last piece with the first.
+    """
+    total = f.total
+    ts = [t if t.sign() >= 0 else t + total for t in f.translations()]
+    breaks = f.breaks()
+    return [(breaks[i], ts[i]) for i in range(f.n) if ts[i] != ts[i - 1]]
+
+
+def _word(arcs, total):
+    """The cyclic word [(gap to the next arc start, translation)] of arcs."""
+    ends = [s for s, _ in arcs[1:]] + [arcs[0][0] + total]
+    return [(e - s, t) for (s, t), e in zip(arcs, ends)]
+
+
 def cyclic_discontinuities(f: IET):
-    """Positions where f is genuinely discontinuous as a circle map.
+    """Positions where f is genuinely discontinuous as a circle map, sorted.
 
     A chart breakpoint is spurious on the circle when the neighbouring
     translations agree modulo the total length (the chart seam at 0 is
     treated the same way).
     """
-    pieces = f.canonical().pieces()
-    total = f.total
-    out = []
-    n = len(pieces)
-    for i in range(n):
-        _, v, t = pieces[i]
-        t_next = pieces[(i + 1) % n][2]
-        diff = t_next - t
-        if diff.is_zero() or (diff - total).is_zero() or (diff + total).is_zero():
-            continue
-        out.append(v if i < n - 1 else f.field.zero())
-    return sorted(out)
+    return [start for start, _ in _arcs(f)]
 
 
 def rotation_conjugacy(f: IET, g: IET):
     """An offset c with f == R_c o g o R_c^-1, or None when none exists.
 
-    Both maps must be circle IETs over the same field with the same total.
-    Candidates are pinned down by matching discontinuity sets, so the
-    search is finite and the returned witness is exact.
+    Both maps must be circle IETs over the same field with the same total
+    L.  Circle maps are equal exactly when their discontinuities and their
+    translations mod L on every arc agree, and h = R_c o g o R_c^-1 has
+    g's discontinuities moved by c and g's word.  So f == h exactly when
+    f's word read from a discontinuity fd[j] equals g's word read from
+    gd[0], with c = fd[j] - gd[0] mod L.  The first such j in domain order
+    gives the witness; the test is coordinate equality, with no compose.
     """
     if (g.field is not f.field and g.field != f.field) or f.total != g.total:
         return None
     total = f.total
-    fd = cyclic_discontinuities(f)
-    gd = cyclic_discontinuities(g)
-    if not fd and not gd:
+    fa, ga = _arcs(f), _arcs(g)
+    if not fa and not ga:
         # both are plain rotations; conjugation cannot change the constant
         return f.field.zero() if f == g else None
-    if len(fd) != len(gd) or not fd:
+    if len(fa) != len(ga) or not fa:
         return None
-    g0 = gd[0]
-    for d in fd:
-        c = d - g0
-        if c.sign() < 0:
-            c = c + total
-        rot = IET.rotation(f.field, total, c)
-        if rot.compose(g).compose(rot.inverse()) == f:
-            return c
+    fw, gw = _word(fa, total), _word(ga, total)
+    for j, (start, _) in enumerate(fa):
+        if fw[j:] + fw[:j] == gw:
+            c = start - ga[0][0]
+            return c + total if c.sign() < 0 else c
     return None

@@ -97,3 +97,41 @@ def simulate(pieces, x):
         if u <= x < v:
             return x + t
     raise AssertionError(f"{x} not in any piece")
+
+
+def cyclic_discontinuities_by_canonical(f):
+    """Reference for `cyclic_discontinuities`: walk the canonical pieces and
+    keep each breakpoint whose translation jump is not 0 or +-L."""
+    pieces = f.canonical().pieces()
+    total = f.total
+    out = []
+    n = len(pieces)
+    for i in range(n):
+        _, v, t = pieces[i]
+        diff = pieces[(i + 1) % n][2] - t
+        if diff.is_zero() or (diff - total).is_zero() or (diff + total).is_zero():
+            continue
+        out.append(v if i < n - 1 else f.field.zero())
+    return sorted(out)
+
+
+def rotation_conjugacy_by_compose(f, g):
+    """Reference for `rotation_conjugacy`: compose R_c o g o R_c^-1 for every
+    candidate offset c that moves g's first discontinuity onto one of f's."""
+    if (g.field is not f.field and g.field != f.field) or f.total != g.total:
+        return None
+    total = f.total
+    fd = cyclic_discontinuities_by_canonical(f)
+    gd = cyclic_discontinuities_by_canonical(g)
+    if not fd and not gd:
+        return f.field.zero() if f == g else None
+    if len(fd) != len(gd) or not fd:
+        return None
+    for d in fd:
+        c = d - gd[0]
+        if c.sign() < 0:
+            c = c + total
+        rot = IET.rotation(f.field, total, c)
+        if rot.compose(g).compose(rot.inverse()) == f:
+            return c
+    return None

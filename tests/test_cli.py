@@ -100,6 +100,13 @@ def test_ay_genus_5_report(capsys):
     assert json.loads(out)["all_pass"] is True
 
 
+def test_ay_genus_8_report(capsys):
+    code, out, _ = run(capsys, ["ay", "--genus", "8", "--check", "--json"])
+    assert code == 0
+    assert '"self_similarity_offset": "-1/2,3/2,0,0,0,0,0,0"' in out
+    assert '"all_pass": true' in out
+
+
 # -- values that start with '-' ---------------------------------------------------
 
 

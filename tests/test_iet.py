@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,16 +11,20 @@ from ietsaf import (
     NumberField,
     Poly,
     WedgeClass,
+    ay_lift,
+    ay_perturbed_involution,
     cyclic_discontinuities,
     rotation_conjugacy,
 )
 
 from helpers import (
+    cyclic_discontinuities_by_canonical,
     float_pieces,
     random_cubic_field,
     random_iet,
     random_pair_involution,
     random_positive,
+    rotation_conjugacy_by_compose,
     simulate,
 )
 
@@ -257,3 +262,133 @@ def test_rotation_conjugacy_none_for_different_maps(k3):
     f = IET.rotation(k3, 1, theta)
     g = IET.rotation(k3, 1, Fraction(1, 3))
     assert rotation_conjugacy(f, g) is None
+    assert rotation_conjugacy_by_compose(f, g) is None
+    assert rotation_conjugacy(f, IET.rotation(k3, 1, theta)) == k3.zero()
+
+
+def test_rotation_conjugacy_negatives_agree_with_oracle(k3):
+    # the perturbed Arnoux-Yoccoz lift is not self-similar
+    lift = ay_lift(3, involution=ay_perturbed_involution(3, k3))
+    alpha = k3.gen()
+    returned, scaled = lift.first_return(alpha), lift.scale(alpha)
+    assert rotation_conjugacy(returned, scaled) is None
+    assert rotation_conjugacy_by_compose(returned, scaled) is None
+    eighth, quarter = Fraction(1, 8), Fraction(1, 4)
+    three = IET(k3, 1, [quarter, quarter, 2 * quarter], [2, 1, 0], circle=True)
+    four = IET(k3, 1, [eighth, quarter, eighth, 4 * eighth], [3, 2, 1, 0],
+               circle=True)
+    rot = IET.rotation(k3, 1, alpha)
+    assert [len(cyclic_discontinuities(f)) for f in (three, four, rot)] == [3, 4, 0]
+    # arc translations 0, 1/2, 0, 1/2 in both, arc lengths differ
+    uneven = IET(k3, 1, [3 * eighth, eighth, 3 * eighth, eighth], [2, 1, 0, 3],
+                 circle=True)
+    even = IET(k3, 1, [quarter] * 4, [2, 1, 0, 3], circle=True)
+    # the discontinuities of `three`, every translation moved by 1/5
+    moved = three.rotate(Fraction(1, 5))
+    assert cyclic_discontinuities(moved) == cyclic_discontinuities(three)
+    for f, g in ((three, four), (four, three), (three, rot), (rot, three),
+                 (uneven, even), (even, uneven), (moved, three)):
+        assert rotation_conjugacy(f, g) is None
+        assert rotation_conjugacy_by_compose(f, g) is None
+
+
+def test_rotation_conjugacy_returns_the_first_offset(k3):
+    eighth = Fraction(1, 8)
+    uneven = IET(k3, 1, [3 * eighth, eighth, 3 * eighth, eighth], [2, 1, 0, 3],
+                 circle=True)
+    # `uneven` commutes with the rotation by 1/2, so two offsets conjugate
+    half = IET.rotation(k3, 1, Fraction(1, 2))
+    assert half.compose(uneven).compose(half.inverse()) == uneven
+    assert rotation_conjugacy(uneven, uneven) == k3.zero()
+    rot = IET.rotation(k3, 1, eighth)
+    conj = rot.compose(uneven).compose(rot.inverse())
+    assert rotation_conjugacy(conj, uneven) == rotation_conjugacy_by_compose(conj, uneven)
+
+
+def test_chart_seam_spurious_and_genuine(k3):
+    q = lambda *x: k3.from_rational(Fraction(*x))
+    # translations 1/2 and -1/2 on either side of the seam: 0 is spurious
+    spurious = IET.from_pieces(k3, 1, [
+        (q(0), q(1, 4), q(1, 2)),
+        (q(1, 4), q(1, 2), q(-1, 4)),
+        (q(1, 2), q(3, 4), q(1, 4)),
+        (q(3, 4), q(1), q(-1, 2)),
+    ], circle=True)
+    # `spurious` conjugated by the rotation by 1/4: 0 is genuine
+    genuine = IET.from_pieces(k3, 1, [
+        (q(0), q(1, 2), q(1, 2)),
+        (q(1, 2), q(3, 4), q(-1, 4)),
+        (q(3, 4), q(1), q(-3, 4)),
+    ], circle=True)
+    ts = spurious.translations()
+    assert ts[0] - ts[-1] == spurious.total
+    assert cyclic_discontinuities(spurious) == [q(1, 4), q(1, 2), q(3, 4)]
+    assert cyclic_discontinuities(genuine) == [q(0), q(1, 2), q(3, 4)]
+    maps = (spurious, genuine)
+    for f in maps:
+        assert cyclic_discontinuities(f) == cyclic_discontinuities_by_canonical(f)
+        for g in maps:
+            assert rotation_conjugacy(f, g) == rotation_conjugacy_by_compose(f, g)
+    assert rotation_conjugacy(genuine, spurious) == q(1, 4)
+    assert rotation_conjugacy(spurious, genuine) == q(3, 4)
+    rot = IET.rotation(k3, 1, q(1, 4))
+    assert rot.compose(spurious).compose(rot.inverse()) == genuine
+    # fd[j] - gd[0] = 1/8 - 1/4 is negative and is reduced mod 1
+    rot = IET.rotation(k3, 1, q(7, 8))
+    conj = rot.compose(spurious).compose(rot.inverse())
+    assert rotation_conjugacy(conj, spurious) == q(7, 8)
+    assert rotation_conjugacy_by_compose(conj, spurious) == q(7, 8)
+
+
+try:
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is an optional test dependency
+    given = None
+
+
+if given is None:
+
+    def test_rotation_conjugacy_properties():
+        pytest.skip("hypothesis is not installed")
+
+else:
+
+    K3 = NumberField(AY3, 0, 1)
+
+    @st.composite
+    def offsets(draw, f):
+        """An offset in [0, 1): rational, irrational (frac of k*alpha), or
+        one that moves a breakpoint of f onto the seam."""
+        kind = draw(st.sampled_from(["rational", "irrational", "breakpoint"]))
+        if kind == "rational":
+            return K3.from_rational(draw(st.fractions(0, 1, max_denominator=24)
+                                         .filter(lambda x: x < 1)))
+        if kind == "irrational":
+            x = K3.gen() * draw(st.integers(1, 9))
+            return x - math.floor(float(x))
+        b = f.breaks()[draw(st.integers(1, f.n - 1))]
+        return K3.one() - b
+
+    @st.composite
+    def circle_iets(draw):
+        """A circle IET on [0, 1) with 2..5 pieces, lengths in Q(alpha)."""
+        n = draw(st.integers(2, 5))
+        weights = [K3.gen() * draw(st.integers(-1, 1)) + draw(st.integers(1, 6))
+                   for _ in range(n)]
+        total = sum(weights, K3.zero())
+        perm = draw(st.permutations(range(n)))
+        return IET(K3, 1, [w / total for w in weights], perm, circle=True)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(circle_iets(), circle_iets(), st.data())
+    def test_rotation_conjugacy_matches_compose_oracle(f, other, data):
+        c = data.draw(offsets(f))
+        rot = IET.rotation(K3, 1, c)
+        conj = rot.compose(f).compose(rot.inverse())
+        assert cyclic_discontinuities(conj) == cyclic_discontinuities_by_canonical(conj)
+        found = rotation_conjugacy(conj, f)
+        assert found is not None
+        assert found == rotation_conjugacy_by_compose(conj, f)
+        assert rotation_conjugacy(other, f) == rotation_conjugacy_by_compose(other, f)
