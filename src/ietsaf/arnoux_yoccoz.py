@@ -167,8 +167,6 @@ class AYSystem:
             raise InputError("alpha powers do not sum to 1")
         if not self.is_involution():
             raise InputError("boundary map is not an involution")
-        if self.lift != self.boundary_involution.scale(HALF).rotate(HALF):
-            raise InputError("lift does not match its construction")
 
     def is_involution(self) -> bool:
         return self.involution_square == IET.identity(

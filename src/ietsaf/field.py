@@ -30,6 +30,14 @@ every printed isolating interval is the same.  Bisection bumps the
 field's generation counter, which marks the fixed-point interval and
 the cached element enclosures as stale; they are recomputed on first use.
 
+The constructor builds the Sturm chain of the modulus once and keeps it;
+its last entry also shows whether the modulus is squarefree.  Two field
+objects are equal when they have the same modulus and the same
+distinguished root, and deciding that costs one Sturm count with the
+kept chain on the intersection of the two isolating intervals.  Elements
+of two equal field objects have the same coordinates in the same basis,
+but arithmetic and comparisons are fastest within one field object.
+
 Irreducibility of the modulus is certified best-effort by reduction
 modulo small primes.  When certification fails, arithmetic still
 proceeds; an actually reducible modulus is detected loudly the moment
@@ -44,6 +52,7 @@ from .errors import (
     FieldMismatchError,
     InputError,
     IterationCapError,
+    NonSquarefreeError,
     PolynomialError,
     ReducibleModulusError,
 )
@@ -51,9 +60,9 @@ from .polys import (
     Poly,
     certify_irreducible,
     count_real_roots,
-    is_squarefree,
     poly_gcd,
     poly_xgcd,
+    sturm_chain,
 )
 
 SIGN_GCD_CHECK_AFTER = 48
@@ -73,18 +82,21 @@ class NumberField:
             raise InputError("field modulus must be a monic integer polynomial")
         if modulus.degree < 1:
             raise InputError("field modulus must have degree >= 1")
-        if not is_squarefree(modulus):
-            raise InputError(f"field modulus is not squarefree: {modulus}")
+        try:
+            chain = sturm_chain(modulus)
+        except NonSquarefreeError:
+            raise InputError(f"field modulus is not squarefree: {modulus}") from None
         if lo >= hi:
             raise InputError("root interval is empty")
         if modulus(lo) == 0 or modulus(hi) == 0:
             raise InputError("root count in interval != 1 (root at an endpoint)")
-        if count_real_roots(modulus, lo, hi) != 1:
+        if count_real_roots(modulus, lo, hi, chain) != 1:
             raise InputError(
                 f"root count in interval != 1 for {modulus} on ({lo}, {hi})"
             )
         self.modulus = modulus
         self.degree = modulus.degree
+        self._chain = chain
         self.certified_prime = certify_irreducible(modulus)
         self._lo, self._hi = lo, hi
         self._sign_lo = _sign(modulus(lo))
@@ -197,7 +209,7 @@ class NumberField:
             return other._lo < r < other._hi and self._lo < r < self._hi
         if lo >= hi:
             return False
-        return count_real_roots(self.modulus, lo, hi) == 1
+        return count_real_roots(self.modulus, lo, hi, self._chain) == 1
 
     def __hash__(self):
         return hash(self.modulus)

@@ -16,6 +16,11 @@ On the circle a map is the cyclic word of its arcs: (gap from one
 genuine discontinuity to the next, translation mod L on that arc).
 Conjugating by a rotation R_c moves the discontinuities by c and keeps
 the word, so rotation conjugacy is an exact cyclic-shift test on words.
+
+Binary operations (compose, equality, rotation conjugacy) check once that
+the two maps' fields are equal, then move the second map onto the first
+map's field object.  Every later comparison is then between elements of
+one field object and goes through its fixed-point filter.
 """
 
 from __future__ import annotations
@@ -45,6 +50,20 @@ def _maximum(a: AlgNum, b: AlgNum) -> AlgNum:
 
 def _minimum(a: AlgNum, b: AlgNum) -> AlgNum:
     return b if b < a else a
+
+
+def _on_field(f: "IET", field: NumberField):
+    """f over the field object `field`, or None when f's field is not equal to it.
+
+    Equal fields share the power basis of the same root, so the total and
+    the lengths carry over coordinate for coordinate.
+    """
+    if f.field is field:
+        return f
+    if f.field != field:
+        return None
+    return IET(field, AlgNum(field, f.total.coords),
+               [AlgNum(field, l.coords) for l in f.lengths], f.perm, f.circle)
 
 
 class WedgeClass:
@@ -265,7 +284,8 @@ class IET:
 
     def compose(self, other: "IET") -> "IET":
         """The IET x -> self(other(x))."""
-        if other.field is not self.field and other.field != self.field:
+        other = _on_field(other, self.field)
+        if other is None:
             raise FieldMismatchError("composition of IETs over different fields")
         if other.total != self.total:
             raise DomainError("composition of IETs with different totals")
@@ -383,7 +403,8 @@ class IET:
         """
         if not isinstance(other, IET):
             return NotImplemented
-        if self.field != other.field or self.total != other.total:
+        other = _on_field(other, self.field)
+        if other is None or self.total != other.total:
             return False
         return self.canonical().pieces() == other.canonical().pieces()
 
@@ -450,7 +471,8 @@ def rotation_conjugacy(f: IET, g: IET):
     gd[0], with c = fd[j] - gd[0] mod L.  The first such j in domain order
     gives the witness; the test is coordinate equality, with no compose.
     """
-    if (g.field is not f.field and g.field != f.field) or f.total != g.total:
+    g = _on_field(g, f.field)
+    if g is None or f.total != g.total:
         return None
     total = f.total
     fa, ga = _arcs(f), _arcs(g)

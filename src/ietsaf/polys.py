@@ -307,14 +307,14 @@ def cauchy_root_bound(p: Poly) -> Fraction:
 
 
 def sturm_chain(p: Poly):
-    """Sturm chain of a squarefree polynomial."""
+    """Sturm chain of a squarefree polynomial.
+
+    The chain is Euclid's remainder sequence of p and p' up to signs, so
+    its last entry is gcd(p, p') up to a unit: p is squarefree exactly
+    when that entry is a constant.
+    """
     if p.is_zero:
         raise PolynomialError("Sturm chain of the zero polynomial")
-    if not is_squarefree(p):
-        raise NonSquarefreeError(
-            f"polynomial is not squarefree: gcd with derivative is "
-            f"{poly_gcd(p, p.derivative())}"
-        )
     chain = [p]
     if p.degree >= 1:
         chain.append(p.derivative())
@@ -322,6 +322,11 @@ def sturm_chain(p: Poly):
             chain.append(-(chain[-2] % chain[-1]))
         if chain[-1].is_zero:
             chain.pop()
+    if chain[-1].degree > 0:
+        raise NonSquarefreeError(
+            f"polynomial is not squarefree: gcd with derivative is "
+            f"{chain[-1].monic()}"
+        )
     return chain
 
 

@@ -1,6 +1,7 @@
 """The command line contract: exit codes, stable stdout, argument forms."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -97,7 +98,25 @@ def test_ay_genus_5_report(capsys):
     assert code == 0
     assert '"alpha_interval": "533369/1048576,266685/524288"' in out
     assert '"self_similarity_offset": "-1/2,3/2,0,0,0"' in out
-    assert json.loads(out)["all_pass"] is True
+    report = json.loads(out)
+    assert report["all_pass"] is True
+    assert report["checks"]["criterion_vanishes"] is True
+    assert report["checks"]["vanishing_methods_agree"] is True
+    code, out, _ = run(capsys, ["ay", "--genus", "5", "--check"])
+    assert "check criterion_vanishes: pass\ncheck vanishing_methods_agree: pass\n" in out
+
+
+def test_ay_methods_agree_on_a_nonvanishing_verdict(monkeypatch, capsys):
+    # both criteria say "does not vanish": they agree, the criterion fails
+    nonzero = lambda m: SimpleNamespace(vanishes=False)
+    monkeypatch.setattr(cli, "vanishing_by_reciprocity", nonzero)
+    monkeypatch.setattr(cli, "vanishing_by_field_degree", nonzero)
+    code, out, _ = run(capsys, ["ay", "--genus", "3", "--check", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["checks"]["vanishing_methods_agree"] is True
+    assert report["checks"]["criterion_vanishes"] is False
+    assert report["all_pass"] is False
 
 
 def test_ay_genus_8_report(capsys):
@@ -155,3 +174,35 @@ def test_interval_separated_negative_value(capsys):
         ["vanishing", "--interval=1,2", "--minpoly=-1,-1,-1,1"],
     )
     assert code == 0
+
+
+# -- compose across two files ------------------------------------------------------
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_compose_files_with_different_root_intervals(ay3, tmp_path, capsys):
+    data = json.loads(open(ay3, encoding="utf-8").read())
+    data["root_interval"] = "1/2,3/5"
+    other = _write(tmp_path / "other.iet", json.dumps(data))
+    same = run(capsys, ["compose", "--iet", ay3, "--iet2", ay3])
+    across = run(capsys, ["compose", "--iet", ay3, "--iet2", other])
+    assert across[0] == 0
+    assert across[1] == same[1]
+
+
+def test_compose_files_over_different_roots_exits_2(tmp_path, capsys):
+    def exchange(name, interval):
+        return _write(tmp_path / name, json.dumps({
+            "modulus": "-2,0,1", "root_interval": interval, "total": "1,0",
+            "lengths": ["1/3,0", "2/3,0"], "perm": [2, 1], "circle": True,
+        }))
+
+    plus, minus = exchange("plus.iet", "0,2"), exchange("minus.iet", "-2,0")
+    code, out, err = run(capsys, ["compose", "--iet", plus, "--iet2", minus])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: composition of IETs over different fields")

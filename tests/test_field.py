@@ -338,3 +338,15 @@ else:
                 else:
                     assert got == (exact < 0, exact <= 0, exact > 0, exact >= 0)
         assert field.interval == twin.interval
+
+    @filter_settings
+    @given(fields(), st.data())
+    def test_kept_chain_counts_like_a_fresh_chain(spec, data):
+        p, lo, hi = spec
+        field = NumberField(p, lo, hi)
+        bound = cauchy_root_bound(p)
+        ends = st.fractions(min_value=-bound, max_value=bound, max_denominator=12)
+        a, b = data.draw(ends), data.draw(ends)
+        assume(a < b)
+        assert (count_real_roots(p, a, b, field._chain)
+                == count_real_roots(p, a, b))

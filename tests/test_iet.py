@@ -1,11 +1,16 @@
+import json
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+import ietsaf.field
+import ietsaf.polys
 from ietsaf import (
     DomainError,
+    FieldMismatchError,
     IET,
     InputError,
     NumberField,
@@ -14,6 +19,8 @@ from ietsaf import (
     ay_lift,
     ay_perturbed_involution,
     cyclic_discontinuities,
+    dumps_iet,
+    loads_iet,
     rotation_conjugacy,
 )
 
@@ -338,6 +345,86 @@ def test_chart_seam_spurious_and_genuine(k3):
     conj = rot.compose(spurious).compose(rot.inverse())
     assert rotation_conjugacy(conj, spurious) == q(7, 8)
     assert rotation_conjugacy_by_compose(conj, spurious) == q(7, 8)
+
+
+# -- maps read from two files: equal fields, distinct field objects ----------------
+
+
+def _with_root_interval(text, interval):
+    data = json.loads(text)
+    data["root_interval"] = interval
+    return json.dumps(data)
+
+
+def _lift_on_two_fields():
+    """The genus-4 lift loaded from two texts whose root intervals differ but
+    isolate the same root."""
+    text = dumps_iet(ay_lift(4))
+    f, g = loads_iet(text), loads_iet(_with_root_interval(text, "1/2,3/5"))
+    assert f.field is not g.field and f.field == g.field
+    assert f.field.interval != g.field.interval
+    return f, g
+
+
+def test_compose_over_equal_fields_matches_one_field():
+    f, g = _lift_on_two_fields()
+    across = f.compose(g.inverse())
+    within = f.compose(f.inverse())
+    assert across.field is f.field
+    assert across == IET.identity(f.field, 1)
+    assert dumps_iet(across) == dumps_iet(within)
+    across = f.compose(g)
+    assert across.field is f.field
+    assert dumps_iet(across) == dumps_iet(f.compose(f))
+
+
+def test_conjugacy_and_equality_over_equal_fields():
+    f, g = _lift_on_two_fields()
+    assert f == g and g == f
+    assert f != g.rotate(Fraction(1, 4))
+    returned = f.first_return(f.field.gen())
+    across = rotation_conjugacy(returned, g.scale(g.field.gen()))
+    within = rotation_conjugacy(returned, f.scale(f.field.gen()))
+    assert across.field is f.field
+    assert across.coords == within.coords == (-Fraction(1, 2), Fraction(3, 2), 0, 0)
+
+
+def test_same_modulus_other_root_is_a_field_mismatch():
+    def exchange(interval):
+        # rational lengths: a valid map over either root of x^2 - 2
+        return loads_iet(json.dumps({
+            "modulus": "-2,0,1", "root_interval": interval, "total": "1,0",
+            "lengths": ["1/3,0", "2/3,0"], "perm": [2, 1], "circle": True,
+        }))
+
+    f, g = exchange("0,2"), exchange("-2,0")
+    with pytest.raises(FieldMismatchError):
+        f.compose(g)
+    assert f != g
+    assert rotation_conjugacy(f, g) is None
+    assert f == exchange("1,2") and rotation_conjugacy(f, exchange("1,2")) == 0
+
+
+def test_two_loaded_files_decide_field_equality_once(monkeypatch):
+    f, g = _lift_on_two_fields()
+    calls = {"count_real_roots": 0, "sturm_chain": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (ietsaf.field, ietsaf.polys):
+        for name in calls:
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(ietsaf.polys, name)),
+                                raising=False)
+    for operation in (f.compose, f.__eq__, partial(rotation_conjugacy, f)):
+        calls.update(count_real_roots=0, sturm_chain=0)
+        operation(g)
+        assert calls["count_real_roots"] <= 1
+        assert calls["sturm_chain"] == 0
 
 
 try:

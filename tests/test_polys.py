@@ -16,7 +16,7 @@ from ietsaf import (
     poly_xgcd,
     reverse,
 )
-from ietsaf.polys import cauchy_root_bound, is_irreducible_mod
+from ietsaf.polys import cauchy_root_bound, is_irreducible_mod, sturm_chain
 
 
 def brute_mul(p, q):
@@ -203,3 +203,40 @@ def test_poly_str_render():
     assert str(Poly([-1, -1, -1, 1])) == "x^3 - x^2 - x - 1"
     assert str(Poly([1, -3, 1])) == "x^2 - 3*x + 1"
     assert str(Poly()) == "0"
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is an optional test dependency
+    given = None
+
+
+if given is None:
+
+    def test_sturm_chain_properties():
+        pytest.skip("hypothesis is not installed")
+
+else:
+
+    factors = st.lists(st.integers(-4, 4), min_size=2, max_size=3).map(Poly)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(factors, min_size=1, max_size=3), st.booleans())
+    def test_sturm_chain_raises_exactly_when_not_squarefree(parts, square):
+        p = Poly([1])
+        for q in parts:
+            p = p * q
+        if square:
+            p = p * parts[0]
+        if p.is_zero:
+            return
+        try:
+            chain = sturm_chain(p)
+        except NonSquarefreeError as exc:
+            assert not is_squarefree(p)
+            assert str(exc) == ("polynomial is not squarefree: gcd with "
+                                f"derivative is {poly_gcd(p, p.derivative())}")
+        else:
+            assert is_squarefree(p)
+            assert chain[0] == p
