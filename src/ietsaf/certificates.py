@@ -10,7 +10,9 @@ the minimal polynomial m of the stretch factor lambda > 1:
   degree of the minimal polynomial of lambda + 1/lambda computed inside
   Q[x]/(m).
 
-The two must agree on every input; the test suite enforces this.
+The two must agree on every input; the test suite enforces this.  Both
+validate m in `_stretch_root_interval`, which builds one Sturm chain of m
+for the squarefree check, the isolation and every root count.
 
 The nonlift certificate decides whether lambda could be the stretch
 factor of a map lifted from a nonorientable surface of genus g+1: such a
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import gf2
-from .errors import InputError, PolynomialError
+from .errors import InputError, NonSquarefreeError, PolynomialError
 from .field import NumberField
 from .polys import (
     Poly,
@@ -40,6 +42,7 @@ from .polys import (
     is_squarefree,
     isolate_real_roots,
     reverse,
+    sturm_chain,
 )
 
 OUTCOME_NOT_LIFT = "CertifiedNotLift"
@@ -95,19 +98,21 @@ def _stretch_root_interval(m: Poly, interval=None):
         raise InputError("minimal polynomial must be monic with integer coefficients")
     if m.degree < 1:
         raise InputError("minimal polynomial must have degree >= 1")
-    if not is_squarefree(m):
-        raise InputError(f"minimal polynomial is not squarefree: {m}")
+    try:
+        chain = sturm_chain(m)
+    except NonSquarefreeError:
+        raise InputError(f"minimal polynomial is not squarefree: {m}") from None
     if m.constant() == 0:
         raise InputError("minimal polynomial must have nonzero constant term")
     if interval is not None:
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         if lo < 1:
             raise InputError("supplied interval must lie in [1, oo)")
-        if m(lo) == 0 or m(hi) == 0 or count_real_roots(m, lo, hi) != 1:
+        if m(lo) == 0 or m(hi) == 0 or count_real_roots(m, lo, hi, chain) != 1:
             raise InputError("supplied interval does not isolate one root > 1")
         return lo, hi
     bound = cauchy_root_bound(m)
-    roots = isolate_real_roots(m, Fraction(1), bound)
+    roots = isolate_real_roots(m, Fraction(1), bound, chain)
     if not roots:
         raise InputError(f"no real root > 1 for {m}")
     lo, hi = roots[-1]
@@ -118,7 +123,7 @@ def _stretch_root_interval(m: Poly, interval=None):
     step = (hi - lo) / 2
     while m(lo) == 0:
         u = lo + step
-        if m(u) != 0 and count_real_roots(m, u, hi) == 1:
+        if m(u) != 0 and count_real_roots(m, u, hi, chain) == 1:
             lo = u
         else:
             step /= 2

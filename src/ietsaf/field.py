@@ -38,6 +38,17 @@ kept chain on the intersection of the two isolating intervals.  Elements
 of two equal field objects have the same coordinates in the same basis,
 but arithmetic and comparisons are fastest within one field object.
 
+Products go through one kernel, `_mul_mod`: convolution, then reduction
+by a table of alpha^d .. alpha^(2d-2) whose entries are Python ints,
+since the modulus is monic and integral.  `AlgNum.__mul__` runs it on
+`Fraction` coordinates.  `AlgNum.min_poly` runs it on ints: with D the
+lcm of an element's coordinate denominators, gamma = D*a has integer
+coordinates over a monic integer modulus, so gamma is an algebraic
+integer and every power of it has integer coordinates.  Krylov
+elimination on those powers is fraction-free (cross-multiplication, then
+division by the content), so it is exact with no `Fraction` at all; the
+minimal polynomial of a is that of gamma at D*x, made monic.
+
 Irreducibility of the modulus is certified best-effort by reduction
 modulo small primes.  When certification fails, arithmetic still
 proceeds; an actually reducible modulus is detected loudly the moment
@@ -47,6 +58,7 @@ inversion (or sign refinement) runs into a zero divisor.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     FieldMismatchError,
@@ -67,10 +79,69 @@ from .polys import (
 
 SIGN_GCD_CHECK_AFTER = 48
 SIGN_BISECTION_CAP = 10 ** 6
+_FRACTION_ZERO = Fraction(0)
 
 
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
+
+
+def _mul_mod(a, b, high_powers, zero):
+    """Coordinates of the product of two coordinate vectors in Q[x]/(m).
+
+    Convolution, then each coefficient of alpha^(d+k) is folded back
+    through row k of the field's integer power table.  Works for any
+    numeric coordinates; `zero` is the value of an untouched slot, so
+    Fraction inputs give Fraction outputs and int inputs give ints.
+    """
+    d = len(a)
+    conv = [zero] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    conv[i + j] += x * y
+    out = conv[:d]
+    for k, c in enumerate(conv[d:]):
+        if c:
+            out = [x + c * y for x, y in zip(out, high_powers[k])]
+    return out
+
+
+def _integer_dependency(gamma, high_powers):
+    """Primitive integer c_0..c_k with sum c_i gamma^i = 0 and k minimal.
+
+    gamma is an integer coordinate vector.  Fraction-free Krylov
+    elimination: each new power gamma^j is reduced against the kept rows
+    by cross-multiplication, s*vec - c*pvec with s the row's pivot entry,
+    the same update is applied to its expression in powers, and both are
+    divided by their common content.  The first power that reduces to
+    zero gives the dependency, already primitive.
+    """
+    d = len(gamma)
+    rows = []  # (pivot index, reduced vector, expression in powers)
+    power = [1] + [0] * (d - 1)
+    for j in range(d + 1):
+        vec = power
+        combo = [0] * j + [1]
+        for pivot, pvec, pcombo in rows:
+            c = vec[pivot]
+            if c:
+                s = pvec[pivot]
+                vec = [s * x - c * y for x, y in zip(vec, pvec)]
+                n = len(pcombo)
+                combo = ([s * x - c * y for x, y in zip(combo, pcombo)]
+                         + [s * x for x in combo[n:]])
+                g = gcd(*vec, *combo)
+                if g > 1:
+                    vec = [x // g for x in vec]
+                    combo = [x // g for x in combo]
+        pivot = next((i for i, x in enumerate(vec) if x), None)
+        if pivot is None:
+            return combo
+        rows.append((pivot, vec, combo))
+        power = _mul_mod(power, gamma, high_powers, 0)
+    raise PolynomialError("unreachable: no dependency among d+1 powers")
 
 
 class NumberField:
@@ -107,15 +178,15 @@ class NumberField:
         self.refine_interval(Fraction(1, 2 ** 20))
 
     def _power_table(self):
-        # coords of alpha^d .. alpha^(2d-2) in the power basis
+        # integer coords of alpha^d .. alpha^(2d-2) in the power basis
         d = self.degree
-        reduction = [-c for c in self.modulus.coeffs[:-1]]
+        reduction = [-int(c) for c in self.modulus.coeffs[:-1]]
         table = []
         cur = list(reduction)
         table.append(tuple(cur))
         for _ in range(d - 2):
             top = cur[-1]
-            cur = [Fraction(0)] + cur[:-1]
+            cur = [0] + cur[:-1]
             if top:
                 cur = [a + top * b for a, b in zip(cur, reduction)]
             table.append(tuple(cur))
@@ -263,19 +334,9 @@ class AlgNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.field.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(o.coords):
-                    if b:
-                        conv[i + j] += a * b
-        out = conv[:d]
-        for k, c in enumerate(conv[d:]):
-            if c:
-                high = self.field._high_powers[k]
-                out = [x + c * y for x, y in zip(out, high)]
-        return AlgNum(self.field, tuple(out))
+        field = self.field
+        return AlgNum(field, tuple(_mul_mod(self.coords, o.coords,
+                                            field._high_powers, _FRACTION_ZERO)))
 
     __rmul__ = __mul__
 
@@ -456,28 +517,21 @@ class AlgNum:
         return float(self.approx(Fraction(1, 10 ** 20)))
 
     def min_poly(self) -> Poly:
-        """Monic rational minimal polynomial, by incremental Krylov elimination."""
-        d = self.field.degree
-        rows = []  # (pivot index, reduced vector, expression in powers)
-        power = self.field.one()
-        for j in range(d + 1):
-            vec = list(power.coords)
-            combo = [Fraction(0)] * j + [Fraction(1)]
-            for pivot, pvec, pcombo in rows:
-                c = vec[pivot]
-                if c:
-                    f = c / pvec[pivot]
-                    vec = [x - f * y for x, y in zip(vec, pvec)]
-                    combo = [
-                        x - f * (pcombo[i] if i < len(pcombo) else 0)
-                        for i, x in enumerate(combo)
-                    ]
-            pivot = next((i for i, x in enumerate(vec) if x), None)
-            if pivot is None:
-                return Poly(combo)
-            rows.append((pivot, vec, combo))
-            power = power * self
-        raise PolynomialError("unreachable: no dependency among d+1 powers")
+        """Monic rational minimal polynomial, by Krylov elimination over Z.
+
+        With D the lcm of the coordinate denominators, gamma = D*self has
+        integer coordinates over a monic integer modulus, so it is an
+        algebraic integer and all its powers have integer coordinates.
+        Its minimal polynomial sum c_i x^i comes from fraction-free
+        elimination; that of self is the one of gamma at D*x, made monic,
+        with coefficients c_i*D^i / (c_k*D^k).
+        """
+        den = lcm(*(c.denominator for c in self.coords))
+        gamma = [c.numerator * (den // c.denominator) for c in self.coords]
+        combo = _integer_dependency(gamma, self.field._high_powers)
+        k = len(combo) - 1
+        lead = combo[k] * den ** k
+        return Poly([Fraction(c * den ** i, lead) for i, c in enumerate(combo)])
 
     def __repr__(self):
         return f"AlgNum([{', '.join(str(c) for c in self.coords)}])"

@@ -346,7 +346,7 @@ def count_real_roots(p: Poly, lo: Fraction, hi: Fraction, chain=None) -> int:
     return vlo - vhi
 
 
-def isolate_real_roots(p: Poly, lo: Fraction, hi: Fraction):
+def isolate_real_roots(p: Poly, lo: Fraction, hi: Fraction, chain=None):
     """Disjoint intervals (a, b], each holding exactly one root in (lo, hi].
 
     Requires p squarefree; intervals are returned in increasing order and
@@ -355,7 +355,8 @@ def isolate_real_roots(p: Poly, lo: Fraction, hi: Fraction):
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise PolynomialError("isolation interval is empty")
-    chain = sturm_chain(p)
+    if chain is None:
+        chain = sturm_chain(p)
     var_cache = {}
 
     def var(x):

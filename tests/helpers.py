@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from ietsaf import IET, NumberField, Poly, certify_irreducible, is_squarefree, isolate_real_roots
+from ietsaf.errors import PolynomialError
 from ietsaf.polys import cauchy_root_bound
 
 
@@ -135,3 +136,29 @@ def rotation_conjugacy_by_compose(f, g):
         if rot.compose(g).compose(rot.inverse()) == f:
             return c
     return None
+
+
+def min_poly_by_fractions(a):
+    """Reference for `AlgNum.min_poly`: Krylov elimination over `Fraction`
+    on the powers of a, built with `AlgNum` multiplication."""
+    d = a.field.degree
+    rows = []  # (pivot index, reduced vector, expression in powers)
+    power = a.field.one()
+    for j in range(d + 1):
+        vec = list(power.coords)
+        combo = [Fraction(0)] * j + [Fraction(1)]
+        for pivot, pvec, pcombo in rows:
+            c = vec[pivot]
+            if c:
+                f = c / pvec[pivot]
+                vec = [x - f * y for x, y in zip(vec, pvec)]
+                combo = [
+                    x - f * (pcombo[i] if i < len(pcombo) else 0)
+                    for i, x in enumerate(combo)
+                ]
+        pivot = next((i for i, x in enumerate(vec) if x), None)
+        if pivot is None:
+            return Poly(combo)
+        rows.append((pivot, vec, combo))
+        power = power * a
+    raise PolynomialError("no dependency among d+1 powers")

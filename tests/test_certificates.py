@@ -14,7 +14,8 @@ from ietsaf import (
     vanishing_by_field_degree,
     vanishing_by_reciprocity,
 )
-from ietsaf import gf2
+from ietsaf import certificates, cli, field, gf2, polys
+from ietsaf.field import AlgNum
 from ietsaf.certificates import (
     OUTCOME_INCONCLUSIVE,
     OUTCOME_NOT_LIFT,
@@ -72,6 +73,39 @@ def test_vanishing_preconditions():
 def test_vanishing_with_supplied_interval():
     v = vanishing_by_field_degree(QUAD, (Fraction(2), Fraction(3)))
     assert not v.vanishes
+
+
+def test_vanishing_call_counts(monkeypatch, capsys):
+    """One `vanishing` run: no separate squarefree test, one Sturm chain per
+    validation plus the field's own, and no field multiplication in min_poly."""
+    counts = {"is_squarefree": 0, "sturm_chain": 0, "mul": 0, "mul_in_min_poly": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(certificates, "is_squarefree",
+                        counting("is_squarefree", certificates.is_squarefree))
+    chain = counting("sturm_chain", polys.sturm_chain)
+    for module in (polys, field, certificates):
+        monkeypatch.setattr(module, "sturm_chain", chain)
+    monkeypatch.setattr(AlgNum, "__mul__", counting("mul", AlgNum.__mul__))
+    min_poly = AlgNum.min_poly
+
+    def watched_min_poly(self):
+        before = counts["mul"]
+        result = min_poly(self)
+        counts["mul_in_min_poly"] += counts["mul"] - before
+        return result
+
+    monkeypatch.setattr(AlgNum, "min_poly", watched_min_poly)
+    assert cli.main(["vanishing", "--minpoly", "-3,-1,0,1"]) == 0
+    assert "min poly of lambda+1/lambda: x^3 + 1/3*x^2 - 4*x - 13/3" in capsys.readouterr().out
+    assert counts["is_squarefree"] == 0
+    assert counts["sturm_chain"] <= 3
+    assert counts["mul_in_min_poly"] == 0
 
 
 def test_methods_agree_on_corpus():

@@ -126,6 +126,22 @@ def test_ay_genus_8_report(capsys):
     assert '"all_pass": true' in out
 
 
+@pytest.mark.parametrize("minpoly, detail", [
+    # constant term -3: the minimal polynomial of beta has fractional coefficients
+    ("-3,-1,0,1", "-13/3,-4,1/3,1"),
+    # the Arnoux-Yoccoz stretch polynomial of genus 22
+    (",".join(["-1"] * 22 + ["1"]),
+     "-5,10,126,-190,-1305,992,5215,-2326,-10601,2922,12472,-2136,-9076,936,"
+     "4208,-242,-1243,34,226,-2,-23,0,1"),
+], ids=["constant-3", "ay22"])
+def test_vanishing_field_degree_detail(minpoly, detail, capsys):
+    code, out, _ = run(capsys, ["vanishing", f"--minpoly={minpoly}", "--json"])
+    assert code == 0
+    verdict = json.loads(out)["field_degree"]
+    assert verdict["detail"] == detail
+    assert verdict["index"] == 1
+
+
 # -- values that start with '-' ---------------------------------------------------
 
 

@@ -15,9 +15,10 @@ from ietsaf import (
     is_squarefree,
     isolate_real_roots,
 )
+from ietsaf.field import _integer_dependency
 from ietsaf.polys import cauchy_root_bound
 
-from helpers import random_cubic_field
+from helpers import min_poly_by_fractions, random_cubic_field
 
 
 AY3 = Poly([-1, 1, 1, 1])        # x^3 + x^2 + x - 1, root ~ 0.5437
@@ -350,3 +351,76 @@ else:
         assume(a < b)
         assert (count_real_roots(p, a, b, field._chain)
                 == count_real_roots(p, a, b))
+
+    def moduli():
+        """Monic integer moduli of degree 1..9: random, or a product of up
+        to three factors (reducible); `field_of` keeps the squarefree ones
+        with a real root."""
+        factor = st.integers(1, 3).flatmap(
+            lambda k: st.lists(st.integers(-4, 4), min_size=k, max_size=k)
+        ).map(lambda cs: Poly(cs + [1]))
+        product = st.lists(factor, min_size=1, max_size=3).map(
+            lambda fs: math.prod(fs[1:], start=fs[0]))
+        single = st.integers(1, 9).flatmap(
+            lambda k: st.lists(st.integers(-6, 6), min_size=k, max_size=k)
+        ).map(lambda cs: Poly(cs + [1]))
+        return st.one_of(single, product).filter(lambda p: p.degree <= 9)
+
+    def field_of(p):
+        assume(is_squarefree(p))
+        bound = cauchy_root_bound(p)
+        roots = isolate_real_roots(p, -bound, bound)
+        assume(roots)
+        lo, hi = roots[-1]
+        assume(p(lo) != 0 and p(hi) != 0)
+        return NumberField(p, lo, hi)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much,
+                                     HealthCheck.too_slow])
+    @given(moduli(), st.data())
+    def test_min_poly_equals_fraction_oracle(p, data):
+        field = field_of(p)
+        rational = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+        coord = st.one_of(st.just(Fraction(0)), rational)
+        elements = [
+            field.element(data.draw(st.lists(coord, min_size=field.degree,
+                                             max_size=field.degree))),
+            field.from_rational(data.draw(rational)),
+            field.zero(),
+        ]
+        for a in elements:
+            mp = a.min_poly()
+            assert mp == min_poly_by_fractions(a)
+            assert eval_at(mp, a).is_zero()
+            # D*a is an algebraic integer: its primitive dependency is monic
+            den = math.lcm(*(c.denominator for c in a.coords))
+            gamma = [int(c * den) for c in a.coords]
+            combo = _integer_dependency(gamma, field._high_powers)
+            assert math.gcd(*combo) == 1 and abs(combo[-1]) == 1
+
+
+try:
+    import sympy
+except ImportError:  # sympy is an optional test oracle
+    sympy = None
+
+
+@pytest.mark.parametrize("modulus, coords", [
+    (TRIB, [0, 1, 0]),
+    (Poly([-3, -1, 0, 1]), [Fraction(1, 2), Fraction(-2, 3), 5]),
+    (Poly([-1, -1, 0, 0, 1]), [Fraction(-1, 3), 0, 2, Fraction(1, 5)]),
+    (QUAD, [Fraction(7, 4), Fraction(-3, 2)]),
+], ids=["tribonacci-root", "cubic-constant-3", "quartic", "quadratic"])
+def test_min_poly_matches_sympy(modulus, coords):
+    if sympy is None:
+        pytest.skip("sympy is not installed")
+    x = sympy.Symbol("x")
+    field = NumberField(modulus, 1, 3)
+    a = field.element(coords)
+    root = sympy.CRootOf(sympy.Poly([int(c) for c in reversed(modulus.coeffs)], x), -1)
+    value = sympy.AlgebraicNumber(
+        root, [sympy.Rational(c.numerator, c.denominator) for c in reversed(a.coords)])
+    expected = sympy.Poly(sympy.minimal_polynomial(value, x), x).monic()
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())]
+    assert a.min_poly() == Poly(coeffs)
