@@ -11,8 +11,12 @@ the minimal polynomial m of the stretch factor lambda > 1:
   Q[x]/(m).
 
 The two must agree on every input; the test suite enforces this.  Both
-validate m in `_stretch_root_interval`, which builds one Sturm chain of m
-for the squarefree check, the isolation and every root count.
+validate m in `_validate_stretch`, which builds one Sturm chain of m for
+the squarefree check, the isolation and every root count, and certifies
+irreducibility once.  The reciprocity criterion is only sound for
+irreducible m, so both verdicts carry a note when that certificate is
+missing.  `vanishing_verdicts` runs both criteria on one validation, and
+the field-degree criterion builds its field from it without re-checking.
 
 The nonlift certificate decides whether lambda could be the stretch
 factor of a map lifted from a nonorientable surface of genus g+1: such a
@@ -92,8 +96,10 @@ class CertVerdict:
         }
 
 
-def _stretch_root_interval(m: Poly, interval=None):
-    """Validate preconditions and return an interval isolating a root > 1."""
+def _validate_stretch(m: Poly, interval=None):
+    """Validate preconditions: (lo, hi, chain, prime) with (lo, hi)
+    isolating a root > 1, chain the Sturm chain of m and prime the result
+    of `certify_irreducible(m)`."""
     if not (m.is_monic and m.is_integral):
         raise InputError("minimal polynomial must be monic with integer coefficients")
     if m.degree < 1:
@@ -110,7 +116,7 @@ def _stretch_root_interval(m: Poly, interval=None):
             raise InputError("supplied interval must lie in [1, oo)")
         if m(lo) == 0 or m(hi) == 0 or count_real_roots(m, lo, hi, chain) != 1:
             raise InputError("supplied interval does not isolate one root > 1")
-        return lo, hi
+        return lo, hi, chain, certify_irreducible(m)
     bound = cauchy_root_bound(m)
     roots = isolate_real_roots(m, Fraction(1), bound, chain)
     if not roots:
@@ -127,14 +133,17 @@ def _stretch_root_interval(m: Poly, interval=None):
             lo = u
         else:
             step /= 2
-    return lo, hi
+    return lo, hi, chain, certify_irreducible(m)
 
 
-def _degenerate_notes(m: Poly) -> tuple:
+def _notes(m: Poly, prime) -> tuple:
+    notes = ()
     if m.degree == 1:
-        return ("degenerate input: rational stretch factor; "
-                "pseudo-Anosov stretch factors are irrational",)
-    return ()
+        notes = ("degenerate input: rational stretch factor; "
+                 "pseudo-Anosov stretch factors are irrational",)
+    if prime is None:
+        notes += ("irreducibility unverified mod trial primes",)
+    return notes
 
 
 def vanishing_by_reciprocity(m: Poly, interval=None) -> VanishingVerdict:
@@ -144,13 +153,7 @@ def vanishing_by_reciprocity(m: Poly, interval=None) -> VanishingVerdict:
     reciprocal, and conjugacy is equivalent to a proper (index 2)
     trace-field extension, hence to a nonzero invariant.
     """
-    _stretch_root_interval(m, interval)
-    return VanishingVerdict(
-        vanishes=not is_reciprocal(m),
-        method="reciprocity",
-        detail=reverse(m),
-        notes=_degenerate_notes(m),
-    )
+    return _by_reciprocity(m, _validate_stretch(m, interval)[3])
 
 
 def vanishing_by_field_degree(m: Poly, interval=None) -> VanishingVerdict:
@@ -160,8 +163,27 @@ def vanishing_by_field_degree(m: Poly, interval=None) -> VanishingVerdict:
     compares the degree of beta's minimal polynomial with deg m.  The
     extension degree is always 1 or 2.
     """
-    lo, hi = _stretch_root_interval(m, interval)
-    field = NumberField(m, lo, hi)
+    return _by_field_degree(NumberField.validated(m, *_validate_stretch(m, interval)))
+
+
+def vanishing_verdicts(m: Poly, interval=None):
+    """(reciprocity verdict, field-degree verdict) on one validation of m."""
+    lo, hi, chain, prime = _validate_stretch(m, interval)
+    return (_by_reciprocity(m, prime),
+            _by_field_degree(NumberField.validated(m, lo, hi, chain, prime)))
+
+
+def _by_reciprocity(m: Poly, prime) -> VanishingVerdict:
+    return VanishingVerdict(
+        vanishes=not is_reciprocal(m),
+        method="reciprocity",
+        detail=reverse(m),
+        notes=_notes(m, prime),
+    )
+
+
+def _by_field_degree(field: NumberField) -> VanishingVerdict:
+    m = field.modulus
     lam = field.gen()
     beta = lam + lam.inverse()
     beta_min = beta.min_poly()
@@ -172,15 +194,12 @@ def vanishing_by_field_degree(m: Poly, interval=None) -> VanishingVerdict:
     index = m.degree // beta_min.degree
     if index not in (1, 2):
         raise PolynomialError(f"trace-field index {index} outside {{1, 2}}")
-    notes = _degenerate_notes(m)
-    if field.certified_prime is None:
-        notes = notes + ("irreducibility unverified mod trial primes",)
     return VanishingVerdict(
         vanishes=(index == 1),
         method="field-degree",
         detail=beta_min,
         index=index,
-        notes=notes,
+        notes=_notes(m, field.certified_prime),
     )
 
 
@@ -204,20 +223,17 @@ def gf2_completion_exists(mbar: int, k: int):
     """A monic q over GF(2) of degree exactly k with q(0) = 1 such that
     mbar*q is self-reciprocal, or None.
 
-    Factor pairing: the irreducible factors of a self-reciprocal
-    polynomial come in reversal pairs, so q must supply the reversal
-    deficit of each factor of mbar; leftover degree is padded with
-    powers of x+1, which is its own reversal.
+    The least such q is r / gcd(mbar, r) with r = rev(mbar).  The
+    irreducible factors of a self-reciprocal polynomial come in reversal
+    pairs, so q must hold each factor h with multiplicity at least
+    e(rev h) - e(h), where e counts multiplicity in mbar; r holds h with
+    multiplicity e(rev h), and gcd(mbar, r) with min(e(h), e(rev h)), so
+    the quotient holds exactly that deficit.  Leftover degree is padded
+    with powers of x+1, which is its own reversal.
     """
     _check_completion_args(mbar, k)
-    factors = gf2.factor(mbar) if mbar > 1 else {}
-    q = 1
-    for f in sorted(factors):
-        fr = gf2.reverse(f)
-        need = factors[f] - factors.get(fr, 0)
-        if fr != f and need > 0:
-            for _ in range(need):
-                q = gf2.mul(q, fr)
+    r = gf2.reverse(mbar)
+    q = gf2.divmod_(r, gf2.gcd(mbar, r))[0]
     if gf2.degree(q) > k:
         return None
     for _ in range(k - gf2.degree(q)):

@@ -10,6 +10,7 @@ stdout is byte-identical across reruns.  Exit codes: 0 = computed
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 import time
@@ -27,8 +28,7 @@ from .certificates import (
     OUTCOME_INCONCLUSIVE,
     gf2_completion_bruteforce,
     nonlift_certificate,
-    vanishing_by_field_degree,
-    vanishing_by_reciprocity,
+    vanishing_verdicts,
 )
 from .errors import InputError, IterationCapError
 from .field import AlgNum
@@ -106,8 +106,7 @@ def _parse_minpoly(text: str) -> Poly:
 def cmd_vanishing(args) -> int:
     m = _parse_minpoly(args.minpoly)
     interval = parse_interval(args.interval) if args.interval else None
-    by_rec = vanishing_by_reciprocity(m, interval)
-    by_deg = vanishing_by_field_degree(m, interval)
+    by_rec, by_deg = vanishing_verdicts(m, interval)
     agree = by_rec.vanishes == by_deg.vanishes
     report = {
         "command": "vanishing",
@@ -125,7 +124,7 @@ def cmd_vanishing(args) -> int:
         f"{by_deg.detail})",
         f"methods agree: {agree}",
     ]
-    for note in by_rec.notes + by_deg.notes:
+    for note in dict.fromkeys(by_rec.notes + by_deg.notes):  # each note once
         lines.append(f"note: {note}")
     _print_report(args, report, lines)
     return 0
@@ -173,8 +172,7 @@ def cmd_ay(args) -> int:
     checks["saf_vanishes"] = lift.saf().is_zero()
     witness = ay_self_similarity_witness(args.genus, lift=lift)
     checks["self_similar"] = witness is not None
-    by_rec = vanishing_by_reciprocity(system.stretch_minpoly)
-    by_deg = vanishing_by_field_degree(system.stretch_minpoly)
+    by_rec, by_deg = vanishing_verdicts(system.stretch_minpoly)
     checks["criterion_vanishes"] = by_rec.vanishes
     checks["vanishing_methods_agree"] = by_deg.vanishes == by_rec.vanishes
     checks["saf_matches_criterion"] = by_rec.vanishes == checks["saf_vanishes"]
@@ -308,9 +306,14 @@ def _join_signed_values(argv) -> list:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(
+    args = _parser().parse_args(
         _join_signed_values(sys.argv[1:] if argv is None else argv))
     start = time.perf_counter()
     try:

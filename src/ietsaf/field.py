@@ -2,22 +2,31 @@
 
 A NumberField is a monic integer modulus together with a rational
 interval isolating exactly one of its real roots; the field element
-alpha is *that* root.  An AlgNum is a rational coordinate vector in the
-power basis 1, alpha, ..., alpha^(d-1).  All arithmetic is exact.
+alpha is *that* root.  An AlgNum is a coordinate vector in the power
+basis 1, alpha, ..., alpha^(d-1), stored as a tuple of ints `num` over
+one positive int `den`, normalised so that gcd(den, *num) = 1.  That
+form is unique, so equality and hashing compare ints.  Sums, products
+and negation stay on ints (no `Fraction` is built); the read-only
+`coords` property gives the `Fraction` tuple num/den for files, reports
+and tests.  All arithmetic is exact.
 
-Signs and comparisons are decided in two stages.
+Signs and comparisons are decided in two stages.  Both look at the
+integer polynomial num(x) only: its value at the root is den times the
+element's, and den > 0, so it has the same sign, and interval Horner on
+num is exactly den times interval Horner on the rational coordinates
+(scaling every coefficient by a positive constant scales every step).
 
 1. A filter.  The field keeps an outward-rounded fixed-point copy of its
    isolating interval, [floor(lo*2^P), ceil(hi*2^P)] with
    P = max(64, 32 + log2(1/width)), and each element caches an enclosure
-   of its value: interval Horner on integers, rounding lower bounds down
-   and upper bounds up, with every coordinate rounded outward.  An
-   enclosure strictly on one side of 0 decides a sign; two disjoint
+   of its value: interval Horner on the integers num, rounding lower
+   bounds down and upper bounds up, then one outward division by den.
+   An enclosure strictly on one side of 0 decides a sign; two disjoint
    enclosures decide a comparison without forming the difference.
-2. The exact path.  Interval Horner over `Fraction` on the isolating
-   interval, bisecting on demand, with a gcd check against the modulus
-   after a fixed number of bisections.  It terminates because a nonzero
-   element of a field cannot vanish at the root.
+2. The exact path.  Interval Horner over `Fraction` of num(x) on the
+   isolating interval, bisecting on demand, with a gcd check against the
+   modulus after a fixed number of bisections.  It terminates because a
+   nonzero element of a field cannot vanish at the root.
 
 The filter is sound and never moves the isolating interval.  Interval
 arithmetic is inclusion-monotone, so the fixed-point enclosure contains
@@ -38,21 +47,24 @@ kept chain on the intersection of the two isolating intervals.  Elements
 of two equal field objects have the same coordinates in the same basis,
 but arithmetic and comparisons are fastest within one field object.
 
-Products go through one kernel, `_mul_mod`: convolution, then reduction
-by a table of alpha^d .. alpha^(2d-2) whose entries are Python ints,
-since the modulus is monic and integral.  `AlgNum.__mul__` runs it on
-`Fraction` coordinates.  `AlgNum.min_poly` runs it on ints: with D the
-lcm of an element's coordinate denominators, gamma = D*a has integer
+Products go through one integer kernel, `_mul_mod`: convolution, then
+reduction by a table of alpha^d .. alpha^(2d-2) whose entries are Python
+ints, since the modulus is monic and integral.  `AlgNum.__mul__` runs it
+on the two `num` vectors and multiplies the denominators.
+`AlgNum.min_poly` runs it on gamma = den*a = num, which has integer
 coordinates over a monic integer modulus, so gamma is an algebraic
 integer and every power of it has integer coordinates.  Krylov
 elimination on those powers is fraction-free (cross-multiplication, then
 division by the content), so it is exact with no `Fraction` at all; the
-minimal polynomial of a is that of gamma at D*x, made monic.
+minimal polynomial of a is that of gamma at den*x, made monic.
 
 Irreducibility of the modulus is certified best-effort by reduction
 modulo small primes.  When certification fails, arithmetic still
 proceeds; an actually reducible modulus is detected loudly the moment
-inversion (or sign refinement) runs into a zero divisor.
+inversion (or sign refinement) runs into a zero divisor.  Callers that
+have already validated a modulus and isolated its root (the vanishing
+criteria) build the field through `NumberField.validated`, which takes
+their Sturm chain and certificate instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -79,23 +91,20 @@ from .polys import (
 
 SIGN_GCD_CHECK_AFTER = 48
 SIGN_BISECTION_CAP = 10 ** 6
-_FRACTION_ZERO = Fraction(0)
 
 
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _mul_mod(a, b, high_powers, zero):
-    """Coordinates of the product of two coordinate vectors in Q[x]/(m).
+def _mul_mod(a, b, high_powers):
+    """Integer coordinates of the product of two integer vectors in Z[x]/(m).
 
     Convolution, then each coefficient of alpha^(d+k) is folded back
-    through row k of the field's integer power table.  Works for any
-    numeric coordinates; `zero` is the value of an untouched slot, so
-    Fraction inputs give Fraction outputs and int inputs give ints.
+    through row k of the field's integer power table.
     """
     d = len(a)
-    conv = [zero] * (2 * d - 1)
+    conv = [0] * (2 * d - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -106,6 +115,15 @@ def _mul_mod(a, b, high_powers, zero):
         if c:
             out = [x + c * y for x, y in zip(out, high_powers[k])]
     return out
+
+
+def _reduced(field, num, den) -> "AlgNum":
+    """The element num/den, divided through by gcd(den, *num)."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple(x // g for x in num)
+        den //= g
+    return AlgNum(field, tuple(num), den)
 
 
 def _integer_dependency(gamma, high_powers):
@@ -140,7 +158,7 @@ def _integer_dependency(gamma, high_powers):
         if pivot is None:
             return combo
         rows.append((pivot, vec, combo))
-        power = _mul_mod(power, gamma, high_powers, 0)
+        power = _mul_mod(power, gamma, high_powers)
     raise PolynomialError("unreachable: no dependency among d+1 powers")
 
 
@@ -165,10 +183,28 @@ class NumberField:
             raise InputError(
                 f"root count in interval != 1 for {modulus} on ({lo}, {hi})"
             )
+        self._setup(modulus, lo, hi, chain, certify_irreducible(modulus))
+
+    @classmethod
+    def validated(cls, modulus: Poly, lo: Fraction, hi: Fraction, chain,
+                  certified_prime) -> "NumberField":
+        """The field for a modulus its caller has already validated.
+
+        The caller vouches for everything the constructor checks: the
+        modulus is monic, integral, of degree >= 1 and squarefree with
+        Sturm chain `chain`, and (lo, hi) holds exactly one root with
+        neither endpoint a root.  `certified_prime` is the result of
+        `certify_irreducible(modulus)`.
+        """
+        field = object.__new__(cls)
+        field._setup(modulus, lo, hi, chain, certified_prime)
+        return field
+
+    def _setup(self, modulus, lo, hi, chain, certified_prime) -> None:
         self.modulus = modulus
         self.degree = modulus.degree
         self._chain = chain
-        self.certified_prime = certify_irreducible(modulus)
+        self.certified_prime = certified_prime
         self._lo, self._hi = lo, hi
         self._sign_lo = _sign(modulus(lo))
         self._exact_root = None
@@ -239,16 +275,21 @@ class NumberField:
     # -- element constructors -------------------------------------------
 
     def element(self, coords) -> "AlgNum":
-        coords = tuple(Fraction(c) for c in coords)
+        coords = [Fraction(c) for c in coords]
         if len(coords) != self.degree:
             raise InputError(
                 f"expected {self.degree} coordinates, got {len(coords)}"
             )
-        return AlgNum(self, coords)
+        # lcm of reduced denominators: gcd(den, *num) is already 1
+        den = lcm(*(c.denominator for c in coords))
+        return AlgNum(self, tuple(c.numerator * (den // c.denominator)
+                                  for c in coords), den)
 
     def from_rational(self, q) -> "AlgNum":
-        coords = [Fraction(q)] + [Fraction(0)] * (self.degree - 1)
-        return AlgNum(self, tuple(coords))
+        if type(q) is int:
+            return AlgNum(self, (q,) + (0,) * (self.degree - 1), 1)
+        q = Fraction(q)
+        return AlgNum(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def zero(self) -> "AlgNum":
         return self.from_rational(0)
@@ -260,9 +301,7 @@ class NumberField:
         """The distinguished root alpha (equals the field itself for degree 1)."""
         if self.degree == 1:
             return self.from_rational(-self.modulus.coeffs[0])
-        coords = [Fraction(0)] * self.degree
-        coords[1] = Fraction(1)
-        return AlgNum(self, tuple(coords))
+        return AlgNum(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     # -- identity ---------------------------------------------------------
 
@@ -290,14 +329,26 @@ class NumberField:
 
 
 class AlgNum:
-    """An element of a NumberField: rational coordinates on the power basis."""
+    """An element of a NumberField: coordinates num/den on the power basis.
 
-    __slots__ = ("field", "coords", "_enclosure_cache")
+    The constructor trusts its arguments: `num` a tuple of `degree` ints,
+    `den` a positive int, gcd(den, *num) = 1.  Build elements from
+    rationals with `NumberField.element` and `NumberField.from_rational`.
+    """
 
-    def __init__(self, field: NumberField, coords):
+    __slots__ = ("field", "num", "den", "_enclosure_cache")
+
+    def __init__(self, field: NumberField, num, den):
         self.field = field
-        self.coords = coords
+        self.num = num
+        self.den = den
         self._enclosure_cache = None
+
+    @property
+    def coords(self):
+        """The coordinates as a tuple of `Fraction`."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     # -- coercion and ring operations --------------------------------------
 
@@ -314,18 +365,32 @@ class AlgNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgNum(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        ad, bd = self.den, o.den
+        if ad == bd:
+            num = tuple(x + y for x, y in zip(self.num, o.num))
+            return AlgNum(self.field, num, 1) if ad == 1 else _reduced(self.field, num, ad)
+        g = gcd(ad, bd)
+        sa, sb = bd // g, ad // g
+        return _reduced(self.field, [x * sa + y * sb for x, y in zip(self.num, o.num)],
+                        ad * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgNum(self.field, tuple(-a for a in self.coords))
+        return AlgNum(self.field, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgNum(self.field, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        ad, bd = self.den, o.den
+        if ad == bd:
+            num = tuple(x - y for x, y in zip(self.num, o.num))
+            return AlgNum(self.field, num, 1) if ad == 1 else _reduced(self.field, num, ad)
+        g = gcd(ad, bd)
+        sa, sb = bd // g, ad // g
+        return _reduced(self.field, [x * sa - y * sb for x, y in zip(self.num, o.num)],
+                        ad * sa)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -335,8 +400,9 @@ class AlgNum:
         if o is None:
             return NotImplemented
         field = self.field
-        return AlgNum(field, tuple(_mul_mod(self.coords, o.coords,
-                                            field._high_powers, _FRACTION_ZERO)))
+        num = _mul_mod(self.num, o.num, field._high_powers)
+        den = self.den * o.den
+        return AlgNum(field, tuple(num), 1) if den == 1 else _reduced(field, num, den)
 
     __rmul__ = __mul__
 
@@ -348,13 +414,12 @@ class AlgNum:
         """
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero field element")
-        rep = Poly(self.coords)
-        g, u, _ = poly_xgcd(rep, self.field.modulus)
+        field = self.field
+        g, u, _ = poly_xgcd(Poly(self.num), field.modulus)
         if g.degree > 0:
             raise ReducibleModulusError(g)
-        u = u % self.field.modulus
-        coords = [u[i] for i in range(self.field.degree)]
-        return AlgNum(self.field, tuple(coords))
+        u = u % field.modulus       # u * num = 1, so 1/self = den * u
+        return field.element([u[i] * self.den for i in range(field.degree)])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -380,22 +445,23 @@ class AlgNum:
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def to_rational(self) -> Fraction:
         if not self.is_rational():
             raise InputError(f"{self!r} is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def _enclosure(self):
         """(lo, hi) with lo <= value * 2^P <= hi, P the field's fixed-point precision.
 
-        Interval Horner on integers over the field's fixed-point interval,
-        with lower bounds rounded down and upper bounds rounded up.  Cached
-        until the field bisects.
+        Interval Horner on the integers num over the field's fixed-point
+        interval, with lower bounds rounded down and upper bounds rounded
+        up, then one outward division by den.  Cached until the field
+        bisects.
         """
         field = self.field
         cached = self._enclosure_cache
@@ -403,19 +469,18 @@ class AlgNum:
             return cached[1], cached[2]
         prec, xlo, xhi = field._fixed_point()
         lo = hi = 0
-        for c in reversed(self.coords):
+        for c in reversed(self.num):
             if lo or hi:
                 products = (lo * xlo, lo * xhi, hi * xlo, hi * xhi)
                 lo = min(products) >> prec
                 hi = -(-max(products) >> prec)
             if c:
-                n, d = c.numerator, c.denominator
-                if d == 1:
-                    lo += n << prec
-                    hi += n << prec
-                else:
-                    lo += (n << prec) // d
-                    hi -= (-n << prec) // d
+                lo += c << prec
+                hi += c << prec
+        den = self.den
+        if den != 1:
+            lo //= den
+            hi = -(-hi // den)
         self._enclosure_cache = (field._generation, lo, hi)
         return lo, hi
 
@@ -439,13 +504,16 @@ class AlgNum:
         return self._exact_sign()
 
     def _exact_sign(self) -> int:
-        """Sign by interval Horner over Fraction with bisection: the exact path."""
+        """Sign by interval Horner over Fraction with bisection: the exact path.
+
+        It evaluates num(x), which is den > 0 times the element.
+        """
         if self.is_zero():
             return 0
         field = self.field
+        rep = Poly(self.num)
         if field._exact_root is not None:
-            return _sign(Poly(self.coords)(field._exact_root))
-        rep = Poly(self.coords)
+            return _sign(rep(field._exact_root))
         for i in range(SIGN_BISECTION_CAP):
             vlo, vhi = rep.eval_interval(field._lo, field._hi)
             if vlo > 0:
@@ -468,10 +536,10 @@ class AlgNum:
             return False
         if o is None:
             return NotImplemented
-        return self.coords == o.coords
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash((self.field.modulus, self.coords))
+        return hash((self.field.modulus, self.num, self.den))
 
     def _compare(self, other) -> int:
         """Sign of self - other; disjoint enclosures decide without subtracting."""
@@ -499,19 +567,23 @@ class AlgNum:
         return self._compare(other) >= 0
 
     def approx(self, eps) -> Fraction:
-        """A rational within eps of the element's real value."""
-        eps = Fraction(eps)
+        """A rational within eps of the element's real value.
+
+        Works on num(x) = den * self, to within den * eps.
+        """
+        den = self.den
+        eps = Fraction(eps) * den
         field = self.field
-        rep = Poly(self.coords)
+        rep = Poly(self.num)
         if field._exact_root is not None:
-            return rep(field._exact_root)
+            return rep(field._exact_root) / den
         while True:
             vlo, vhi = rep.eval_interval(field._lo, field._hi)
             if vhi - vlo < eps:
-                return (vlo + vhi) / 2
+                return (vlo + vhi) / (2 * den)
             field._bisect_once()
             if field._exact_root is not None:
-                return rep(field._exact_root)
+                return rep(field._exact_root) / den
 
     def __float__(self) -> float:
         return float(self.approx(Fraction(1, 10 ** 20)))
@@ -519,16 +591,14 @@ class AlgNum:
     def min_poly(self) -> Poly:
         """Monic rational minimal polynomial, by Krylov elimination over Z.
 
-        With D the lcm of the coordinate denominators, gamma = D*self has
-        integer coordinates over a monic integer modulus, so it is an
-        algebraic integer and all its powers have integer coordinates.
-        Its minimal polynomial sum c_i x^i comes from fraction-free
-        elimination; that of self is the one of gamma at D*x, made monic,
-        with coefficients c_i*D^i / (c_k*D^k).
+        gamma = den*self = num has integer coordinates over a monic
+        integer modulus, so it is an algebraic integer and all its powers
+        have integer coordinates.  Its minimal polynomial sum c_i x^i comes
+        from fraction-free elimination; that of self is the one of gamma
+        at den*x, made monic, with coefficients c_i*den^i / (c_k*den^k).
         """
-        den = lcm(*(c.denominator for c in self.coords))
-        gamma = [c.numerator * (den // c.denominator) for c in self.coords]
-        combo = _integer_dependency(gamma, self.field._high_powers)
+        den = self.den
+        combo = _integer_dependency(self.num, self.field._high_powers)
         k = len(combo) - 1
         lead = combo[k] * den ** k
         return Poly([Fraction(c * den ** i, lead) for i, c in enumerate(combo)])

@@ -6,8 +6,10 @@ zero polynomial.  Multiplication is carry-less; the encoding makes
 comparisons, hashing, and enumeration of all polynomials of a given
 degree trivial.
 
-Factorization is by smallest-divisor trial division, which is complete
-and fast at the degrees this library works with (a few dozen at most).
+The library needs gcds only (the mod-2 completion in `certificates`).
+`factor`, by smallest-divisor trial division, is exponential in the
+degree of the largest factor; no library code calls it, and the tests
+use it as the oracle for the gcd-based completion.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ def divmod_(a: int, b: int):
 
 def mod(a: int, b: int) -> int:
     return divmod_(a, b)[1]
+
+
+def gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, mod(a, b)
+    return a
 
 
 def reverse(a: int) -> int:

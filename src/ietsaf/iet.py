@@ -21,12 +21,27 @@ Binary operations (compose, equality, rotation conjugacy) check once that
 the two maps' fields are equal, then move the second map onto the first
 map's field object.  Every later comparison is then between elements of
 one field object and goes through its fixed-point filter.
+
+Inputs are validated once, at the boundary: the constructor, the public
+constructors built on it, and `from_pieces`.  Internal results (compose,
+inverse, rotate, scale, first_return, canonical and the move onto another
+field object) are built on a trusted path, `IET._from_tiling`: the
+caller hands over pieces (start, end, translation) in domain order that
+tile [0, L) and whose images tile it too, plus one sort key per piece
+that orders the images.  The builder derives perm from those keys and
+stores the breakpoints and translations as they are, with no exact
+re-check of the tiling.  Where the image order is known combinatorially
+the keys are ints: `compose` is one merge sweep of the inner map's
+images (in image order) against the outer map's pieces (in domain
+order), O(n + m), and a composite piece's image rank is (outer perm,
+inner perm).  Only `first_return` sorts its images by value.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError, FieldMismatchError, InputError, IterationCapError
 from .field import AlgNum, NumberField
@@ -56,14 +71,20 @@ def _on_field(f: "IET", field: NumberField):
     """f over the field object `field`, or None when f's field is not equal to it.
 
     Equal fields share the power basis of the same root, so the total and
-    the lengths carry over coordinate for coordinate.
+    the pieces carry over coordinate for coordinate: num and den move as
+    they are, already normalised.
     """
     if f.field is field:
         return f
     if f.field != field:
         return None
-    return IET(field, AlgNum(field, f.total.coords),
-               [AlgNum(field, l.coords) for l in f.lengths], f.perm, f.circle)
+
+    def move(x):
+        return AlgNum(field, x.num, x.den)
+
+    return IET._from_tiling(field, move(f.total),
+                            [(move(u), move(v), move(t)) for u, v, t in f.pieces()],
+                            f.perm, f.circle)
 
 
 class WedgeClass:
@@ -207,15 +228,41 @@ class IET:
         return cls(field, total, [total - c, c], [1, 0], circle)
 
     @classmethod
+    def _from_tiling(cls, field, total, pieces, ranks, circle) -> "IET":
+        """The trusted builder for internal results; it checks nothing.
+
+        `pieces` are (start, end, translation) triples over `field` (this
+        object) in domain order that tile [0, total), and their images
+        tile it too; sorting `ranks` (one key per piece) puts the pieces
+        in image order.
+        """
+        n = len(pieces)
+        perm = [0] * n
+        for slot, i in enumerate(sorted(range(n), key=ranks.__getitem__)):
+            perm[i] = slot
+        out = object.__new__(cls)
+        out.field, out.total, out.circle = field, total, circle
+        out.lengths = tuple(v - u for u, v, _ in pieces)
+        out.perm = tuple(perm)
+        out._breaks = tuple([u for u, _, _ in pieces] + [total])
+        out._translations = tuple(t for _, _, t in pieces)
+        return out
+
+    @classmethod
     def from_pieces(cls, field: NumberField, total, pieces, circle=False) -> "IET":
         """Build from (start, end, translation) triples; validates that the
-        pieces tile [0, L) and that their images tile it as well."""
+        pieces have positive lengths and tile [0, L), and that their images
+        tile it as well."""
         total = _coerce(field, total)
-        pieces = sorted(pieces, key=lambda p: p[0])
+        pieces = sorted(((_coerce(field, u), _coerce(field, v), _coerce(field, t))
+                         for u, v, t in pieces), key=lambda p: p[0])
         if not pieces:
             raise InputError("no pieces")
         if pieces[0][0] != field.zero():
             raise InputError("pieces do not start at 0")
+        for u, v, _ in pieces:
+            if not u < v:
+                raise InputError("nonpositive interval length")
         for (u, v, _), (u2, _, _) in zip(pieces, pieces[1:]):
             if v != u2:
                 raise InputError("pieces do not tile the domain")
@@ -232,13 +279,10 @@ class IET:
                 raise InputError("image intervals do not tile [0, L)")
         if images[-1][1] != total:
             raise InputError("image intervals do not tile [0, L)")
-        perm = [0] * len(pieces)
+        ranks = [0] * len(pieces)
         for slot, (_, _, i) in enumerate(images):
-            perm[i] = slot
-        lengths = [v - u for u, v, _ in pieces]
-        out = cls(field, total, lengths, perm, circle)
-        assert tuple(out.translations()) == tuple(t for _, _, t in pieces)
-        return out
+            ranks[i] = slot
+        return cls._from_tiling(field, total, pieces, ranks, circle)
 
     @classmethod
     def pair_involution(cls, field: NumberField, block_lengths, pairing,
@@ -283,55 +327,89 @@ class IET:
     # -- algebra of maps ------------------------------------------------------
 
     def compose(self, other: "IET") -> "IET":
-        """The IET x -> self(other(x))."""
+        """The IET x -> self(other(x)).
+
+        One merge sweep: the inner map's images in image order against the
+        outer map's pieces in domain order.  Each overlap is a piece of the
+        composite; its image is inside outer piece j, where the overlaps
+        follow the inner image order, so its image rank is
+        (self.perm[j], inner slot).
+        """
         other = _on_field(other, self.field)
         if other is None:
             raise FieldMismatchError("composition of IETs over different fields")
         if other.total != self.total:
             raise DomainError("composition of IETs with different totals")
-        pieces = []
-        for u, v, s in other.pieces():
-            img_lo, img_hi = u + s, v + s
-            for c, cp, t in self.pieces():
-                a = _maximum(img_lo, c)
-                b = _minimum(img_hi, cp)
-                if a < b:
-                    pieces.append((a - s, b - s, s + t))
-        return IET.from_pieces(self.field, self.total, pieces,
-                               self.circle and other.circle)
+        inner_breaks, inner_ts = other.breaks(), other.translations()
+        outer_ends, outer_ts = self.breaks()[1:], self.translations()
+        slot_piece = [0] * other.n
+        for i, k in enumerate(other.perm):
+            slot_piece[k] = i
+        groups = [[] for _ in range(other.n)]   # (piece, image rank) per inner piece
+        j, pos = 0, self.field.zero()
+        for k, i in enumerate(slot_piece):
+            s = inner_ts[i]
+            end = inner_breaks[i + 1] + s
+            while True:
+                outer_end = outer_ends[j]
+                c = 0 if end == outer_end else (-1 if end < outer_end else 1)
+                b = end if c <= 0 else outer_end
+                groups[i].append(((pos - s, b - s, s + outer_ts[j]), (self.perm[j], k)))
+                pos = b
+                if c >= 0:
+                    j += 1
+                if c <= 0:
+                    break
+        flat = [x for group in groups for x in group]
+        return IET._from_tiling(self.field, self.total, [p for p, _ in flat],
+                                [r for _, r in flat], self.circle and other.circle)
 
     def inverse(self) -> "IET":
-        pieces = [(u + t, v + t, -t) for u, v, t in self.pieces()]
-        return IET.from_pieces(self.field, self.total, pieces, self.circle)
+        """The inverse map: the images in image order, translated back."""
+        pieces, inv = [None] * self.n, [0] * self.n
+        for i, ((u, v, t), k) in enumerate(zip(self.pieces(), self.perm)):
+            pieces[k] = (u + t, v + t, -t)
+            inv[k] = i
+        return IET._from_tiling(self.field, self.total, pieces, inv, self.circle)
 
     def rotate(self, c) -> "IET":
-        """x -> self(x) + c (mod L); requires circle semantics."""
+        """x -> self(x) + c (mod L); requires circle semantics.
+
+        Adding c keeps the image order except that the images pushed past
+        L wrap to the front, so a piece's image rank is (1 unless wrapped,
+        its old image slot).
+        """
         if not self.circle:
             raise DomainError("rotation requires circle semantics")
         c = _coerce(self.field, c)
         if c.sign() < 0 or not c < self.total:
             raise DomainError("rotation constant outside [0, L)")
         total = self.total
-        pieces = []
-        for u, v, t in self.pieces():
+        pieces, ranks = [], []
+        for (u, v, t), k in zip(self.pieces(), self.perm):
             t2 = t + c
             if not (u + t2) < total:          # whole image wraps
                 pieces.append((u, v, t2 - total))
+                ranks.append((0, k))
             elif total < v + t2:              # image straddles the endpoint
                 w = total - t2
                 pieces.append((u, w, t2))
+                ranks.append((1, k))
                 pieces.append((w, v, t2 - total))
+                ranks.append((0, k))
             else:
                 pieces.append((u, v, t2))
-        return IET.from_pieces(self.field, total, pieces, True)
+                ranks.append((1, k))
+        return IET._from_tiling(self.field, total, pieces, ranks, True)
 
     def scale(self, s) -> "IET":
         """Conjugate by x -> s*x: an IET on [0, s*L)."""
         s = _coerce(self.field, s)
         if s.sign() <= 0:
             raise DomainError("scale factor must be positive")
-        return IET(self.field, self.total * s,
-                   [l * s for l in self.lengths], self.perm, self.circle)
+        bs = [x * s for x in self.breaks()]
+        pieces = [(bs[i], bs[i + 1], t * s) for i, t in enumerate(self.translations())]
+        return IET._from_tiling(self.field, bs[-1], pieces, self.perm, self.circle)
 
     def first_return(self, b, cap: int = FIRST_RETURN_CAP) -> "IET":
         """The induced first-return map on [0, b)."""
@@ -377,8 +455,9 @@ class IET:
                     done.append((xs, w, ntrans, steps + 1))
                     work.append((w, xe, ntrans, steps + 1))
         done.sort(key=lambda p: p[0])
-        iet = IET.from_pieces(self.field, b, [(u, v, t) for u, v, t, _ in done],
-                              self.circle)
+        pieces = [(u, v, t) for u, v, t, _ in done]
+        iet = IET._from_tiling(self.field, b, pieces, [u + t for u, _, t in pieces],
+                               self.circle)
         times = [s for _, _, _, s in done]
         return iet, times
 
@@ -386,15 +465,16 @@ class IET:
 
     def canonical(self) -> "IET":
         """Merge adjacent intervals with equal translations."""
-        merged = []
-        for u, v, t in self.pieces():
+        merged, ranks = [], []
+        for (u, v, t), k in zip(self.pieces(), self.perm):
             if merged and merged[-1][2] == t:
                 merged[-1] = (merged[-1][0], v, t)
             else:
                 merged.append((u, v, t))
+                ranks.append(k)     # a merged run's images stay in one block
         if len(merged) == self.n:
             return self
-        return IET.from_pieces(self.field, self.total, merged, self.circle)
+        return IET._from_tiling(self.field, self.total, merged, ranks, self.circle)
 
     def __eq__(self, other) -> bool:
         """Equality as piecewise maps: same field, total, and canonical pieces.
@@ -413,17 +493,20 @@ class IET:
     def saf(self) -> WedgeClass:
         """Sum of length wedge translation, as an antisymmetric matrix."""
         d = self.field.degree
-        rows = [[Fraction(0)] * d for _ in range(d)]
-        for l, t in zip(self.lengths, self.translations()):
-            v, w = l.coords, t.coords
+        pairs = list(zip(self.lengths, self.translations()))
+        den = lcm(*(l.den * t.den for l, t in pairs))   # integer rows over den
+        rows = [[0] * d for _ in range(d)]
+        for l, t in pairs:
+            v, w = l.num, t.num
+            scale = den // (l.den * t.den)
             for i in range(d):
                 if v[i] or w[i]:
                     for j in range(i + 1, d):
                         m = v[i] * w[j] - w[i] * v[j]
                         if m:
-                            rows[i][j] += m
-                            rows[j][i] -= m
-        return WedgeClass(self.field, rows)
+                            rows[i][j] += m * scale
+                            rows[j][i] -= m * scale
+        return WedgeClass(self.field, [[Fraction(x, den) for x in row] for row in rows])
 
     def __repr__(self):
         kind = "circle" if self.circle else "interval"

@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from ietsaf import IET, NumberField, Poly, certify_irreducible, is_squarefree, isolate_real_roots
+from ietsaf import (IET, NumberField, Poly, certify_irreducible, gf2, is_squarefree,
+                    isolate_real_roots)
 from ietsaf.errors import PolynomialError
 from ietsaf.polys import cauchy_root_bound
 
@@ -162,3 +163,22 @@ def min_poly_by_fractions(a):
         rows.append((pivot, vec, combo))
         power = power * a
     raise PolynomialError("no dependency among d+1 powers")
+
+
+def gf2_completion_by_factoring(mbar, k):
+    """Reference for `gf2_completion_exists`: factor mbar by trial division
+    and supply the reversal deficit of each non-self-reciprocal factor,
+    then pad with powers of x+1."""
+    factors = gf2.factor(mbar) if mbar > 1 else {}
+    q = 1
+    for f in sorted(factors):
+        fr = gf2.reverse(f)
+        need = factors[f] - factors.get(fr, 0)
+        if fr != f and need > 0:
+            for _ in range(need):
+                q = gf2.mul(q, fr)
+    if gf2.degree(q) > k:
+        return None
+    for _ in range(k - gf2.degree(q)):
+        q = gf2.mul(q, 0b11)
+    return q

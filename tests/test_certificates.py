@@ -13,6 +13,7 @@ from ietsaf import (
     reciprocal_mod2,
     vanishing_by_field_degree,
     vanishing_by_reciprocity,
+    vanishing_verdicts,
 )
 from ietsaf import certificates, cli, field, gf2, polys
 from ietsaf.field import AlgNum
@@ -24,7 +25,11 @@ from ietsaf.certificates import (
     REASON_DEGREE,
 )
 
-from helpers import random_cubic_field, random_quartic_field_above_one
+from helpers import (
+    gf2_completion_by_factoring,
+    random_cubic_field,
+    random_quartic_field_above_one,
+)
 
 TRIB = Poly([-1, -1, -1, 1])      # x^3 - x^2 - x - 1
 QUAD = Poly([1, -3, 1])           # x^2 - 3x + 1
@@ -76,8 +81,8 @@ def test_vanishing_with_supplied_interval():
 
 
 def test_vanishing_call_counts(monkeypatch, capsys):
-    """One `vanishing` run: no separate squarefree test, one Sturm chain per
-    validation plus the field's own, and no field multiplication in min_poly."""
+    """One `vanishing` run: no separate squarefree test, one Sturm chain for
+    both criteria and the field, and no field multiplication in min_poly."""
     counts = {"is_squarefree": 0, "sturm_chain": 0, "mul": 0, "mul_in_min_poly": 0}
 
     def counting(name, fn):
@@ -104,8 +109,19 @@ def test_vanishing_call_counts(monkeypatch, capsys):
     assert cli.main(["vanishing", "--minpoly", "-3,-1,0,1"]) == 0
     assert "min poly of lambda+1/lambda: x^3 + 1/3*x^2 - 4*x - 13/3" in capsys.readouterr().out
     assert counts["is_squarefree"] == 0
-    assert counts["sturm_chain"] <= 3
+    assert counts["sturm_chain"] == 1
     assert counts["mul_in_min_poly"] == 0
+
+
+def test_uncertified_irreducibility_is_noted_on_both_verdicts(capsys):
+    note = "irreducibility unverified mod trial primes"
+    m = Poly([-1] * 19 + [1])             # no trial prime certifies it
+    by_rec, by_deg = vanishing_verdicts(m)
+    assert note in by_rec.notes and note in by_deg.notes
+    assert note in vanishing_by_reciprocity(m).notes
+    assert note not in vanishing_by_reciprocity(TRIB).notes
+    assert cli.main(["vanishing", f"--minpoly={m.to_string()}"]) == 0
+    assert capsys.readouterr().out.count(f"note: {note}\n") == 1
 
 
 def test_methods_agree_on_corpus():
@@ -161,6 +177,41 @@ def test_completion_agrees_with_bruteforce_small():
             fast = gf2_completion_exists(mbar, k)
             slow = gf2_completion_bruteforce(mbar, k)
             assert (fast is None) == (slow is None), (bin(mbar), k)
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is an optional test dependency
+    given = None
+
+
+if given is None:
+
+    def test_completion_properties():
+        pytest.skip("hypothesis is not installed")
+
+else:
+
+    odd = st.integers(0, 2 ** 6 - 1).map(lambda x: 2 * x + 1)
+    # random odd polynomials, and products f * g * rev(f) with repeated
+    # and reversed factors, up to degree 12
+    mbars = st.one_of(
+        st.integers(0, 2 ** 12 - 1).map(lambda x: 2 * x + 1),
+        st.tuples(odd, odd, st.booleans()).map(
+            lambda t: gf2.mul(gf2.mul(t[0], t[1]), gf2.reverse(t[0]) if t[2] else t[0])),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(mbars, st.integers(0, 12))
+    def test_gcd_completion_matches_factoring_and_bruteforce(mbar, k):
+        fast = gf2_completion_exists(mbar, k)
+        assert fast == gf2_completion_by_factoring(mbar, k)
+        slow = gf2_completion_bruteforce(mbar, k)
+        assert (fast is None) == (slow is None)
+        if fast is not None:
+            assert gf2.degree(fast) == k and fast & 1
+            assert gf2.is_self_reciprocal(gf2.mul(mbar, fast))
 
 
 def test_completion_preconditions():

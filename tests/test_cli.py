@@ -1,10 +1,15 @@
 """The command line contract: exit codes, stable stdout, argument forms."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import ietsaf
 from ietsaf import ay_lift, cli, dumps_iet
 from ietsaf.errors import IterationCapError
 
@@ -80,7 +85,7 @@ def test_iteration_cap_exits_3(monkeypatch, capsys):
     def give_up(*args, **kwargs):
         raise IterationCapError("cap exceeded")
 
-    monkeypatch.setattr(cli, "vanishing_by_reciprocity", give_up)
+    monkeypatch.setattr(cli, "vanishing_verdicts", give_up)
     code, out, err = run(capsys, ["vanishing", "--minpoly", "-1,-1,-1,1"])
     assert code == 3
     assert out == ""
@@ -108,9 +113,8 @@ def test_ay_genus_5_report(capsys):
 
 def test_ay_methods_agree_on_a_nonvanishing_verdict(monkeypatch, capsys):
     # both criteria say "does not vanish": they agree, the criterion fails
-    nonzero = lambda m: SimpleNamespace(vanishes=False)
-    monkeypatch.setattr(cli, "vanishing_by_reciprocity", nonzero)
-    monkeypatch.setattr(cli, "vanishing_by_field_degree", nonzero)
+    nonzero = SimpleNamespace(vanishes=False)
+    monkeypatch.setattr(cli, "vanishing_verdicts", lambda m: (nonzero, nonzero))
     code, out, _ = run(capsys, ["ay", "--genus", "3", "--check", "--json"])
     assert code == 0
     report = json.loads(out)
@@ -222,3 +226,36 @@ def test_compose_files_over_different_roots_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: composition of IETs over different fields")
+
+
+# -- one argument tree per process, and the golden ay reports ----------------------
+
+
+def test_in_process_calls_match_separate_runs(capsys):
+    """The argument tree is built once; no option of one call leaks into the next."""
+    calls = [
+        ["vanishing", "--minpoly", "-1,-1,-1,1", "--json"],
+        ["ay", "--genus", "3", "--check"],
+        ["vanishing", "--minpoly", "-1,-1,-1,1"],
+    ]
+    in_process = [run(capsys, argv)[:2] for argv in calls]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ietsaf.__file__).resolve().parents[1]))
+    for argv, (code, out) in zip(calls, in_process):
+        proc = subprocess.run([sys.executable, "-m", "ietsaf.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (code, out)
+    assert in_process[0][1].startswith("{") and in_process[2][1].startswith("minimal")
+
+
+GOLDEN = Path(__file__).parent / "data" / "ay_check_json.json"
+
+
+@pytest.mark.parametrize("genus", range(3, 15))
+def test_ay_check_json_matches_golden(genus, capsys):
+    """`ay --genus g --check --json` stdout, recorded before the integer-vector
+    field and the trusted IET builder: intervals and offsets byte-identical."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[str(genus)]
+    code, out, _ = run(capsys, ["ay", "--genus", str(genus), "--check", "--json"])
+    assert code == 0
+    assert out == golden

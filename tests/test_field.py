@@ -14,6 +14,7 @@ from ietsaf import (
     eval_at,
     is_squarefree,
     isolate_real_roots,
+    poly_xgcd,
 )
 from ietsaf.field import _integer_dependency
 from ietsaf.polys import cauchy_root_bound
@@ -212,6 +213,57 @@ def test_near_zero_element_bisects_to_the_right_sign():
     assert not a <= below and not a >= above
 
 
+def test_exact_sign_fallback_on_an_element_with_a_denominator(monkeypatch):
+    twin = NumberField(AY3, 0, 1)
+    twin.refine_interval(Fraction(1, 2 ** 50))
+    below, above = twin.interval          # |alpha - r| < 2^-50 for both
+    field = NumberField(AY3, 0, 1)
+    x = (field.gen() - below) * Fraction(2, 3)
+    y = (field.gen() - above) / 7
+    assert x.den % 3 == 0 and y.den % 7 == 0
+    for value in (x, y):
+        lo, hi = value._enclosure()
+        assert lo <= 0 <= hi              # the filter cannot decide
+    calls = []
+    exact_sign = AlgNum._exact_sign
+
+    def spy(self):
+        calls.append(self.den)
+        return exact_sign(self)
+
+    monkeypatch.setattr(AlgNum, "_exact_sign", spy)
+    assert x.sign() == 1
+    assert y.sign() == -1
+    assert calls == [x.den, y.den]
+    lo, hi = field.interval
+    assert hi - lo < Fraction(1, 2 ** 40)
+    eps = Fraction(1, 2 ** 60)
+    assert abs(x.approx(eps)) < Fraction(1, 2 ** 50)
+    assert abs(y.approx(eps)) < Fraction(1, 2 ** 50)
+
+
+def approx_by_fractions(field, coords, eps):
+    """Reference for `AlgNum.approx`: interval Horner over the rational
+    coordinates, bisecting `field` until the enclosure is narrower than eps."""
+    rep = Poly(coords)
+    while True:
+        lo, hi = rep.eval_interval(*field.interval)
+        if hi - lo < eps:
+            return (lo + hi) / 2
+        field._bisect_once()
+
+
+def test_approx_with_a_denominator_bisects_like_the_fraction_path():
+    for coords in ([0, Fraction(1, 3), 0], [Fraction(-1, 7), 0, Fraction(5, 12)],
+                   [Fraction(2, 3 ** 30), Fraction(1, 3 ** 30), 0]):
+        for eps in (Fraction(1, 10 ** 6), Fraction(1, 10 ** 25)):
+            field, twin = NumberField(AY3, 0, 1), NumberField(AY3, 0, 1)
+            value = field.element(coords)
+            assert value.den > 1
+            assert value.approx(eps) == approx_by_fractions(twin, coords, eps)
+            assert field.interval == twin.interval
+
+
 def test_equal_elements_compare_through_the_exact_path(monkeypatch):
     field = NumberField(TRIB, 1, 2)
     a = field.gen() * field.gen() + Fraction(1, 3)
@@ -339,6 +391,54 @@ else:
                 else:
                     assert got == (exact < 0, exact <= 0, exact > 0, exact >= 0)
         assert field.interval == twin.interval
+
+    linear = st.integers(-9, 9).map(lambda c: (Poly([-c, 1]), Fraction(c) - 1,
+                                              Fraction(c) + 1))
+
+    def oracle_mul(p, x, y):
+        """Coordinates of x*y in Q[t]/(p), by Poly arithmetic over Fraction."""
+        prod = (Poly(x) * Poly(y)) % p
+        return tuple(prod[i] for i in range(p.degree))
+
+    def oracle_inverse(p, x):
+        g, u, _ = poly_xgcd(Poly(x), p)
+        if g.degree > 0:
+            return ReducibleModulusError
+        u = u % p
+        return tuple(u[i] for i in range(p.degree))
+
+    @filter_settings
+    @given(st.one_of(linear, fields()), st.data())
+    def test_integer_vectors_match_fraction_coordinates(spec, data):
+        p, lo, hi = spec
+        field = NumberField(p, lo, hi)
+        x, y = (tuple(data.draw(coords(field.degree))) for _ in range(2))
+        q = data.draw(st.fractions(min_value=-8, max_value=8, max_denominator=12))
+        a, b = field.element(x), field.element(y)
+        results = [
+            (a + b, tuple(u + v for u, v in zip(x, y))),
+            (a - b, tuple(u - v for u, v in zip(x, y))),
+            (-a, tuple(-u for u in x)),
+            (a * b, oracle_mul(p, x, y)),
+            (a + q, (x[0] + q,) + x[1:]),
+            (q - a, (q - x[0],) + tuple(-u for u in x[1:])),
+            (a * q, tuple(u * q for u in x)),
+        ]
+        for value, expected in results:
+            assert value.coords == expected
+            assert value.den > 0 and math.gcd(value.den, *value.num) == 1
+            twin = field.element(expected)
+            assert value == twin and hash(value) == hash(twin)
+        assert (a == b) == (x == y)
+        assert field.from_rational(Fraction(1, 2)) != field.one()
+        assert (a - b + b) == a and hash(a - b + b) == hash(a)
+        if any(x):
+            expected = oracle_inverse(p, x)
+            if expected is ReducibleModulusError:
+                with pytest.raises(ReducibleModulusError):
+                    a.inverse()
+            else:
+                assert a.inverse().coords == expected
 
     @filter_settings
     @given(fields(), st.data())

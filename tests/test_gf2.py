@@ -47,6 +47,9 @@ def test_reduction_then_multiply_by_x_plus_1():
 def test_divmod_and_gcd():
     q, r = gf2.divmod_(0b1111, 0b11)
     assert gf2.mul(q, 0b11) ^ r == 0b1111
+    assert gf2.gcd(0b1111, 0b101) == 0b101           # (x+1)^3, (x+1)^2
+    assert gf2.gcd(0b1011, 0b1101) == 1              # x^3+x+1 and its reversal
+    assert gf2.gcd(0b110, 0) == 0b110
     with pytest.raises(PolynomialError):
         gf2.divmod_(0b101, 0)
 

@@ -223,6 +223,53 @@ def test_canonical_merges_spurious_splits(k3):
     assert split == ident
 
 
+def assert_trusted_result_is_valid(r):
+    """r, built on the trusted path, equals its rebuilds through the
+    validating constructors, piece for piece."""
+    again = IET.from_pieces(r.field, r.total, r.pieces(), r.circle)
+    fresh = IET(r.field, r.total, r.lengths, r.perm, r.circle)
+    for other in (again, fresh):
+        assert (other.total, other.lengths, other.perm, other.circle) == \
+            (r.total, r.lengths, r.perm, r.circle)
+        assert other.pieces() == r.pieces()
+
+
+def test_internal_results_rebuild_through_from_pieces(k3):
+    rng = random.Random(47)
+    lift = ay_lift(4)
+    alpha = lift.field.gen()
+    split = lift.compose(lift.inverse())
+    assert split.n > 1 and split.canonical().n == 1     # canonical merges
+    results = [lift.first_return(alpha), lift.compose(lift), lift.inverse(),
+               lift.scale(alpha), split, split.canonical()]
+    for _ in range(12):
+        f = random_iet(k3, rng, circle=True, total=k3.one())
+        g = random_iet(k3, rng, circle=True, total=k3.one())
+        c = random_positive(k3, rng)
+        c = c - math.floor(float(c))
+        h = f.compose(g)
+        results += [h, g.compose(f), f.inverse(), f.rotate(c), f.scale(c + 1),
+                    f.first_return(k3.from_rational(Fraction(1, 2))),
+                    h.compose(g.inverse()).canonical(), f.rotate(c).rotate(1 - c)]
+    for r in results:
+        assert_trusted_result_is_valid(r)
+
+
+def test_from_pieces_validates_the_tiling(k3):
+    a = k3.gen()
+    half = Fraction(1, 2)
+    with pytest.raises(InputError, match="nonpositive"):
+        IET.from_pieces(k3, 1, [(0, a, 0), (a, a, 0), (a, 1, 0)])
+    with pytest.raises(InputError, match="tile the domain"):
+        IET.from_pieces(k3, 1, [(0, half, 0), (a, 1, 0)])
+    with pytest.raises(InputError, match="image"):
+        IET.from_pieces(k3, 1, [(0, half, 0), (half, 1, a)])
+    with pytest.raises(InputError, match="total"):
+        IET.from_pieces(k3, 1, [(0, half, 0), (half, a, 0)])
+    swap = IET.from_pieces(k3, 1, [(a, 1, -a), (0, a, 1 - a)])
+    assert swap.perm == (1, 0) and swap == IET.rotation(k3, 1, 1 - a)
+
+
 def test_equality_ignores_circle_flag(k3):
     a = IET.identity(k3, 1, circle=True)
     b = IET.identity(k3, 1, circle=False)
