@@ -46,6 +46,7 @@ from .polys import (
     is_squarefree,
     isolate_real_roots,
     reverse,
+    sign_at,
     sturm_chain,
 )
 
@@ -110,11 +111,16 @@ def _validate_stretch(m: Poly, interval=None):
         raise InputError(f"minimal polynomial is not squarefree: {m}") from None
     if m.constant() == 0:
         raise InputError("minimal polynomial must have nonzero constant term")
+    ints = [c.numerator for c in m.coeffs]
+
+    def is_root(x: Fraction) -> bool:
+        return sign_at(ints, x.numerator, x.denominator) == 0
+
     if interval is not None:
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         if lo < 1:
             raise InputError("supplied interval must lie in [1, oo)")
-        if m(lo) == 0 or m(hi) == 0 or count_real_roots(m, lo, hi, chain) != 1:
+        if is_root(lo) or is_root(hi) or count_real_roots(m, lo, hi, chain) != 1:
             raise InputError("supplied interval does not isolate one root > 1")
         return lo, hi, chain, certify_irreducible(m)
     bound = cauchy_root_bound(m)
@@ -123,13 +129,13 @@ def _validate_stretch(m: Poly, interval=None):
         raise InputError(f"no real root > 1 for {m}")
     lo, hi = roots[-1]
     # clean the endpoints so the interval is open around the root
-    if m(hi) == 0:
+    if is_root(hi):
         # the isolated root is exactly hi (rational); no roots above it
         lo, hi = (lo + hi) / 2, hi + 1
     step = (hi - lo) / 2
-    while m(lo) == 0:
+    while is_root(lo):
         u = lo + step
-        if m(u) != 0 and count_real_roots(m, u, hi, chain) == 1:
+        if not is_root(u) and count_real_roots(m, u, hi, chain) == 1:
             lo = u
         else:
             step /= 2

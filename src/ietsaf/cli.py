@@ -195,6 +195,8 @@ def cmd_ay(args) -> int:
     for name, value in checks.items():
         lines.append(f"check {name}: {'pass' if value else 'FAIL'}")
     lines.append(f"all checks pass: {all(checks.values())}")
+    for note in dict.fromkeys(by_rec.notes + by_deg.notes + cert.notes):
+        lines.append(f"note: {note}")
     _print_report(args, report, lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

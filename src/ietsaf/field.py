@@ -26,7 +26,12 @@ num is exactly den times interval Horner on the rational coordinates
 2. The exact path.  Interval Horner over `Fraction` of num(x) on the
    isolating interval, bisecting on demand, with a gcd check against the
    modulus after a fixed number of bisections.  It terminates because a
-   nonzero element of a field cannot vanish at the root.
+   nonzero element of a field cannot vanish at the root.  Bisection runs
+   on ints: the endpoints are kept as a/D and b/D over one int D, the
+   midpoint is (a+b)/2D, and the sign of the modulus there comes from
+   `sign_at` (homogeneous Horner on its integer coefficients).  Every
+   endpoint is the same rational that `Fraction` arithmetic would give,
+   and reduced `Fraction`s are formed once, when the loop ends.
 
 The filter is sound and never moves the isolating interval.  Interval
 arithmetic is inclusion-monotone, so the fixed-point enclosure contains
@@ -39,13 +44,17 @@ every printed isolating interval is the same.  Bisection bumps the
 field's generation counter, which marks the fixed-point interval and
 the cached element enclosures as stale; they are recomputed on first use.
 
-The constructor builds the Sturm chain of the modulus once and keeps it;
-its last entry also shows whether the modulus is squarefree.  Two field
-objects are equal when they have the same modulus and the same
-distinguished root, and deciding that costs one Sturm count with the
-kept chain on the intersection of the two isolating intervals.  Elements
-of two equal field objects have the same coordinates in the same basis,
-but arithmetic and comparisons are fastest within one field object.
+The constructor builds the integer Sturm chain of the modulus once and
+keeps it; its last entry also shows whether the modulus is squarefree.
+It checks that neither endpoint is a root with `sign_at`, counts the
+roots between them with the chain, and refines the interval to width
+2^-20 with the same integer bisection loop that the exact path uses.
+Two field objects are equal when they have the same modulus and the
+same distinguished root, and deciding that costs one Sturm count with
+the kept chain on the intersection of the two isolating intervals.
+Elements of two equal field objects have the same coordinates in the
+same basis, but arithmetic and comparisons are fastest within one field
+object.
 
 Products go through one integer kernel, `_mul_mod`: convolution, then
 reduction by a table of alpha^d .. alpha^(2d-2) whose entries are Python
@@ -86,6 +95,7 @@ from .polys import (
     count_real_roots,
     poly_gcd,
     poly_xgcd,
+    sign_at,
     sturm_chain,
 )
 
@@ -177,7 +187,9 @@ class NumberField:
             raise InputError(f"field modulus is not squarefree: {modulus}") from None
         if lo >= hi:
             raise InputError("root interval is empty")
-        if modulus(lo) == 0 or modulus(hi) == 0:
+        ints = [c.numerator for c in modulus.coeffs]
+        if (sign_at(ints, lo.numerator, lo.denominator) == 0
+                or sign_at(ints, hi.numerator, hi.denominator) == 0):
             raise InputError("root count in interval != 1 (root at an endpoint)")
         if count_real_roots(modulus, lo, hi, chain) != 1:
             raise InputError(
@@ -205,8 +217,9 @@ class NumberField:
         self.degree = modulus.degree
         self._chain = chain
         self.certified_prime = certified_prime
+        self._ints = [c.numerator for c in modulus.coeffs]
         self._lo, self._hi = lo, hi
-        self._sign_lo = _sign(modulus(lo))
+        self._sign_lo = sign_at(self._ints, lo.numerator, lo.denominator)
         self._exact_root = None
         self._generation = 0
         self._fixed = None
@@ -254,23 +267,43 @@ class NumberField:
             )
         return fixed[1:]
 
-    def _bisect_once(self) -> None:
+    def _bisect(self, width: Fraction, steps) -> None:
+        """Bisect until the interval is at most `width` wide, at most `steps` times.
+
+        The endpoints are kept as a/den and b/den over one int den, and
+        the midpoint is (a+b)/(2*den); its sign comes from the integer
+        kernel.  Each endpoint is the same rational as on a `Fraction`
+        path, and the reduced `Fraction`s are formed once, at the end.
+        """
         if self._exact_root is not None:
             return
-        mid = (self._lo + self._hi) / 2
-        s = _sign(self.modulus(mid))
-        if s == 0:
-            self._exact_root = mid
-        elif s == self._sign_lo:
-            self._lo = mid
-        else:
-            self._hi = mid
-        self._generation += 1
+        lo, hi = self._lo, self._hi
+        den = lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (den // lo.denominator)
+        b = hi.numerator * (den // hi.denominator)
+        wn, wd = width.numerator, width.denominator
+        ints, sign_lo = self._ints, self._sign_lo
+        while steps and (b - a) * wd > wn * den:
+            mid = a + b
+            a, b, den = 2 * a, 2 * b, 2 * den
+            s = sign_at(ints, mid, den)
+            self._generation += 1
+            steps -= 1
+            if s == 0:
+                self._exact_root = Fraction(mid, den)
+                break
+            if s == sign_lo:
+                a = mid
+            else:
+                b = mid
+        self._lo, self._hi = Fraction(a, den), Fraction(b, den)
+
+    def _bisect_once(self) -> None:
+        self._bisect(Fraction(0), 1)
 
     def refine_interval(self, width: Fraction) -> None:
         """Shrink the isolating interval below the given width."""
-        while self._exact_root is None and self._hi - self._lo > width:
-            self._bisect_once()
+        self._bisect(Fraction(width), -1)
 
     # -- element constructors -------------------------------------------
 

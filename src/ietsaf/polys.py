@@ -11,11 +11,23 @@ coefficient reversal ``x^n p(1/x)``, the reciprocity test (root multiset
 closed under inversion), Sturm chains with real root counting and
 isolation, and best-effort irreducibility certification by reduction
 modulo small primes.
+
+Sturm chains, root counts and isolation run on Python ints.  `sign_at`
+decides the sign of an integer polynomial at n/q by homogeneous Horner:
+the sign of q^deg p(n/q), with q > 0.  `sturm_chain` keeps p as entry 0
+and builds the rest by pseudo-remainders over Z: the multiplier
+|lc(b)|^(delta+1) is positive, the remainder is negated and divided by
+its content.  Each entry is therefore a positive multiple of the
+classical entry (Euclid's remainders over the rationals, signs
+flipped), and every count of sign variations is the classical one.  The
+last entry is gcd(p, p') up to a unit, and `is_squarefree` reads it, so
+one Euclid answers both questions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import NonSquarefreeError, ParseError, PolynomialError
 
@@ -288,11 +300,8 @@ def is_reciprocal(p: Poly) -> bool:
 
 
 def is_squarefree(p: Poly) -> bool:
-    if p.is_zero:
-        return False
-    if p.degree == 0:
-        return True
-    return poly_gcd(p, p.derivative()).degree == 0
+    """Whether p is nonzero with gcd(p, p') constant: the last Sturm entry."""
+    return not p.is_zero and len(_integer_sturm_chain(p)[-1]) == 1
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
@@ -306,33 +315,97 @@ def cauchy_root_bound(p: Poly) -> Fraction:
 # -- Sturm chains and real root isolation ------------------------------
 
 
-def sturm_chain(p: Poly):
-    """Sturm chain of a squarefree polynomial.
+def sign_at(coeffs, num: int, den: int) -> int:
+    """Sign of the integer polynomial `coeffs` (constant first) at num/den.
 
-    The chain is Euclid's remainder sequence of p and p' up to signs, so
-    its last entry is gcd(p, p') up to a unit: p is squarefree exactly
-    when that entry is a constant.
+    Homogeneous Horner: the sign of den^deg * p(num/den), which is that
+    of p(num/den) since den > 0.
     """
-    if p.is_zero:
-        raise PolynomialError("Sturm chain of the zero polynomial")
-    chain = [p]
-    if p.degree >= 1:
-        chain.append(p.derivative())
-        while not chain[-1].is_zero and chain[-1].degree > 0:
-            chain.append(-(chain[-2] % chain[-1]))
-        if chain[-1].is_zero:
-            chain.pop()
-    if chain[-1].degree > 0:
-        raise NonSquarefreeError(
-            f"polynomial is not squarefree: gcd with derivative is "
-            f"{chain[-1].monic()}"
-        )
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _integer_multiple(p: Poly):
+    """Integer coefficients of d*p, d > 0 the lcm of p's denominators."""
+    d = lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (d // c.denominator) for c in p.coeffs]
+
+
+def _primitive(a):
+    g = gcd(*a)
+    return [x // g for x in a] if g > 1 else a
+
+
+def _negated_pseudo_remainder(a, b):
+    """-(|lc(b)|^(deg a - deg b + 1) * a mod b) over Z, divided by its content.
+
+    Negating b first makes its leading coefficient positive without
+    changing the remainder, so the multiplier is positive.
+    """
+    if b[-1] < 0:
+        b = [-x for x in b]
+    lead, db = b[-1], len(b) - 1
+    r = list(a)
+    while len(r) > db:
+        c = r.pop()
+        r = [lead * x for x in r]
+        for j, y in enumerate(b[:-1], len(r) - db):
+            r[j] -= c * y
+    while r and r[-1] == 0:
+        r.pop()
+    return _primitive([-x for x in r])
+
+
+def _integer_sturm_chain(p: Poly):
+    """Sturm chain of a nonzero p as primitive integer coefficient lists.
+
+    Each entry is a positive multiple of the classical entry (Euclid's
+    remainders of p and p' with signs flipped), so it has the same signs
+    everywhere; the last entry is gcd(p, p') up to a nonzero factor.
+    """
+    chain = [_primitive(_integer_multiple(p))]
+    if len(chain[0]) > 1:
+        chain.append(_primitive([i * c for i, c in enumerate(chain[0])][1:]))
+        while len(chain[-1]) > 1:
+            r = _negated_pseudo_remainder(chain[-2], chain[-1])
+            if not r:
+                break
+            chain.append(r)
     return chain
 
 
-def _variations(values) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def sturm_chain(p: Poly):
+    """Sturm chain of a squarefree polynomial: p, then integer polynomials.
+
+    Entry 0 is p itself.  The rest come from pseudo-remainders over Z,
+    each a positive multiple of the classical entry, so every count of
+    sign variations is the classical one.  The last entry is gcd(p, p')
+    up to a unit: p is squarefree exactly when that entry is a constant.
+    """
+    if p.is_zero:
+        raise PolynomialError("Sturm chain of the zero polynomial")
+    chain = _integer_sturm_chain(p)
+    if len(chain[-1]) > 1:
+        raise NonSquarefreeError(
+            f"polynomial is not squarefree: gcd with derivative is "
+            f"{Poly(chain[-1]).monic()}"
+        )
+    return [p] + [Poly(q) for q in chain[1:]]
+
+
+def _variations(chain, num: int, den: int) -> int:
+    """Sign changes along integer coefficient lists at num/den, zeros skipped."""
+    count = last = 0
+    for q in chain:
+        s = sign_at(q, num, den)
+        if s:
+            if s != last and last:
+                count += 1
+            last = s
+    return count
 
 
 def count_real_roots(p: Poly, lo: Fraction, hi: Fraction, chain=None) -> int:
@@ -341,9 +414,9 @@ def count_real_roots(p: Poly, lo: Fraction, hi: Fraction, chain=None) -> int:
         raise PolynomialError("empty interval for root counting")
     if chain is None:
         chain = sturm_chain(p)
-    vlo = _variations([q(lo) for q in chain])
-    vhi = _variations([q(hi) for q in chain])
-    return vlo - vhi
+    ints = [_integer_multiple(q) for q in chain]
+    return (_variations(ints, lo.numerator, lo.denominator)
+            - _variations(ints, hi.numerator, hi.denominator))
 
 
 def isolate_real_roots(p: Poly, lo: Fraction, hi: Fraction, chain=None):
@@ -357,11 +430,12 @@ def isolate_real_roots(p: Poly, lo: Fraction, hi: Fraction, chain=None):
         raise PolynomialError("isolation interval is empty")
     if chain is None:
         chain = sturm_chain(p)
+    ints = [_integer_multiple(q) for q in chain]
     var_cache = {}
 
     def var(x):
         if x not in var_cache:
-            var_cache[x] = _variations([q(x) for q in chain])
+            var_cache[x] = _variations(ints, x.numerator, x.denominator)
         return var_cache[x]
 
     out = []

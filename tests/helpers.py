@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from ietsaf import (IET, NumberField, Poly, certify_irreducible, gf2, is_squarefree,
                     isolate_real_roots)
-from ietsaf.errors import PolynomialError
+from ietsaf.errors import NonSquarefreeError, PolynomialError
 from ietsaf.polys import cauchy_root_bound
 
 
@@ -182,3 +182,52 @@ def gf2_completion_by_factoring(mbar, k):
     for _ in range(k - gf2.degree(q)):
         q = gf2.mul(q, 0b11)
     return q
+
+
+def sturm_chain_by_fractions(p):
+    """Reference for `sturm_chain`: Euclid's remainder sequence of p and p'
+    over `Fraction`, each remainder negated."""
+    if p.is_zero:
+        raise PolynomialError("Sturm chain of the zero polynomial")
+    chain = [p]
+    if p.degree >= 1:
+        chain.append(p.derivative())
+        while not chain[-1].is_zero and chain[-1].degree > 0:
+            chain.append(-(chain[-2] % chain[-1]))
+        if chain[-1].is_zero:
+            chain.pop()
+    if chain[-1].degree > 0:
+        raise NonSquarefreeError(
+            f"polynomial is not squarefree: gcd with derivative is "
+            f"{chain[-1].monic()}"
+        )
+    return chain
+
+
+def count_real_roots_by_fractions(p, lo, hi):
+    """Reference for `count_real_roots`: sign variations of the `Fraction`
+    chain, each entry evaluated with `Poly.__call__`."""
+    chain = sturm_chain_by_fractions(p)
+
+    def variations(x):
+        signs = [v > 0 for v in (q(x) for q in chain) if v != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(lo) - variations(hi)
+
+
+def refine_by_fractions(modulus, lo, hi, width):
+    """Reference for `NumberField.refine_interval`: bisect (lo, hi) over
+    `Fraction` until it is at most `width` wide or a midpoint is a root.
+    Returns (lo, hi, exact root or None)."""
+    sign_lo = modulus(lo) > 0
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        value = modulus(mid)
+        if value == 0:
+            return lo, hi, mid
+        if (value > 0) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, None

@@ -80,6 +80,23 @@ def test_vanishing_with_supplied_interval():
     assert not v.vanishes
 
 
+def test_nonlift_runs_no_rational_gcd(monkeypatch, capsys):
+    """The squarefree check reads the integer Sturm chain; no `Fraction`
+    Euclid runs."""
+    calls = []
+    poly_gcd = polys.poly_gcd
+
+    def counting(*args):
+        calls.append(args)
+        return poly_gcd(*args)
+
+    for module in (polys, field):
+        monkeypatch.setattr(module, "poly_gcd", counting)
+    assert cli.main(["nonlift", "--minpoly", "-1,-1,-1,1", "--genus", "3"]) == 0
+    assert "outcome:" in capsys.readouterr().out
+    assert calls == []
+
+
 def test_vanishing_call_counts(monkeypatch, capsys):
     """One `vanishing` run: no separate squarefree test, one Sturm chain for
     both criteria and the field, and no field multiplication in min_poly."""

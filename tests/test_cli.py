@@ -113,7 +113,7 @@ def test_ay_genus_5_report(capsys):
 
 def test_ay_methods_agree_on_a_nonvanishing_verdict(monkeypatch, capsys):
     # both criteria say "does not vanish": they agree, the criterion fails
-    nonzero = SimpleNamespace(vanishes=False)
+    nonzero = SimpleNamespace(vanishes=False, notes=())
     monkeypatch.setattr(cli, "vanishing_verdicts", lambda m: (nonzero, nonzero))
     code, out, _ = run(capsys, ["ay", "--genus", "3", "--check", "--json"])
     assert code == 0
@@ -121,6 +121,18 @@ def test_ay_methods_agree_on_a_nonvanishing_verdict(monkeypatch, capsys):
     assert report["checks"]["vanishing_methods_agree"] is True
     assert report["checks"]["criterion_vanishes"] is False
     assert report["all_pass"] is False
+
+
+def test_ay_check_prints_each_verdict_note_once(capsys):
+    # g=19: the trial primes miss the stretch polynomial, and all three
+    # verdicts carry the same note
+    code, out, _ = run(capsys, ["ay", "--genus", "19", "--check"])
+    assert code == 0
+    assert out.count("note: ") == 1
+    assert out.endswith("note: irreducibility unverified mod trial primes\n")
+    code, out, _ = run(capsys, ["ay", "--genus", "5", "--check"])
+    assert code == 0
+    assert "note:" not in out
 
 
 def test_ay_genus_8_report(capsys):

@@ -19,7 +19,7 @@ from ietsaf import (
 from ietsaf.field import _integer_dependency
 from ietsaf.polys import cauchy_root_bound
 
-from helpers import min_poly_by_fractions, random_cubic_field
+from helpers import min_poly_by_fractions, random_cubic_field, refine_by_fractions
 
 
 AY3 = Poly([-1, 1, 1, 1])        # x^3 + x^2 + x - 1, root ~ 0.5437
@@ -439,6 +439,41 @@ else:
                     a.inverse()
             else:
                 assert a.inverse().coords == expected
+
+    @filter_settings
+    @given(fields(), st.integers(1, 3), st.integers(1, 2 ** 70), st.integers(0, 3))
+    def test_refine_interval_matches_fraction_bisection(spec, wnum, wden, steps):
+        p, lo, hi = spec
+        field = NumberField(p, lo, hi)      # refines to width 2^-20
+        lo, hi, root = refine_by_fractions(p, lo, hi, Fraction(1, 2 ** 20))
+        assert (*field.interval, field.exact_root) == (lo, hi, root)
+        width = Fraction(wnum, wden)
+        field.refine_interval(width)
+        lo, hi, root = refine_by_fractions(p, lo, hi, width)
+        assert (*field.interval, field.exact_root) == (lo, hi, root)
+        for _ in range(steps):
+            field._bisect_once()
+            if root is None:
+                lo, hi, root = refine_by_fractions(p, lo, hi, (hi - lo) / 2)
+            assert (*field.interval, field.exact_root) == (lo, hi, root)
+
+    @filter_settings
+    @given(st.integers(-3, 3), st.lists(st.integers(-4, 4), max_size=3),
+           st.integers(1, 8), st.integers(1, 255), st.integers(1, 30))
+    def test_refine_interval_hits_a_rational_root_like_fraction_bisection(
+            r, cofactor, j, left, q):
+        """(x - r) * cofactor on an interval that r splits into left and
+        2^j - left steps of 1/q: some midpoint is exactly r."""
+        assume(left < 2 ** j)
+        modulus = Poly([-r, 1]) * Poly(cofactor + [1])
+        lo = r - Fraction(left, q)
+        hi = r + Fraction(2 ** j - left, q)
+        assume(is_squarefree(modulus) and modulus(lo) != 0 and modulus(hi) != 0)
+        assume(count_real_roots(modulus, lo, hi) == 1)
+        field = NumberField(modulus, lo, hi)
+        expected = refine_by_fractions(modulus, lo, hi, Fraction(1, 2 ** 20))
+        assert (*field.interval, field.exact_root) == expected
+        assert field.exact_root == r
 
     @filter_settings
     @given(fields(), st.data())

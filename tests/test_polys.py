@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,9 @@ from ietsaf import (
     poly_xgcd,
     reverse,
 )
-from ietsaf.polys import cauchy_root_bound, is_irreducible_mod, sturm_chain
+from ietsaf.polys import cauchy_root_bound, is_irreducible_mod, sign_at, sturm_chain
+
+from helpers import count_real_roots_by_fractions, sturm_chain_by_fractions
 
 
 def brute_mul(p, q):
@@ -162,6 +165,21 @@ def test_sturm_counts_all_roots():
         assert count_real_roots(q, lo, hi) == 1
 
 
+@pytest.mark.parametrize("p, roots", [
+    # degree gaps in the remainder sequence put an odd power of a negative
+    # leading coefficient into the pseudo-remainder: its sign must be dropped
+    (Poly([0, 2, 0, 0, 1]), 2),                                  # x^4 + 2x
+    (Poly([0, -1, 0, 0, Fraction(-1, 2)]), 2),                   # -(x^4 + 2x)/2
+    (Poly([0, -1, -1, 3, 0, 0, 1]), 4),
+    (Poly([Fraction(3, 7), 0, Fraction(-6, 7), 0, 0, Fraction(3, 7)]), 3),
+])
+def test_counts_with_degree_gaps_and_negative_leading_coefficients(p, roots):
+    bound = cauchy_root_bound(p)
+    assert count_real_roots(p, -bound, bound) == roots
+    assert count_real_roots_by_fractions(p, -bound, bound) == roots
+    assert len(isolate_real_roots(p, -bound, bound)) == roots
+
+
 def test_sturm_rejects_nonsquarefree():
     with pytest.raises(NonSquarefreeError):
         isolate_real_roots(Poly([1, -2, 1]), 0, 2)
@@ -240,3 +258,46 @@ else:
         else:
             assert is_squarefree(p)
             assert chain[0] == p
+
+    small = st.integers(-40, 40)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(small, min_size=1, max_size=8), small, st.integers(1, 30),
+           st.booleans())
+    def test_sign_at_matches_fraction_evaluation(coeffs, num, den, root):
+        if root:      # a factor den*x - num makes num/den an exact zero
+            coeffs = (Poly(coeffs) * Poly([-num, den])).coeffs
+            coeffs = [int(c) for c in coeffs]
+        value = Poly(coeffs)(Fraction(num, den))
+        assert sign_at(coeffs, num, den) == (value > 0) - (value < 0)
+        if root and any(coeffs):
+            assert sign_at(coeffs, num, den) == 0
+
+    sparse = st.one_of(st.just(Fraction(0)),
+                       st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    leading = st.sampled_from([-3, -2, -1, Fraction(-1, 2), Fraction(2, 3), 1, 2])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(sparse, min_size=1, max_size=7), leading, st.data())
+    def test_integer_chain_is_a_positive_multiple_of_the_fraction_chain(
+            coeffs, lead, data):
+        p = Poly(coeffs + [lead])
+        try:
+            oracle = sturm_chain_by_fractions(p)
+        except NonSquarefreeError as exc:
+            with pytest.raises(NonSquarefreeError) as info:
+                sturm_chain(p)
+            assert str(info.value) == str(exc)
+            assert not is_squarefree(p)
+            return
+        chain = sturm_chain(p)
+        assert is_squarefree(p)
+        assert chain[0] is p and len(chain) == len(oracle)
+        for q, r in zip(chain, oracle):
+            ratio = q.leading / r.leading
+            assert ratio > 0 and q == r * ratio
+        bound = math.ceil(cauchy_root_bound(p))
+        ends = st.fractions(min_value=-bound, max_value=bound, max_denominator=8)
+        lo, hi = data.draw(ends), data.draw(ends)
+        if lo < hi:
+            assert count_real_roots(p, lo, hi) == count_real_roots_by_fractions(p, lo, hi)
