@@ -17,6 +17,8 @@ irreducibility once.  The reciprocity criterion is only sound for
 irreducible m, so both verdicts carry a note when that certificate is
 missing.  `vanishing_verdicts` runs both criteria on one validation, and
 the field-degree criterion builds its field from it without re-checking.
+`ay --check` runs the nonlift checks on that same validation through
+`_nonlift`, so it certifies m once.
 
 The nonlift certificate decides whether lambda could be the stretch
 factor of a map lifted from a nonorientable surface of genus g+1: such a
@@ -276,8 +278,7 @@ def nonlift_certificate(m: Poly, g: int,
     """
     if not (m.is_monic and m.is_integral):
         raise InputError("certificate requires a monic integer polynomial")
-    d = m.degree
-    if d < 1:
+    if m.degree < 1:
         raise InputError("certificate requires degree >= 1")
     if g < 1:
         raise InputError("genus must be >= 1")
@@ -286,6 +287,13 @@ def nonlift_certificate(m: Poly, g: int,
     notes = ()
     if certify_irreducible(m) is None:
         notes = ("irreducibility unverified mod trial primes",)
+    return _nonlift(m, g, notes, completion)
+
+
+def _nonlift(m: Poly, g: int, notes=(), completion=gf2_completion_exists) -> CertVerdict:
+    """The checks of `nonlift_certificate` past validation, for an m its
+    caller has validated; `notes` go on the verdict as they are."""
+    d = m.degree
     if d > g:
         return CertVerdict(OUTCOME_NOT_LIFT, reason=REASON_DEGREE, notes=notes)
     if abs(m.constant()) != 1:

@@ -68,8 +68,11 @@ division by the content), so it is exact with no `Fraction` at all; the
 minimal polynomial of a is that of gamma at den*x, made monic.
 
 Irreducibility of the modulus is certified best-effort by reduction
-modulo small primes.  When certification fails, arithmetic still
-proceeds; an actually reducible modulus is detected loudly the moment
+modulo small primes (`certify_irreducible`), on the first read of
+`certified_prime` and never by the constructor: arithmetic does not
+depend on it, so a field loaded from a file or built for the
+Arnoux-Yoccoz alpha is never certified unless something reads the
+prime.  An actually reducible modulus is detected loudly the moment
 inversion (or sign refinement) runs into a zero divisor.  Callers that
 have already validated a modulus and isolated its root (the vanishing
 criteria) build the field through `NumberField.validated`, which takes
@@ -78,6 +81,7 @@ their Sturm chain and certificate instead of recomputing them.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -195,7 +199,7 @@ class NumberField:
             raise InputError(
                 f"root count in interval != 1 for {modulus} on ({lo}, {hi})"
             )
-        self._setup(modulus, lo, hi, chain, certify_irreducible(modulus))
+        self._setup(modulus, lo, hi, chain)
 
     @classmethod
     def validated(cls, modulus: Poly, lo: Fraction, hi: Fraction, chain,
@@ -206,17 +210,22 @@ class NumberField:
         modulus is monic, integral, of degree >= 1 and squarefree with
         Sturm chain `chain`, and (lo, hi) holds exactly one root with
         neither endpoint a root.  `certified_prime` is the result of
-        `certify_irreducible(modulus)`.
+        `certify_irreducible(modulus)`, and the field keeps it.
         """
         field = object.__new__(cls)
-        field._setup(modulus, lo, hi, chain, certified_prime)
+        field._setup(modulus, lo, hi, chain)
+        field.certified_prime = certified_prime
         return field
 
-    def _setup(self, modulus, lo, hi, chain, certified_prime) -> None:
+    @functools.cached_property
+    def certified_prime(self):
+        """`certify_irreducible(modulus)`, computed on first read."""
+        return certify_irreducible(self.modulus)
+
+    def _setup(self, modulus, lo, hi, chain) -> None:
         self.modulus = modulus
         self.degree = modulus.degree
         self._chain = chain
-        self.certified_prime = certified_prime
         self._ints = [c.numerator for c in modulus.coeffs]
         self._lo, self._hi = lo, hi
         self._sign_lo = sign_at(self._ints, lo.numerator, lo.denominator)
@@ -308,7 +317,7 @@ class NumberField:
     # -- element constructors -------------------------------------------
 
     def element(self, coords) -> "AlgNum":
-        coords = [Fraction(c) for c in coords]
+        coords = [c if isinstance(c, (Fraction, int)) else Fraction(c) for c in coords]
         if len(coords) != self.degree:
             raise InputError(
                 f"expected {self.degree} coordinates, got {len(coords)}"

@@ -39,6 +39,7 @@ inner perm).  Only `first_return` sorts its images by value.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 from math import lcm
@@ -57,14 +58,6 @@ def _coerce(field: NumberField, x) -> AlgNum:
     if isinstance(x, (int, Fraction)):
         return field.from_rational(x)
     raise InputError(f"cannot interpret {x!r} as a field element")
-
-
-def _maximum(a: AlgNum, b: AlgNum) -> AlgNum:
-    return b if a < b else a
-
-
-def _minimum(a: AlgNum, b: AlgNum) -> AlgNum:
-    return b if b < a else a
 
 
 def _on_field(f: "IET", field: NumberField):
@@ -426,7 +419,7 @@ class IET:
         if b.sign() <= 0 or self.total < b:
             raise DomainError("return interval must satisfy 0 < b <= L")
         zero = self.field.zero()
-        my_pieces = self.pieces()
+        breaks, ts, n = self.breaks(), self.translations(), self.n
         work = deque([(zero, b, zero, 0)])  # (x_lo, x_hi, translation so far, steps)
         done = []
         budget = cap
@@ -438,22 +431,27 @@ class IET:
                     f"first-return induction exceeded {cap} piece iterations"
                 )
             cur_lo, cur_hi = lo + trans, hi + trans
-            for c, cp, t in my_pieces:
-                a = _maximum(cur_lo, c)
-                z = _minimum(cur_hi, cp)
-                if not a < z:
-                    continue
-                ntrans = trans + t
-                xs, xe = a - trans, z - trans
-                nlo, nhi = xs + ntrans, xe + ntrans
-                if not nlo < b:
+            # the pieces that overlap [cur_lo, cur_hi), in domain order: from
+            # the one holding cur_lo up to the last that starts below cur_hi;
+            # [xs, xe) is the part of [lo, hi) that lands in piece j
+            j = bisect_right(breaks, cur_lo, 1, n) - 1
+            xs = lo
+            while True:
+                cp = breaks[j + 1]
+                last = not cp < cur_hi
+                xe = hi if last else cp - trans
+                ntrans = trans + ts[j]
+                if not xs + ntrans < b:
                     work.append((xs, xe, ntrans, steps + 1))
-                elif not b < nhi:
+                elif not b < xe + ntrans:
                     done.append((xs, xe, ntrans, steps + 1))
                 else:
                     w = b - ntrans
                     done.append((xs, w, ntrans, steps + 1))
                     work.append((w, xe, ntrans, steps + 1))
+                if last:
+                    break
+                j, xs = j + 1, xe
         done.sort(key=lambda p: p[0])
         pieces = [(u, v, t) for u, v, t, _ in done]
         iet = IET._from_tiling(self.field, b, pieces, [u + t for u, _, t in pieces],

@@ -21,17 +21,39 @@ its content.  Each entry is therefore a positive multiple of the
 classical entry (Euclid's remainders over the rationals, signs
 flipped), and every count of sign variations is the classical one.  The
 last entry is gcd(p, p') up to a unit, and `is_squarefree` reads it, so
-one Euclid answers both questions.
+one Euclid answers both questions.  `sturm_chain` hands the integer
+entries back beside the `Poly` ones, and root counts read those.
+
+Irreducibility is certified by Rabin's test modulo the trial primes
+2..13 (`certify_irreducible`: the first prime modulo which p is
+irreducible, or None).  The test runs on packed residues: f is reduced
+mod q and made monic, and a residue mod (f, q) is one Python int whose
+fixed-width slots hold its coefficients (Kronecker substitution).  The
+slot width is the least of 16, 32 or 64 bits above d*(q-1)^2 + q - 1,
+the largest sum the kernel forms, so no slot ever carries; at q = 13,
+16-bit slots last up to degree 455.  A product is one bigint multiply,
+an unpack (`to_bytes` into an `array`), and a fold of the high slots
+through packed rows of x^d .. x^(2d-2) mod f.  The rows x^(iq) mod f of
+the Frobenius map are built once per (f, q), so h -> h^q is d small-int
+times bigint multiply-adds and one unpack.  Rabin's test is then one
+pass over x^(q^k) for k = 1..d: gcd(x^(q^k) - x, f) = 1 at each k = d/r,
+r a prime factor of d, and x^(q^d) = x.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import NonSquarefreeError, ParseError, PolynomialError
 
 TRIAL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+# slot size in bytes -> array type code of that size (2, 4 and 8 bytes)
+_SLOT_CODES = {array(code).itemsize: code for code in "QLIH"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _coeff(c) -> Fraction:
@@ -377,7 +399,17 @@ def _integer_sturm_chain(p: Poly):
     return chain
 
 
-def sturm_chain(p: Poly):
+class SturmChain(list):
+    """A Sturm chain as `Poly` entries, with `ints` beside it: every entry
+    as primitive integer coefficients, entry 0 a positive multiple of p.
+
+    Root counts read `ints`, so they convert nothing per call.
+    """
+
+    __slots__ = ("ints",)
+
+
+def sturm_chain(p: Poly) -> SturmChain:
     """Sturm chain of a squarefree polynomial: p, then integer polynomials.
 
     Entry 0 is p itself.  The rest come from pseudo-remainders over Z,
@@ -387,13 +419,15 @@ def sturm_chain(p: Poly):
     """
     if p.is_zero:
         raise PolynomialError("Sturm chain of the zero polynomial")
-    chain = _integer_sturm_chain(p)
-    if len(chain[-1]) > 1:
+    ints = _integer_sturm_chain(p)
+    if len(ints[-1]) > 1:
         raise NonSquarefreeError(
             f"polynomial is not squarefree: gcd with derivative is "
-            f"{Poly(chain[-1]).monic()}"
+            f"{Poly(ints[-1]).monic()}"
         )
-    return [p] + [Poly(q) for q in chain[1:]]
+    chain = SturmChain([p] + [Poly(q) for q in ints[1:]])
+    chain.ints = ints
+    return chain
 
 
 def _variations(chain, num: int, den: int) -> int:
@@ -409,12 +443,13 @@ def _variations(chain, num: int, den: int) -> int:
 
 
 def count_real_roots(p: Poly, lo: Fraction, hi: Fraction, chain=None) -> int:
-    """Number of real roots of squarefree p in the half-open (lo, hi]."""
+    """Number of real roots of squarefree p in the half-open (lo, hi].
+
+    `chain`, when given, is `sturm_chain(p)`.
+    """
     if lo >= hi:
         raise PolynomialError("empty interval for root counting")
-    if chain is None:
-        chain = sturm_chain(p)
-    ints = [_integer_multiple(q) for q in chain]
+    ints = (sturm_chain(p) if chain is None else chain).ints
     return (_variations(ints, lo.numerator, lo.denominator)
             - _variations(ints, hi.numerator, hi.denominator))
 
@@ -428,9 +463,7 @@ def isolate_real_roots(p: Poly, lo: Fraction, hi: Fraction, chain=None):
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise PolynomialError("isolation interval is empty")
-    if chain is None:
-        chain = sturm_chain(p)
-    ints = [_integer_multiple(q) for q in chain]
+    ints = (sturm_chain(p) if chain is None else chain).ints
     var_cache = {}
 
     def var(x):
@@ -470,17 +503,6 @@ def _mtrim(a):
     return a
 
 
-def _mmul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    return _mtrim(out)
-
-
 def _mmod(a, f, m):
     a = list(a)
     df = len(f) - 1
@@ -499,17 +521,6 @@ def _mgcd(a, b, m):
     return a
 
 
-def _mpowmod(base, e, f, m):
-    result = [1]
-    base = _mmod(base, f, m)
-    while e:
-        if e & 1:
-            result = _mmod(_mmul(result, base, m), f, m)
-        base = _mmod(_mmul(base, base, m), f, m)
-        e >>= 1
-    return result
-
-
 def _prime_factors(n: int):
     out, d = set(), 2
     while d * d <= n:
@@ -522,10 +533,92 @@ def _prime_factors(n: int):
     return sorted(out)
 
 
+class _PackedResidues:
+    """Arithmetic in GF(q)[x]/(f) on packed residues, f monic of degree d >= 2.
+
+    Coefficient i of a residue sits in slot i of one Python int (the
+    module docstring has the slot width and the product).  The Frobenius
+    rows x^(iq) mod f are built once: a row with iq <= 2d-2 is a monomial
+    or a row of the reduction table, and each later one is the row before
+    it times x^q.  A prime too large for 64-bit slots is refused.
+    """
+
+    def __init__(self, f, q):
+        d = len(f) - 1
+        bound = d * (q - 1) ** 2 + q - 1    # the largest sum formed: no slot carries
+        size = min((s for s in _SLOT_CODES if bound < 1 << (8 * s)), default=None)
+        if size is None:
+            raise PolynomialError(f"prime {q} too large for degree {d}")
+        self.q, self.d, self.size, self.code = q, d, size, _SLOT_CODES[size]
+        reduction = [-c % q for c in f[:-1]]     # x^d mod f
+        cur, high = reduction, []
+        for _ in range(d - 1):
+            high.append(self.pack(cur))
+            top = cur[-1]
+            cur = [0] + cur[:-1]
+            if top:
+                cur = [(a + top * b) % q for a, b in zip(cur, reduction)]
+        self.high = high
+
+        def x_to(j):    # x^j mod f for j <= 2d-2, with no product
+            return 1 << (8 * size * j) if j < d else high[j - d]
+
+        # Frobenius rows x^(iq) mod f: h^q = sum h_i x^(iq) over GF(q)
+        x_q = x_to(q) if q <= 2 * d - 2 else self.power(x_to(1), q)
+        rows = [1, x_q]
+        for i in range(2, d):
+            rows.append(x_to(i * q) if i * q <= 2 * d - 2 else self.mul(rows[-1], x_q))
+        self.frobenius_rows = rows
+
+    def pack(self, coeffs) -> int:
+        slots = array(self.code, coeffs)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        return int.from_bytes(slots, "little")
+
+    def unpack(self, n: int, count: int):
+        """The low `count` slots of n, each reduced mod q."""
+        slots = array(self.code, n.to_bytes(count * self.size, "little"))
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        q = self.q
+        return [c % q for c in slots]
+
+    def mul(self, a: int, b: int) -> int:
+        d = self.d
+        c = self.unpack(a * b, 2 * d - 1)
+        acc = self.pack(c[:d])
+        for ck, row in zip(c[d:], self.high):
+            if ck:
+                acc += ck * row
+        return self.pack(self.unpack(acc, d))
+
+    def power(self, base: int, e: int) -> int:
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return result
+
+    def frobenius(self, h):
+        """h^q for a reduced coefficient list h: d multiply-adds, one unpack."""
+        acc = 0
+        for c, row in zip(h, self.frobenius_rows):
+            if c:
+                acc += c * row
+        return self.unpack(acc, self.d)
+
+
 def is_irreducible_mod(p: Poly, q: int) -> bool:
-    """Rabin irreducibility test for p reduced modulo the prime q."""
-    coeffs = [c % q for c in _int_coeffs(p)]
-    f = _mtrim(list(coeffs))
+    """Rabin irreducibility test for p reduced modulo the prime q.
+
+    One pass over h_k = x^(q^k) mod f for k = 1..d, each step one
+    Frobenius map: gcd(h_k - x, f) = 1 at each k = d/r (r a prime factor
+    of d), and h_d = x.
+    """
+    f = _mtrim([c % q for c in _int_coeffs(p)])
     d = len(f) - 1
     if d < p.degree:
         return False  # leading coefficient vanished mod q
@@ -533,16 +626,20 @@ def is_irreducible_mod(p: Poly, q: int) -> bool:
         return False
     if d == 1:
         return True
-    x = [0, 1]
-    for r in _prime_factors(d):
-        h = _mpowmod(x, q ** (d // r), f, q)
-        diff = list(h) + [0] * max(0, 2 - len(h))
-        diff[1] = (diff[1] - 1) % q
-        g = _mgcd(_mtrim(diff), f, q)
-        if len(g) - 1 != 0:
-            return False
-    h = _mpowmod(x, q ** d, f, q)
-    return h == [0, 1]
+    inv_lead = pow(f[-1], -1, q)
+    f = [c * inv_lead % q for c in f]
+    ring = _PackedResidues(f, q)
+    checks = {d // r for r in _prime_factors(d)}
+    x = [0, 1] + [0] * (d - 2)
+    h = x
+    for k in range(1, d + 1):
+        h = ring.frobenius(h)
+        if k in checks:
+            diff = list(h)
+            diff[1] = (diff[1] - 1) % q
+            if len(_mgcd(diff, f, q)) != 1:
+                return False
+    return h == x
 
 
 def certify_irreducible(p: Poly, primes=TRIAL_PRIMES):

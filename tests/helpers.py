@@ -5,7 +5,7 @@ from fractions import Fraction
 from ietsaf import (IET, NumberField, Poly, certify_irreducible, gf2, is_squarefree,
                     isolate_real_roots)
 from ietsaf.errors import NonSquarefreeError, PolynomialError
-from ietsaf.polys import cauchy_root_bound
+from ietsaf.polys import _int_coeffs, _mgcd, _mmod, _mtrim, _prime_factors, cauchy_root_bound
 
 
 def random_cubic_field(rng, above_one=False):
@@ -231,3 +231,54 @@ def refine_by_fractions(modulus, lo, hi, width):
         else:
             hi = mid
     return lo, hi, None
+
+
+def _mmul(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % m
+    return _mtrim(out)
+
+
+def mulmod_by_lists(a, b, f, m):
+    """Reference product in GF(m)[x]/(f) on coefficient lists."""
+    return _mmod(_mmul(a, b, m), f, m)
+
+
+def _mpowmod(base, e, f, m):
+    result = [1]
+    base = _mmod(base, f, m)
+    while e:
+        if e & 1:
+            result = mulmod_by_lists(result, base, f, m)
+        base = mulmod_by_lists(base, base, f, m)
+        e >>= 1
+    return result
+
+
+def is_irreducible_mod_by_powering(p, q):
+    """Reference for `is_irreducible_mod`: Rabin's test with a fresh
+    square-and-multiply x^(q^k) mod f on coefficient lists for each k."""
+    coeffs = [c % q for c in _int_coeffs(p)]
+    f = _mtrim(list(coeffs))
+    d = len(f) - 1
+    if d < p.degree:
+        return False  # leading coefficient vanished mod q
+    if d == 0:
+        return False
+    if d == 1:
+        return True
+    x = [0, 1]
+    for r in _prime_factors(d):
+        h = _mpowmod(x, q ** (d // r), f, q)
+        diff = list(h) + [0] * max(0, 2 - len(h))
+        diff[1] = (diff[1] - 1) % q
+        g = _mgcd(_mtrim(diff), f, q)
+        if len(g) - 1 != 0:
+            return False
+    h = _mpowmod(x, q ** d, f, q)
+    return h == [0, 1]

@@ -124,8 +124,8 @@ def test_ay_methods_agree_on_a_nonvanishing_verdict(monkeypatch, capsys):
 
 
 def test_ay_check_prints_each_verdict_note_once(capsys):
-    # g=19: the trial primes miss the stretch polynomial, and all three
-    # verdicts carry the same note
+    # g=19: the trial primes miss the stretch polynomial, and both
+    # vanishing verdicts carry the same note
     code, out, _ = run(capsys, ["ay", "--genus", "19", "--check"])
     assert code == 0
     assert out.count("note: ") == 1
@@ -133,6 +133,23 @@ def test_ay_check_prints_each_verdict_note_once(capsys):
     code, out, _ = run(capsys, ["ay", "--genus", "5", "--check"])
     assert code == 0
     assert "note:" not in out
+
+
+def test_ay_check_certifies_the_stretch_polynomial_once(monkeypatch, capsys):
+    """The alpha field's prime is never read, and the nonlift verdict
+    reuses the validation and certificate of the vanishing verdicts."""
+    calls = []
+    certify = ietsaf.polys.certify_irreducible
+
+    def counting(p, *args):
+        calls.append(p)
+        return certify(p, *args)
+
+    for module in (ietsaf.polys, ietsaf.field, ietsaf.certificates):
+        monkeypatch.setattr(module, "certify_irreducible", counting)
+    code, out, _ = run(capsys, ["ay", "--genus", "5", "--check"])
+    assert code == 0 and "all checks pass: True" in out
+    assert calls == [ietsaf.ay_stretch_minpoly(5)]
 
 
 def test_ay_genus_8_report(capsys):

@@ -41,6 +41,15 @@ def test_field_new_examples():
         NumberField(Poly([-2, 0, 1]), 2, 3)       # no root in the interval
 
 
+def test_element_coerces_only_what_is_not_a_fraction_or_int():
+    k3 = NumberField(AY3, 0, 1)
+    a = k3.element([1, Fraction(1, 2), "2/3"])
+    assert a.coords == (Fraction(1), Fraction(1, 2), Fraction(2, 3))
+    assert a == k3.element([Fraction(2, 2), 0.5, Fraction(4, 6)])
+    with pytest.raises(InputError, match="expected 3 coordinates, got 2"):
+        k3.element([1, Fraction(1, 2)])
+
+
 def test_field_rejects_non_monic_and_rational():
     with pytest.raises(InputError):
         NumberField(Poly([1, 2]), -10, 10)

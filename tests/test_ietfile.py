@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ietsaf import IET, NumberField, ParseError, Poly, ay_lift, dumps_iet, loads_iet
+from ietsaf import IET, NumberField, ParseError, Poly, ay_lift, dumps_iet, field, loads_iet
 
 from helpers import random_cubic_field, random_iet
 
@@ -16,6 +16,23 @@ def test_round_trip_bytes_ay():
         again = loads_iet(text)
         assert again == lift
         assert dumps_iet(again) == text
+
+
+def test_loading_and_composing_certify_nothing(monkeypatch):
+    calls = []
+    certify = field.certify_irreducible
+
+    def counting(p, *args):
+        calls.append(p)
+        return certify(p, *args)
+
+    monkeypatch.setattr(field, "certify_irreducible", counting)
+    text = dumps_iet(ay_lift(3))
+    f, g = loads_iet(text), loads_iet(text)
+    f.compose(g.inverse())
+    assert calls == []
+    assert f.field.certified_prime == 3 and f.field.certified_prime == 3
+    assert calls == [f.field.modulus]       # certified on first read, once
 
 
 def test_round_trip_random():

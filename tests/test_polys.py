@@ -17,9 +17,21 @@ from ietsaf import (
     poly_xgcd,
     reverse,
 )
-from ietsaf.polys import cauchy_root_bound, is_irreducible_mod, sign_at, sturm_chain
+from ietsaf.polys import (
+    TRIAL_PRIMES,
+    _PackedResidues,
+    cauchy_root_bound,
+    is_irreducible_mod,
+    sign_at,
+    sturm_chain,
+)
 
-from helpers import count_real_roots_by_fractions, sturm_chain_by_fractions
+from helpers import (
+    count_real_roots_by_fractions,
+    is_irreducible_mod_by_powering,
+    mulmod_by_lists,
+    sturm_chain_by_fractions,
+)
 
 
 def brute_mul(p, q):
@@ -211,6 +223,40 @@ def test_certify_irreducible():
     assert certify_irreducible(Poly([1, 1, 1, 1])) is None
 
 
+def test_packed_product_at_the_slot_width_boundary():
+    # d*(q-1)^2 + q - 1 is 65,532 at d = 455 and 65,676 at d = 456 (q = 13):
+    # the last degree on 16-bit slots and the first on 32-bit ones.  With
+    # every coefficient q-1 the middle slot of the product reaches d*(q-1)^2.
+    q = 13
+    rng = random.Random(17)
+    for d, size in ((455, 2), (456, 4)):
+        f = [rng.randrange(q) for _ in range(d)] + [1]
+        ring = _PackedResidues(f, q)
+        assert ring.size == size
+        a = [q - 1] * d
+        expected = mulmod_by_lists(a, a, f, q)
+        expected += [0] * (d - len(expected))
+        assert ring.unpack(ring.mul(ring.pack(a), ring.pack(a)), d) == expected
+
+
+def test_irreducible_mod_on_wide_slots():
+    # at q = 257 one product term (q-1)^2 already fills 16 bits
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(23)
+    answers = set()
+    for _ in range(40):
+        coeffs = [rng.randint(-300, 300) for _ in range(rng.randint(2, 12))] + [1]
+        assert _PackedResidues([c % 257 for c in coeffs], 257).size == 4
+        expected = sympy.Poly(coeffs[::-1], x, modulus=257).is_irreducible
+        assert is_irreducible_mod(Poly(coeffs), 257) == expected
+        assert is_irreducible_mod_by_powering(Poly(coeffs), 257) == expected
+        answers.add(expected)
+    assert answers == {True, False}
+    with pytest.raises(PolynomialError):
+        is_irreducible_mod(Poly([1, 0, 1]), 2 ** 61 - 1)   # no slot is wide enough
+
+
 def test_poly_string_round_trip():
     p = Poly.from_string("1/2,-3,0,1")
     assert p.coeffs == (Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(1))
@@ -301,3 +347,27 @@ else:
         lo, hi = data.draw(ends), data.draw(ends)
         if lo < hi:
             assert count_real_roots(p, lo, hi) == count_real_roots_by_fractions(p, lo, hi)
+
+    # leading coefficients: monic, units mod every trial prime, and ones
+    # that vanish mod some (6) or all (30030) of them
+    leads = st.sampled_from([1, 1, 1, -1, 17, 6, 30030])
+    monic_factors = st.lists(st.integers(-20, 20), min_size=1, max_size=20).map(
+        lambda c: Poly(c + [1]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.lists(st.integers(-50, 50), min_size=1, max_size=40), leads).map(
+            lambda t: Poly(t[0] + [t[1]])),
+        st.tuples(monic_factors, monic_factors).map(lambda t: t[0] * t[1]),
+    ))
+    def test_irreducible_mod_matches_powering_and_sympy(p):
+        sympy = pytest.importorskip("sympy")
+        coeffs = [int(c) for c in p.coeffs]
+        x = sympy.symbols("x")
+        for q in TRIAL_PRIMES:
+            fast = is_irreducible_mod(p, q)
+            assert fast == is_irreducible_mod_by_powering(p, q), (str(p), q)
+            if coeffs[-1] % q:
+                assert fast == sympy.Poly(coeffs[::-1], x, modulus=q).is_irreducible
+            else:
+                assert not fast
