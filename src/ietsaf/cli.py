@@ -254,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="constant-first integer coefficients, e.g. '-1,-1,-1,1'")
     p.add_argument("--interval", help="optional isolating interval 'lo,hi'")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--float", action="store_true")
     p.set_defaults(func=cmd_vanishing)
 
     p = sub.add_parser("nonlift", help="nonorientable-lift exclusion certificate")

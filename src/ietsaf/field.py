@@ -10,45 +10,32 @@ and negation stay on ints (no `Fraction` is built); the read-only
 `coords` property gives the `Fraction` tuple num/den for files, reports
 and tests.  All arithmetic is exact.
 
-Signs and comparisons are decided in two stages.  Both look at the
-integer polynomial num(x) only: its value at the root is den times the
-element's, and den > 0, so it has the same sign, and interval Horner on
-num is exactly den times interval Horner on the rational coordinates
-(scaling every coefficient by a positive constant scales every step).
+Signs and comparisons use one exact integer enclosure.  The field keeps
+its isolating interval as ints (a, b, D), meaning [a/D, b/D]; the
+`interval` property forms reduced `Fraction`s when it is read.  An
+element's value at the root is num(alpha)/den with den > 0, so num(x)
+decides its sign.  The enclosure is interval Horner of num over [a, b],
+coefficient k scaled by D^(d-1-k): exactly D^(d-1) times interval Horner
+over [a/D, b/D].  Scaling by a positive constant moves no bound across
+0, so no rounding is needed, and the enclosure decides exactly when the
+rational one would.  Each element caches it until the field bisects.
 
-1. A filter.  The field keeps an outward-rounded fixed-point copy of its
-   isolating interval, [floor(lo*2^P), ceil(hi*2^P)] with
-   P = max(64, 32 + log2(1/width)), and each element caches an enclosure
-   of its value: interval Horner on the integers num, rounding lower
-   bounds down and upper bounds up, then one outward division by den.
-   An enclosure strictly on one side of 0 decides a sign; two disjoint
-   enclosures decide a comparison without forming the difference.
-2. The exact path.  Interval Horner over `Fraction` of num(x) on the
-   isolating interval, bisecting on demand, with a gcd check against the
-   modulus after a fixed number of bisections.  It terminates because a
-   nonzero element of a field cannot vanish at the root.  Bisection runs
-   on ints: the endpoints are kept as a/D and b/D over one int D, the
-   midpoint is (a+b)/2D, and the sign of the modulus there comes from
-   `sign_at` (homogeneous Horner on its integer coefficients).  Every
-   endpoint is the same rational that `Fraction` arithmetic would give,
-   and reduced `Fraction`s are formed once, when the loop ends.
-
-The filter is sound and never moves the isolating interval.  Interval
-arithmetic is inclusion-monotone, so the fixed-point enclosure contains
-the exact rational interval-Horner result on the same interval; by
-subdistributivity enc(a) - enc(b) contains the Horner enclosure of
-a - b.  Whenever the filter decides, the first step of the exact path
-would have decided the same way without bisecting.  The interval
-therefore evolves exactly as it would on the exact path alone, and
-every printed isolating interval is the same.  Bisection bumps the
-field's generation counter, which marks the fixed-point interval and
-the cached element enclosures as stale; they are recomputed on first use.
+`sign` is one loop: a rational root hit by bisection decides by
+`sign_at`; else an enclosure on one side of 0 decides; after
+SIGN_GCD_CHECK_AFTER bisections a gcd with the modulus rules out a zero
+divisor; else the field bisects once, at the midpoint (a+b)/2D, whose
+sign under the modulus comes from `sign_at`.  A nonzero element cannot
+vanish at the root, so the loop ends.  Disjoint enclosures decide a
+comparison by cross-multiplying with the two dens; the difference's own
+enclosure would then exclude 0 too (subdistributivity), so the interval
+moves as if the difference's sign were taken.  `approx` bisects until
+the same enclosure is narrow enough.
 
 The constructor builds the integer Sturm chain of the modulus once and
 keeps it; its last entry also shows whether the modulus is squarefree.
 It checks that neither endpoint is a root with `sign_at`, counts the
 roots between them with the chain, and refines the interval to width
-2^-20 with the same integer bisection loop that the exact path uses.
+2^-20 with the same integer bisection loop that signs use.
 Two field objects are equal when they have the same modulus and the
 same distinguished root, and deciding that costs one Sturm count with
 the kept chain on the intersection of the two isolating intervals.
@@ -105,10 +92,6 @@ from .polys import (
 
 SIGN_GCD_CHECK_AFTER = 48
 SIGN_BISECTION_CAP = 10 ** 6
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _mul_mod(a, b, high_powers):
@@ -227,11 +210,14 @@ class NumberField:
         self.degree = modulus.degree
         self._chain = chain
         self._ints = [c.numerator for c in modulus.coeffs]
-        self._lo, self._hi = lo, hi
+        den = lcm(lo.denominator, hi.denominator)
+        # the isolating interval [a/D, b/D]
+        self._a = lo.numerator * (den // lo.denominator)
+        self._b = hi.numerator * (den // hi.denominator)
+        self._D = den
         self._sign_lo = sign_at(self._ints, lo.numerator, lo.denominator)
         self._exact_root = None
         self._generation = 0
-        self._fixed = None
         self._high_powers = self._power_table()
         self.refine_interval(Fraction(1, 2 ** 20))
 
@@ -254,42 +240,23 @@ class NumberField:
 
     @property
     def interval(self):
-        return self._lo, self._hi
+        """The isolating interval as a pair of reduced `Fraction`s."""
+        return Fraction(self._a, self._D), Fraction(self._b, self._D)
 
     @property
     def exact_root(self):
         return self._exact_root
 
-    def _fixed_point(self):
-        """(P, floor(lo*2^P), ceil(hi*2^P)) for the current isolating interval."""
-        fixed = self._fixed
-        if fixed is None or fixed[0] != self._generation:
-            lo, hi = self._lo, self._hi
-            width = hi - lo
-            prec = max(64, 32 + width.denominator.bit_length()
-                       - width.numerator.bit_length() + 1)
-            fixed = self._fixed = (
-                self._generation,
-                prec,
-                (lo.numerator << prec) // lo.denominator,
-                -((-hi.numerator << prec) // hi.denominator),
-            )
-        return fixed[1:]
-
-    def _bisect(self, width: Fraction, steps) -> None:
+    def _bisect(self, width, steps) -> None:
         """Bisect until the interval is at most `width` wide, at most `steps` times.
 
-        The endpoints are kept as a/den and b/den over one int den, and
-        the midpoint is (a+b)/(2*den); its sign comes from the integer
-        kernel.  Each endpoint is the same rational as on a `Fraction`
-        path, and the reduced `Fraction`s are formed once, at the end.
+        The midpoint of [a/D, b/D] is (a+b)/2D; its sign comes from the
+        integer kernel, and each step bumps the generation that element
+        enclosures are cached against.
         """
         if self._exact_root is not None:
             return
-        lo, hi = self._lo, self._hi
-        den = lcm(lo.denominator, hi.denominator)
-        a = lo.numerator * (den // lo.denominator)
-        b = hi.numerator * (den // hi.denominator)
+        a, b, den = self._a, self._b, self._D
         wn, wd = width.numerator, width.denominator
         ints, sign_lo = self._ints, self._sign_lo
         while steps and (b - a) * wd > wn * den:
@@ -305,10 +272,10 @@ class NumberField:
                 a = mid
             else:
                 b = mid
-        self._lo, self._hi = Fraction(a, den), Fraction(b, den)
+        self._a, self._b, self._D = a, b, den
 
     def _bisect_once(self) -> None:
-        self._bisect(Fraction(0), 1)
+        self._bisect(0, 1)
 
     def refine_interval(self, width: Fraction) -> None:
         """Shrink the isolating interval below the given width."""
@@ -354,11 +321,11 @@ class NumberField:
             return NotImplemented
         if self.modulus != other.modulus:
             return False
-        lo = max(self._lo, other._lo)
-        hi = min(self._hi, other._hi)
+        (lo1, hi1), (lo2, hi2) = self.interval, other.interval
         if self._exact_root is not None or other._exact_root is not None:
             r = self._exact_root if self._exact_root is not None else other._exact_root
-            return other._lo < r < other._hi and self._lo < r < self._hi
+            return lo2 < r < hi2 and lo1 < r < hi1
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
         if lo >= hi:
             return False
         return count_real_roots(self.modulus, lo, hi, self._chain) == 1
@@ -367,7 +334,8 @@ class NumberField:
         return hash(self.modulus)
 
     def __repr__(self):
-        return f"NumberField({self.modulus}, interval=({self._lo}, {self._hi}))"
+        lo, hi = self.interval
+        return f"NumberField({self.modulus}, interval=({lo}, {hi}))"
 
 
 class AlgNum:
@@ -498,77 +466,56 @@ class AlgNum:
         return Fraction(self.num[0], self.den)
 
     def _enclosure(self):
-        """(lo, hi) with lo <= value * 2^P <= hi, P the field's fixed-point precision.
+        """(lo, hi), exactly D^(d-1) times interval Horner of num over [a/D, b/D].
 
-        Interval Horner on the integers num over the field's fixed-point
-        interval, with lower bounds rounded down and upper bounds rounded
-        up, then one outward division by den.  Cached until the field
-        bisects.
+        Horner on the ints num over [a, b], coefficient k scaled by
+        D^(d-1-k); nothing is rounded.  Cached until the field bisects.
         """
         field = self.field
         cached = self._enclosure_cache
         if cached is not None and cached[0] == field._generation:
             return cached[1], cached[2]
-        prec, xlo, xhi = field._fixed_point()
+        a, b, den = field._a, field._b, field._D
         lo = hi = 0
+        scale = 1
         for c in reversed(self.num):
             if lo or hi:
-                products = (lo * xlo, lo * xhi, hi * xlo, hi * xhi)
-                lo = min(products) >> prec
-                hi = -(-max(products) >> prec)
+                products = (lo * a, lo * b, hi * a, hi * b)
+                lo, hi = min(products), max(products)
             if c:
-                lo += c << prec
-                hi += c << prec
-        den = self.den
-        if den != 1:
-            lo //= den
-            hi = -(-hi // den)
+                lo += c * scale
+                hi += c * scale
+            scale *= den
         self._enclosure_cache = (field._generation, lo, hi)
         return lo, hi
 
     def sign(self) -> int:
         """Sign of the real value at the field's distinguished root.
 
-        Unless the root is exactly rational, the cached fixed-point
-        enclosure decides first, when it lies strictly on one side of 0.  It
-        contains the exact interval-Horner result on the same interval, so
-        it decides only where the exact path would decide without
-        bisecting, and the isolating interval moves exactly as it would on
-        the exact path alone.  Zero coordinates, a rational root and an
-        enclosure that straddles 0 go to the exact path.
+        A rational root decides by `sign_at`; else the cached enclosure
+        decides when it lies strictly on one side of 0; after
+        SIGN_GCD_CHECK_AFTER bisections a gcd with the modulus rules out a
+        zero divisor; else the field bisects once and the loop repeats.
+        The enclosure is an exact positive multiple of rational interval
+        Horner, so no rounding can hide or invent a sign.
         """
-        if self.field._exact_root is None:
+        if self.is_zero():
+            return 0
+        field = self.field
+        for i in range(SIGN_BISECTION_CAP):
+            root = field._exact_root
+            if root is not None:
+                return sign_at(self.num, root.numerator, root.denominator)
             lo, hi = self._enclosure()
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-        return self._exact_sign()
-
-    def _exact_sign(self) -> int:
-        """Sign by interval Horner over Fraction with bisection: the exact path.
-
-        It evaluates num(x), which is den > 0 times the element.
-        """
-        if self.is_zero():
-            return 0
-        field = self.field
-        rep = Poly(self.num)
-        if field._exact_root is not None:
-            return _sign(rep(field._exact_root))
-        for i in range(SIGN_BISECTION_CAP):
-            vlo, vhi = rep.eval_interval(field._lo, field._hi)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
             if i == SIGN_GCD_CHECK_AFTER:
-                g = poly_gcd(rep, field.modulus)
+                g = poly_gcd(Poly(self.num), field.modulus)
                 if g.degree > 0:
                     raise ReducibleModulusError(g)
             field._bisect_once()
-            if field._exact_root is not None:
-                return _sign(rep(field._exact_root))
         raise IterationCapError("sign determination exceeded the bisection cap")
 
     def __eq__(self, other):
@@ -584,15 +531,20 @@ class AlgNum:
         return hash((self.field.modulus, self.num, self.den))
 
     def _compare(self, other) -> int:
-        """Sign of self - other; disjoint enclosures decide without subtracting."""
+        """Sign of self - other; disjoint enclosures decide without subtracting.
+
+        The two enclosures share the scale D^(d-1), so dividing each by
+        its den compares them: cross-multiplied, ahi/ad < blo/bd.
+        """
         if isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
         if isinstance(other, AlgNum) and other.field is self.field:
             alo, ahi = self._enclosure()
             blo, bhi = other._enclosure()
-            if ahi < blo:
+            ad, bd = self.den, other.den
+            if ahi * bd < blo * ad:
                 return -1
-            if alo > bhi:
+            if alo * bd > bhi * ad:
                 return 1
         return (self - other).sign()
 
@@ -611,21 +563,20 @@ class AlgNum:
     def approx(self, eps) -> Fraction:
         """A rational within eps of the element's real value.
 
-        Works on num(x) = den * self, to within den * eps.
+        The enclosure is den*D^(d-1) times an enclosure of the value, so
+        it bisects until the enclosure is narrower than eps*den*D^(d-1).
         """
-        den = self.den
-        eps = Fraction(eps) * den
+        eps = Fraction(eps)
         field = self.field
-        rep = Poly(self.num)
-        if field._exact_root is not None:
-            return rep(field._exact_root) / den
         while True:
-            vlo, vhi = rep.eval_interval(field._lo, field._hi)
-            if vhi - vlo < eps:
-                return (vlo + vhi) / (2 * den)
+            root = field._exact_root
+            if root is not None:
+                return Poly(self.num)(root) / self.den
+            lo, hi = self._enclosure()
+            scale = self.den * field._D ** (field.degree - 1)
+            if (hi - lo) * eps.denominator < eps.numerator * scale:
+                return Fraction(lo + hi, 2 * scale)
             field._bisect_once()
-            if field._exact_root is not None:
-                return rep(field._exact_root) / den
 
     def __float__(self) -> float:
         return float(self.approx(Fraction(1, 10 ** 20)))

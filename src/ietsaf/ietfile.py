@@ -20,21 +20,13 @@ reproduces the input byte for byte.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .errors import ParseError
 from .field import AlgNum, NumberField
 from .iet import IET
-from .polys import Poly
+from .polys import Poly, parse_rational
 
 _KEYS = ("modulus", "root_interval", "total", "lengths", "perm", "circle")
-
-
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
 def parse_interval(text: str):
@@ -81,12 +73,16 @@ def iet_from_dict(data: dict) -> IET:
     extra = [k for k in data if k not in _KEYS]
     if extra:
         raise ParseError(f"IET file has unknown keys: {', '.join(extra)}")
+    for key in ("modulus", "root_interval", "total"):
+        if not isinstance(data[key], str):
+            raise ParseError(f"'{key}' must be a string")
+    if (not isinstance(data["lengths"], list) or not data["lengths"]
+            or any(not isinstance(t, str) for t in data["lengths"])):
+        raise ParseError("'lengths' must be a nonempty list of strings")
     modulus = Poly.from_string(data["modulus"])
     lo, hi = parse_interval(data["root_interval"])
     field = NumberField(modulus, lo, hi)
     total = parse_coords(data["total"], field)
-    if not isinstance(data["lengths"], list) or not data["lengths"]:
-        raise ParseError("'lengths' must be a nonempty list")
     lengths = [parse_coords(t, field) for t in data["lengths"]]
     perm = data["perm"]
     if (not isinstance(perm, list)

@@ -3,8 +3,9 @@
 Polynomials are immutable with `fractions.Fraction` coefficients stored
 constant-first: ``Poly([-1, 0, 1])`` is ``x^2 - 1``.  The zero polynomial
 has an empty coefficient tuple and degree -1.  Text I/O uses the same
-constant-first convention, e.g. ``"-1,0,1"`` with entries that are
-decimal integers or ``p/q`` fractions.
+constant-first convention, e.g. ``"-1,0,1"``; every rational in text,
+here and in IET files and command options, goes through `parse_rational`,
+which accepts ``[+-]digits[/digits]`` and nothing else.
 
 Besides ring and Euclidean arithmetic the module provides the
 coefficient reversal ``x^n p(1/x)``, the reciprocity test (root multiset
@@ -14,15 +15,15 @@ modulo small primes.
 
 Sturm chains, root counts and isolation run on Python ints.  `sign_at`
 decides the sign of an integer polynomial at n/q by homogeneous Horner:
-the sign of q^deg p(n/q), with q > 0.  `sturm_chain` keeps p as entry 0
-and builds the rest by pseudo-remainders over Z: the multiplier
+the sign of q^deg p(n/q), with q > 0.  `sturm_chain` returns primitive
+integer coefficient lists: entry 0 is p cleared of denominators, and the
+rest come from pseudo-remainders over Z: the multiplier
 |lc(b)|^(delta+1) is positive, the remainder is negated and divided by
 its content.  Each entry is therefore a positive multiple of the
 classical entry (Euclid's remainders over the rationals, signs
 flipped), and every count of sign variations is the classical one.  The
-last entry is gcd(p, p') up to a unit, and `is_squarefree` reads it, so
-one Euclid answers both questions.  `sturm_chain` hands the integer
-entries back beside the `Poly` ones, and root counts read those.
+last entry is gcd(p, p') up to a unit, so the same Euclid run decides
+squarefreeness.
 
 Irreducibility is certified by Rabin's test modulo the trial primes
 2..13 (`certify_irreducible`: the first prime modulo which p is
@@ -42,6 +43,7 @@ r a prime factor of d, and x^(q^d) = x.
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array
 from fractions import Fraction
@@ -51,9 +53,26 @@ from .errors import NonSquarefreeError, ParseError, PolynomialError
 
 TRIAL_PRIMES = (2, 3, 5, 7, 11, 13)
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 # slot size in bytes -> array type code of that size (2, 4 and 8 bytes)
 _SLOT_CODES = {array(code).itemsize: code for code in "QLIH"}
 _BIG_ENDIAN = sys.byteorder == "big"
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational `[+-]digits[/digits]`, surrounding whitespace stripped.
+
+    No decimal point and no exponent: a short text such as "1e999999999"
+    cannot ask for a huge number.
+    """
+    stripped = text.strip()
+    if not _RATIONAL.fullmatch(stripped):
+        raise ParseError(f"bad rational {text!r}")
+    try:
+        return Fraction(stripped)
+    except (ValueError, ZeroDivisionError) as exc:   # digit limit, zero denominator
+        raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
 def _coeff(c) -> Fraction:
@@ -77,14 +96,10 @@ class Poly:
 
     @classmethod
     def from_string(cls, text: str) -> "Poly":
-        """Parse a constant-first comma list of integers or p/q fractions."""
-        parts = [p.strip() for p in text.split(",")]
-        if not parts or parts == [""]:
+        """Parse a constant-first comma list of `parse_rational` entries."""
+        if not text.strip():
             raise ParseError("empty polynomial string")
-        try:
-            return cls([Fraction(p) for p in parts])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad polynomial {text!r}: {exc}") from None
+        return cls([parse_rational(p) for p in text.split(",")])
 
     def to_string(self) -> str:
         if self.is_zero:
@@ -323,7 +338,13 @@ def is_reciprocal(p: Poly) -> bool:
 
 def is_squarefree(p: Poly) -> bool:
     """Whether p is nonzero with gcd(p, p') constant: the last Sturm entry."""
-    return not p.is_zero and len(_integer_sturm_chain(p)[-1]) == 1
+    if p.is_zero:
+        return False
+    try:
+        sturm_chain(p)
+    except NonSquarefreeError:
+        return False
+    return True
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
@@ -381,52 +402,29 @@ def _negated_pseudo_remainder(a, b):
     return _primitive([-x for x in r])
 
 
-def _integer_sturm_chain(p: Poly):
-    """Sturm chain of a nonzero p as primitive integer coefficient lists.
+def sturm_chain(p: Poly):
+    """Sturm chain of a squarefree p as primitive integer coefficient lists.
 
-    Each entry is a positive multiple of the classical entry (Euclid's
-    remainders of p and p' with signs flipped), so it has the same signs
-    everywhere; the last entry is gcd(p, p') up to a nonzero factor.
+    Entry 0 is a positive multiple of p.  The rest come from
+    pseudo-remainders over Z, each a positive multiple of the classical
+    entry (Euclid's remainders of p and p' with signs flipped), so every
+    count of sign variations is the classical one.  The last entry is
+    gcd(p, p') up to a unit: p is squarefree exactly when it is a
+    constant, and NonSquarefreeError is raised otherwise.
     """
+    if p.is_zero:
+        raise PolynomialError("Sturm chain of the zero polynomial")
     chain = [_primitive(_integer_multiple(p))]
     if len(chain[0]) > 1:
         chain.append(_primitive([i * c for i, c in enumerate(chain[0])][1:]))
         while len(chain[-1]) > 1:
             r = _negated_pseudo_remainder(chain[-2], chain[-1])
             if not r:
-                break
+                raise NonSquarefreeError(
+                    f"polynomial is not squarefree: gcd with derivative is "
+                    f"{Poly(chain[-1]).monic()}"
+                )
             chain.append(r)
-    return chain
-
-
-class SturmChain(list):
-    """A Sturm chain as `Poly` entries, with `ints` beside it: every entry
-    as primitive integer coefficients, entry 0 a positive multiple of p.
-
-    Root counts read `ints`, so they convert nothing per call.
-    """
-
-    __slots__ = ("ints",)
-
-
-def sturm_chain(p: Poly) -> SturmChain:
-    """Sturm chain of a squarefree polynomial: p, then integer polynomials.
-
-    Entry 0 is p itself.  The rest come from pseudo-remainders over Z,
-    each a positive multiple of the classical entry, so every count of
-    sign variations is the classical one.  The last entry is gcd(p, p')
-    up to a unit: p is squarefree exactly when that entry is a constant.
-    """
-    if p.is_zero:
-        raise PolynomialError("Sturm chain of the zero polynomial")
-    ints = _integer_sturm_chain(p)
-    if len(ints[-1]) > 1:
-        raise NonSquarefreeError(
-            f"polynomial is not squarefree: gcd with derivative is "
-            f"{Poly(ints[-1]).monic()}"
-        )
-    chain = SturmChain([p] + [Poly(q) for q in ints[1:]])
-    chain.ints = ints
     return chain
 
 
@@ -449,9 +447,9 @@ def count_real_roots(p: Poly, lo: Fraction, hi: Fraction, chain=None) -> int:
     """
     if lo >= hi:
         raise PolynomialError("empty interval for root counting")
-    ints = (sturm_chain(p) if chain is None else chain).ints
-    return (_variations(ints, lo.numerator, lo.denominator)
-            - _variations(ints, hi.numerator, hi.denominator))
+    chain = sturm_chain(p) if chain is None else chain
+    return (_variations(chain, lo.numerator, lo.denominator)
+            - _variations(chain, hi.numerator, hi.denominator))
 
 
 def isolate_real_roots(p: Poly, lo: Fraction, hi: Fraction, chain=None):
@@ -463,12 +461,12 @@ def isolate_real_roots(p: Poly, lo: Fraction, hi: Fraction, chain=None):
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise PolynomialError("isolation interval is empty")
-    ints = (sturm_chain(p) if chain is None else chain).ints
+    chain = sturm_chain(p) if chain is None else chain
     var_cache = {}
 
     def var(x):
         if x not in var_cache:
-            var_cache[x] = _variations(ints, x.numerator, x.denominator)
+            var_cache[x] = _variations(chain, x.numerator, x.denominator)
         return var_cache[x]
 
     out = []

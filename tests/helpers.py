@@ -4,8 +4,11 @@ from fractions import Fraction
 
 from ietsaf import (IET, NumberField, Poly, certify_irreducible, gf2, is_squarefree,
                     isolate_real_roots)
-from ietsaf.errors import NonSquarefreeError, PolynomialError
-from ietsaf.polys import _int_coeffs, _mgcd, _mmod, _mtrim, _prime_factors, cauchy_root_bound
+from ietsaf.errors import (IterationCapError, NonSquarefreeError, PolynomialError,
+                           ReducibleModulusError)
+from ietsaf.field import SIGN_BISECTION_CAP, SIGN_GCD_CHECK_AFTER
+from ietsaf.polys import (_int_coeffs, _mgcd, _mmod, _mtrim, _prime_factors, cauchy_root_bound,
+                          poly_gcd)
 
 
 def random_cubic_field(rng, above_one=False):
@@ -231,6 +234,32 @@ def refine_by_fractions(modulus, lo, hi, width):
         else:
             hi = mid
     return lo, hi, None
+
+
+def sign_by_fractions(value):
+    """Reference for `AlgNum.sign`: interval Horner over `Fraction` of
+    num(x) = den * value on the field's isolating interval, bisecting the
+    field on demand, with the gcd check against the modulus after
+    SIGN_GCD_CHECK_AFTER bisections."""
+    if value.is_zero():
+        return 0
+    field = value.field
+    rep = Poly(value.num)
+    for i in range(SIGN_BISECTION_CAP):
+        if field.exact_root is not None:
+            exact = rep(field.exact_root)
+            return (exact > 0) - (exact < 0)
+        lo, hi = rep.eval_interval(*field.interval)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        if i == SIGN_GCD_CHECK_AFTER:
+            g = poly_gcd(rep, field.modulus)
+            if g.degree > 0:
+                raise ReducibleModulusError(g)
+        field._bisect_once()
+    raise IterationCapError("sign determination exceeded the bisection cap")
 
 
 def _mmul(a, b, m):

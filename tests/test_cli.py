@@ -32,7 +32,7 @@ def command(name, iet, out):
     return {
         "saf": ["saf", iet, "--float"],
         "saf-json": ["saf", iet, "--json"],
-        "vanishing": ["vanishing", "--minpoly", "-1,-1,-1,1", "--float"],
+        "vanishing": ["vanishing", "--minpoly", "-1,-1,-1,1"],
         "vanishing-json": ["vanishing", "--minpoly", "-1,-1,-1,-1,1", "--json"],
         "nonlift": ["nonlift", "--minpoly", "-1,-1,-1,-1,1", "--genus", "3",
                     "--oracle"],
@@ -72,13 +72,47 @@ def test_bad_minpoly_exits_2(capsys):
     assert err.startswith("error: minimal polynomial is not squarefree")
 
 
-def test_malformed_iet_file_exits_2(tmp_path, capsys):
+AY3_FILE = json.loads(dumps_iet(ay_lift(3)))
+
+
+def _ay3_with(key, value):
+    """The genus-3 lift file with one field replaced."""
+    return json.dumps(dict(AY3_FILE, **{key: value}))
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"modulus": "-1,1,1,1"\n', "invalid IET file"),
+    (_ay3_with("modulus", [-1, 1, 1, 1]), "'modulus' must be a string"),
+    (_ay3_with("root_interval", 0), "'root_interval' must be a string"),
+    (_ay3_with("total", 1), "'total' must be a string"),
+    (_ay3_with("lengths", [1] + AY3_FILE["lengths"][1:]),
+     "'lengths' must be a nonempty list of strings"),
+    # exponent notation is outside the grammar; this one once hung the parser
+    (_ay3_with("total", "1e999999999,0,0"), "bad rational '1e999999999'"),
+    (_ay3_with("modulus", "-1,1,1,1e0"), "bad rational '1e0'"),
+], ids=["invalid-json", "modulus-list", "root-interval-int", "total-int",
+        "lengths-entry-int", "total-exponent", "modulus-exponent"])
+def test_malformed_iet_file_exits_2(text, message, tmp_path, capsys):
     path = tmp_path / "bad.iet"
-    path.write_text('{"modulus": "-1,1,1,1"\n', encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, ["saf", str(path)])
     assert code == 2
     assert out == ""
-    assert err.startswith("error: invalid IET file")
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["vanishing", "--minpoly=1e3,1"],
+    ["vanishing", "--minpoly", "-1,-1,-1,1", "--interval", "1e0,2"],
+    ["nonlift", "--minpoly", "-1,-1,-1,1.0", "--genus", "3"],
+    ["induce", "--iet", "AY3", "--sub", "1e3,0,0"],
+], ids=["minpoly", "interval", "minpoly-decimal", "sub"])
+def test_exponent_notation_exits_2(argv, ay3, capsys):
+    argv = [ay3 if token == "AY3" else token for token in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad rational")
 
 
 def test_iteration_cap_exits_3(monkeypatch, capsys):
@@ -277,14 +311,30 @@ def test_in_process_calls_match_separate_runs(capsys):
     assert in_process[0][1].startswith("{") and in_process[2][1].startswith("minimal")
 
 
-GOLDEN = Path(__file__).parent / "data" / "ay_check_json.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "ay_check_json.json"
 
 
-@pytest.mark.parametrize("genus", range(3, 15))
+@pytest.mark.parametrize("genus", [*range(3, 15), 19, 30, 40])
 def test_ay_check_json_matches_golden(genus, capsys):
     """`ay --genus g --check --json` stdout, recorded before the integer-vector
-    field and the trusted IET builder: intervals and offsets byte-identical."""
+    field and the trusted IET builder (g <= 14) and before the exact integer
+    enclosure (g = 19, 30, 40, where signs bisect): intervals and offsets
+    byte-identical."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[str(genus)]
     code, out, _ = run(capsys, ["ay", "--genus", str(genus), "--check", "--json"])
     assert code == 0
     assert out == golden
+
+
+def test_ay_genus_40_float_and_lift_file_match_golden(tmp_path, capsys):
+    """`ay --genus 40 --check --float --out`: approx narrows the interval to
+    about 2^-84 before the lift file is written, so the file's root interval
+    pins every bisection of the run; recorded before the exact enclosure."""
+    lift = tmp_path / "ay40.iet"
+    code, out, _ = run(capsys, ["ay", "--genus", "40", "--check", "--float",
+                                "--out", str(lift)])
+    assert code == 0
+    assert out == (DATA / "ay40_check_float.txt").read_text(encoding="utf-8")
+    assert lift.read_text(encoding="utf-8") == (DATA / "ay40_lift.iet").read_text(
+        encoding="utf-8")

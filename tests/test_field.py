@@ -19,7 +19,8 @@ from ietsaf import (
 from ietsaf.field import _integer_dependency
 from ietsaf.polys import cauchy_root_bound
 
-from helpers import min_poly_by_fractions, random_cubic_field, refine_by_fractions
+from helpers import (min_poly_by_fractions, random_cubic_field, refine_by_fractions,
+                     sign_by_fractions)
 
 
 AY3 = Poly([-1, 1, 1, 1])        # x^3 + x^2 + x - 1, root ~ 0.5437
@@ -195,7 +196,7 @@ def test_pow():
     assert a ** -2 == (a * a).inverse()
 
 
-# -- the fixed-point filter and its exact fallback -------------------------------
+# -- the exact integer enclosure against the Fraction path ----------------------
 
 
 def _outcome(fn):
@@ -213,7 +214,7 @@ def test_near_zero_element_bisects_to_the_right_sign():
     field = NumberField(AY3, 0, 1)
     a = field.gen()
     lo, hi = (a - below)._enclosure()
-    assert lo <= 0 <= hi                  # the filter cannot decide
+    assert lo <= 0 <= hi                  # undecided before bisecting
     assert (a - below).sign() == 1
     lo, hi = field.interval
     assert hi - lo < Fraction(1, 2 ** 40)
@@ -222,28 +223,22 @@ def test_near_zero_element_bisects_to_the_right_sign():
     assert not a <= below and not a >= above
 
 
-def test_exact_sign_fallback_on_an_element_with_a_denominator(monkeypatch):
-    twin = NumberField(AY3, 0, 1)
-    twin.refine_interval(Fraction(1, 2 ** 50))
-    below, above = twin.interval          # |alpha - r| < 2^-50 for both
-    field = NumberField(AY3, 0, 1)
+def test_exact_sign_fallback_on_an_element_with_a_denominator():
+    """Near-zero elements with a denominator bisect exactly as the Fraction
+    reference does on a twin field, and end on the same interval."""
+    narrow = NumberField(AY3, 0, 1)
+    narrow.refine_interval(Fraction(1, 2 ** 50))
+    below, above = narrow.interval        # |alpha - r| < 2^-50 for both
+    field, twin = NumberField(AY3, 0, 1), NumberField(AY3, 0, 1)
     x = (field.gen() - below) * Fraction(2, 3)
     y = (field.gen() - above) / 7
     assert x.den % 3 == 0 and y.den % 7 == 0
     for value in (x, y):
         lo, hi = value._enclosure()
-        assert lo <= 0 <= hi              # the filter cannot decide
-    calls = []
-    exact_sign = AlgNum._exact_sign
-
-    def spy(self):
-        calls.append(self.den)
-        return exact_sign(self)
-
-    monkeypatch.setattr(AlgNum, "_exact_sign", spy)
-    assert x.sign() == 1
-    assert y.sign() == -1
-    assert calls == [x.den, y.den]
+        assert lo <= 0 <= hi              # undecided before bisecting
+    assert x.sign() == sign_by_fractions(twin.element(x.coords)) == 1
+    assert y.sign() == sign_by_fractions(twin.element(y.coords)) == -1
+    assert field.interval == twin.interval
     lo, hi = field.interval
     assert hi - lo < Fraction(1, 2 ** 40)
     eps = Fraction(1, 2 ** 60)
@@ -326,7 +321,7 @@ except ImportError:  # hypothesis is an optional test dependency
 
 if given is None:
 
-    def test_filter_properties():
+    def test_field_properties():
         pytest.skip("hypothesis is not installed")
 
 else:
@@ -357,25 +352,31 @@ else:
         r = (lo + hi) / 2 + Fraction(offset, 2 ** 30)
         return [-r, 1]
 
-    filter_settings = settings(max_examples=40, deadline=None,
-                               suppress_health_check=[HealthCheck.filter_too_much,
-                                                      HealthCheck.too_slow])
+    field_settings = settings(max_examples=40, deadline=None,
+                              suppress_health_check=[HealthCheck.filter_too_much,
+                                                     HealthCheck.too_slow])
 
-    @filter_settings
+    @field_settings
     @given(fields(), st.data())
     def test_filtered_sign_equals_exact_sign(spec, data):
+        """The integer enclosure is D^(d-1) times Fraction interval Horner,
+        and every sign equals the Fraction reference's on a twin field."""
         p, lo, hi = spec
         field, twin = NumberField(p, lo, hi), NumberField(p, lo, hi)
         batch = [data.draw(coords(field.degree)) for _ in range(6)]
         offset = data.draw(st.integers(-3, 3))
         batch.append(near_root(*field.interval, offset) + [0] * (field.degree - 2))
         for c in batch:
-            filtered = _outcome(field.element(c).sign)
-            exact = _outcome(twin.element(c)._exact_sign)
-            assert filtered == exact
+            value = field.element(c)
+            scale = field._D ** (field.degree - 1)
+            vlo, vhi = Poly(value.num).eval_interval(*field.interval)
+            assert value._enclosure() == (vlo * scale, vhi * scale)
+            got = _outcome(value.sign)
+            exact = _outcome(lambda: sign_by_fractions(twin.element(c)))
+            assert got == exact
         assert field.interval == twin.interval
 
-    @filter_settings
+    @field_settings
     @given(fields(), st.data())
     def test_comparisons_equal_exact_sign_of_difference(spec, data):
         p, lo, hi = spec
@@ -393,7 +394,7 @@ else:
             for b in others:
                 bt = (twin.element(b.coords) if isinstance(b, AlgNum)
                       else twin.from_rational(b))
-                exact = _outcome((twin.element(x) - bt)._exact_sign)
+                exact = _outcome(lambda: sign_by_fractions(twin.element(x) - bt))
                 got = _outcome(lambda: (a < b, a <= b, a > b, a >= b))
                 if exact is ReducibleModulusError:
                     assert got is ReducibleModulusError
@@ -416,7 +417,7 @@ else:
         u = u % p
         return tuple(u[i] for i in range(p.degree))
 
-    @filter_settings
+    @field_settings
     @given(st.one_of(linear, fields()), st.data())
     def test_integer_vectors_match_fraction_coordinates(spec, data):
         p, lo, hi = spec
@@ -449,7 +450,7 @@ else:
             else:
                 assert a.inverse().coords == expected
 
-    @filter_settings
+    @field_settings
     @given(fields(), st.integers(1, 3), st.integers(1, 2 ** 70), st.integers(0, 3))
     def test_refine_interval_matches_fraction_bisection(spec, wnum, wden, steps):
         p, lo, hi = spec
@@ -466,7 +467,7 @@ else:
                 lo, hi, root = refine_by_fractions(p, lo, hi, (hi - lo) / 2)
             assert (*field.interval, field.exact_root) == (lo, hi, root)
 
-    @filter_settings
+    @field_settings
     @given(st.integers(-3, 3), st.lists(st.integers(-4, 4), max_size=3),
            st.integers(1, 8), st.integers(1, 255), st.integers(1, 30))
     def test_refine_interval_hits_a_rational_root_like_fraction_bisection(
@@ -484,7 +485,7 @@ else:
         assert (*field.interval, field.exact_root) == expected
         assert field.exact_root == r
 
-    @filter_settings
+    @field_settings
     @given(fields(), st.data())
     def test_kept_chain_counts_like_a_fresh_chain(spec, data):
         p, lo, hi = spec
