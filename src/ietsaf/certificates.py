@@ -7,16 +7,23 @@ the minimal polynomial m of the stretch factor lambda > 1:
   i.e. when lambda and 1/lambda are not Galois conjugates;
 * field degree: the invariant vanishes exactly when
   Q(lambda) = Q(lambda + 1/lambda), detected by comparing deg m with the
-  degree of the minimal polynomial of lambda + 1/lambda computed inside
-  Q[x]/(m).
+  degree of the minimal polynomial of beta = lambda + 1/lambda.
+
+The field-degree criterion builds no number field.  Over Z[x], m(y) =
+A(x)*y + B(x) mod q(y) = y^2 - x*y + 1, whose roots in y have product 1
+and sum x, so Res_y(m, q) = A^2 + x*A*B + B^2; over the roots r of m it
+is prod (r^2 - x*r + 1) = m(0)*chi(x), chi the characteristic polynomial
+of beta on Q[y]/(m).  m is squarefree, so Q[y]/(m) is a product of
+fields and beta's minimal polynomial is the squarefree part
+chi / gcd(chi, chi') (`polys.trace_minpoly`, O(d^2) integer steps).  It
+reads neither the reversal of m nor `is_reciprocal`.
 
 The two must agree on every input; the test suite enforces this.  Both
 validate m in `_validate_stretch`, which builds one Sturm chain of m for
-the squarefree check, the isolation and every root count, and certifies
+the squarefree check and the root count above 1, and certifies
 irreducibility once.  The reciprocity criterion is only sound for
 irreducible m, so both verdicts carry a note when that certificate is
-missing.  `vanishing_verdicts` runs both criteria on one validation, and
-the field-degree criterion builds its field from it without re-checking.
+missing.  `vanishing_verdicts` runs both criteria on one validation.
 `ay --check` runs the nonlift checks on that same validation through
 `_nonlift`, so it certifies m once.
 
@@ -38,7 +45,6 @@ from fractions import Fraction
 
 from . import gf2
 from .errors import InputError, NonSquarefreeError, PolynomialError
-from .field import NumberField
 from .polys import (
     Poly,
     cauchy_root_bound,
@@ -46,10 +52,9 @@ from .polys import (
     count_real_roots,
     is_reciprocal,
     is_squarefree,
-    isolate_real_roots,
     reverse,
-    sign_at,
     sturm_chain,
+    trace_minpoly,
 )
 
 OUTCOME_NOT_LIFT = "CertifiedNotLift"
@@ -100,9 +105,9 @@ class CertVerdict:
 
 
 def _validate_stretch(m: Poly, interval=None):
-    """Validate preconditions: (lo, hi, chain, prime) with (lo, hi)
-    isolating a root > 1, chain the Sturm chain of m and prime the result
-    of `certify_irreducible(m)`."""
+    """Validate preconditions, with one Sturm chain of m: monic, integral,
+    squarefree, m(0) != 0, and a real root > 1 (in `interval` when given).
+    Returns `certify_irreducible(m)`."""
     if not (m.is_monic and m.is_integral):
         raise InputError("minimal polynomial must be monic with integer coefficients")
     if m.degree < 1:
@@ -113,35 +118,15 @@ def _validate_stretch(m: Poly, interval=None):
         raise InputError(f"minimal polynomial is not squarefree: {m}") from None
     if m.constant() == 0:
         raise InputError("minimal polynomial must have nonzero constant term")
-    ints = [c.numerator for c in m.coeffs]
-
-    def is_root(x: Fraction) -> bool:
-        return sign_at(ints, x.numerator, x.denominator) == 0
-
     if interval is not None:
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         if lo < 1:
             raise InputError("supplied interval must lie in [1, oo)")
-        if is_root(lo) or is_root(hi) or count_real_roots(m, lo, hi, chain) != 1:
+        if m(lo) == 0 or m(hi) == 0 or count_real_roots(m, lo, hi, chain) != 1:
             raise InputError("supplied interval does not isolate one root > 1")
-        return lo, hi, chain, certify_irreducible(m)
-    bound = cauchy_root_bound(m)
-    roots = isolate_real_roots(m, Fraction(1), bound, chain)
-    if not roots:
+    elif count_real_roots(m, Fraction(1), cauchy_root_bound(m), chain) == 0:
         raise InputError(f"no real root > 1 for {m}")
-    lo, hi = roots[-1]
-    # clean the endpoints so the interval is open around the root
-    if is_root(hi):
-        # the isolated root is exactly hi (rational); no roots above it
-        lo, hi = (lo + hi) / 2, hi + 1
-    step = (hi - lo) / 2
-    while is_root(lo):
-        u = lo + step
-        if not is_root(u) and count_real_roots(m, u, hi, chain) == 1:
-            lo = u
-        else:
-            step /= 2
-    return lo, hi, chain, certify_irreducible(m)
+    return certify_irreducible(m)
 
 
 def _notes(m: Poly, prime) -> tuple:
@@ -161,24 +146,25 @@ def vanishing_by_reciprocity(m: Poly, interval=None) -> VanishingVerdict:
     reciprocal, and conjugacy is equivalent to a proper (index 2)
     trace-field extension, hence to a nonzero invariant.
     """
-    return _by_reciprocity(m, _validate_stretch(m, interval)[3])
+    return _by_reciprocity(m, _validate_stretch(m, interval))
 
 
 def vanishing_by_field_degree(m: Poly, interval=None) -> VanishingVerdict:
     """SAF vanishing via the degree of Q(lambda + 1/lambda).
 
-    Builds Q[x]/(m), computes beta = lambda + 1/lambda exactly, and
-    compares the degree of beta's minimal polynomial with deg m.  The
-    extension degree is always 1 or 2.
+    m(0)*chi = Res_y(m, y^2 - x*y + 1) = A^2 + x*A*B + B^2, where m = A*y + B
+    mod y^2 - x*y + 1 and chi is the characteristic polynomial of beta =
+    lambda + 1/lambda on Q[y]/(m).  m is squarefree, so Q[y]/(m) is a
+    product of fields and beta's minimal polynomial is the squarefree part
+    of chi (`trace_minpoly`); its degree is compared with deg m.
     """
-    return _by_field_degree(NumberField.validated(m, *_validate_stretch(m, interval)))
+    return _by_field_degree(m, _validate_stretch(m, interval))
 
 
 def vanishing_verdicts(m: Poly, interval=None):
     """(reciprocity verdict, field-degree verdict) on one validation of m."""
-    lo, hi, chain, prime = _validate_stretch(m, interval)
-    return (_by_reciprocity(m, prime),
-            _by_field_degree(NumberField.validated(m, lo, hi, chain, prime)))
+    prime = _validate_stretch(m, interval)
+    return _by_reciprocity(m, prime), _by_field_degree(m, prime)
 
 
 def _by_reciprocity(m: Poly, prime) -> VanishingVerdict:
@@ -190,11 +176,8 @@ def _by_reciprocity(m: Poly, prime) -> VanishingVerdict:
     )
 
 
-def _by_field_degree(field: NumberField) -> VanishingVerdict:
-    m = field.modulus
-    lam = field.gen()
-    beta = lam + lam.inverse()
-    beta_min = beta.min_poly()
+def _by_field_degree(m: Poly, prime) -> VanishingVerdict:
+    beta_min = trace_minpoly(m)
     if m.degree % beta_min.degree:
         raise PolynomialError(
             f"degree of {beta_min} does not divide {m.degree}; modulus reducible?"
@@ -207,7 +190,7 @@ def _by_field_degree(field: NumberField) -> VanishingVerdict:
         method="field-degree",
         detail=beta_min,
         index=index,
-        notes=_notes(m, field.certified_prime),
+        notes=_notes(m, prime),
     )
 
 
@@ -236,16 +219,20 @@ def gf2_completion_exists(mbar: int, k: int):
     pairs, so q must hold each factor h with multiplicity at least
     e(rev h) - e(h), where e counts multiplicity in mbar; r holds h with
     multiplicity e(rev h), and gcd(mbar, r) with min(e(h), e(rev h)), so
-    the quotient holds exactly that deficit.  Leftover degree is padded
-    with powers of x+1, which is its own reversal.
+    the quotient holds exactly that deficit.  Leftover degree e is padded
+    with (x+1)^e, which is its own reversal: the product of
+    (x+1)^(2^j) = x^(2^j) + 1 over the set bits j of e, each one shift
+    and xor.
     """
     _check_completion_args(mbar, k)
     r = gf2.reverse(mbar)
     q = gf2.divmod_(r, gf2.gcd(mbar, r))[0]
-    if gf2.degree(q) > k:
+    pad = k - gf2.degree(q)
+    if pad < 0:
         return None
-    for _ in range(k - gf2.degree(q)):
-        q = gf2.mul(q, 0b11)
+    for j in range(pad.bit_length()):
+        if pad >> j & 1:
+            q ^= q << (1 << j)
     return q
 
 

@@ -137,7 +137,7 @@ def cmd_nonlift(args) -> int:
     report = {
         "command": "nonlift",
         "inputs": {"minpoly": m.to_string(), "genus": args.genus},
-        "verdict": verdict.to_dict(),
+        "verdict": verdict.to_dict(),       # the witness is formatted here only
     }
     lines = [f"minimal polynomial: {m}", f"genus: {args.genus}"]
     if verdict.reason:
@@ -145,7 +145,7 @@ def cmd_nonlift(args) -> int:
     else:
         lines.append(
             f"outcome: {verdict.outcome} "
-            f"(variant={verdict.variant}, witness={verdict.to_dict()['witness']})"
+            f"(variant={verdict.variant}, witness={report['verdict']['witness']})"
         )
     if args.oracle:
         slow = nonlift_certificate(m, args.genus,

@@ -60,10 +60,12 @@ modulo small primes (`certify_irreducible`), on the first read of
 depend on it, so a field loaded from a file or built for the
 Arnoux-Yoccoz alpha is never certified unless something reads the
 prime.  An actually reducible modulus is detected loudly the moment
-inversion (or sign refinement) runs into a zero divisor.  Callers that
-have already validated a modulus and isolated its root (the vanishing
-criteria) build the field through `NumberField.validated`, which takes
-their Sturm chain and certificate instead of recomputing them.
+inversion (or sign refinement) runs into a zero divisor.
+
+`min_poly` is the method for a general element.  The field-degree
+vanishing criterion does not build a field: it reads the minimal
+polynomial of lambda + 1/lambda off the integer coefficients of m
+(`polys.trace_minpoly`), and the tests check it against `min_poly`.
 """
 
 from __future__ import annotations
@@ -182,44 +184,25 @@ class NumberField:
             raise InputError(
                 f"root count in interval != 1 for {modulus} on ({lo}, {hi})"
             )
-        self._setup(modulus, lo, hi, chain)
-
-    @classmethod
-    def validated(cls, modulus: Poly, lo: Fraction, hi: Fraction, chain,
-                  certified_prime) -> "NumberField":
-        """The field for a modulus its caller has already validated.
-
-        The caller vouches for everything the constructor checks: the
-        modulus is monic, integral, of degree >= 1 and squarefree with
-        Sturm chain `chain`, and (lo, hi) holds exactly one root with
-        neither endpoint a root.  `certified_prime` is the result of
-        `certify_irreducible(modulus)`, and the field keeps it.
-        """
-        field = object.__new__(cls)
-        field._setup(modulus, lo, hi, chain)
-        field.certified_prime = certified_prime
-        return field
-
-    @functools.cached_property
-    def certified_prime(self):
-        """`certify_irreducible(modulus)`, computed on first read."""
-        return certify_irreducible(self.modulus)
-
-    def _setup(self, modulus, lo, hi, chain) -> None:
         self.modulus = modulus
         self.degree = modulus.degree
         self._chain = chain
-        self._ints = [c.numerator for c in modulus.coeffs]
+        self._ints = ints
         den = lcm(lo.denominator, hi.denominator)
         # the isolating interval [a/D, b/D]
         self._a = lo.numerator * (den // lo.denominator)
         self._b = hi.numerator * (den // hi.denominator)
         self._D = den
-        self._sign_lo = sign_at(self._ints, lo.numerator, lo.denominator)
+        self._sign_lo = sign_at(ints, lo.numerator, lo.denominator)
         self._exact_root = None
         self._generation = 0
         self._high_powers = self._power_table()
         self.refine_interval(Fraction(1, 2 ** 20))
+
+    @functools.cached_property
+    def certified_prime(self):
+        """`certify_irreducible(modulus)`, computed on first read."""
+        return certify_irreducible(self.modulus)
 
     def _power_table(self):
         # integer coords of alpha^d .. alpha^(2d-2) in the power basis

@@ -78,13 +78,12 @@ def from_poly(p: Poly) -> int:
 
 
 def to_string(a: int) -> str:
+    """Terms from the highest degree down, reading the bits of a in one pass."""
     if a == 0:
         return "0"
-    terms = []
-    for i in range(degree(a), -1, -1):
-        if (a >> i) & 1:
-            terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
-    return " + ".join(terms)
+    top = degree(a)
+    exponents = (top - i for i, bit in enumerate(bin(a)[2:]) if bit == "1")
+    return " + ".join(f"x^{e}" if e > 1 else ("1", "x")[e] for e in exponents)
 
 
 def factor(a: int) -> dict:

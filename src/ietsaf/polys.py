@@ -10,8 +10,9 @@ which accepts ``[+-]digits[/digits]`` and nothing else.
 Besides ring and Euclidean arithmetic the module provides the
 coefficient reversal ``x^n p(1/x)``, the reciprocity test (root multiset
 closed under inversion), Sturm chains with real root counting and
-isolation, and best-effort irreducibility certification by reduction
-modulo small primes.
+isolation, the minimal polynomial of y + 1/y modulo m from one resultant
+over Z (`trace_minpoly`), and best-effort irreducibility certification
+by reduction modulo small primes.
 
 Sturm chains, root counts and isolation run on Python ints.  `sign_at`
 decides the sign of an integer polynomial at n/q by homogeneous Horner:
@@ -484,6 +485,49 @@ def isolate_real_roots(p: Poly, lo: Fraction, hi: Fraction, chain=None):
 
     split(lo, hi, var(lo) - var(hi))
     return out
+
+
+# -- the trace-field polynomial ------------------------------------------
+
+
+def trace_minpoly(m: Poly) -> Poly:
+    """Monic minimal polynomial of beta = y + 1/y in Q[y]/(m), for m monic,
+    integral and squarefree with m(0) != 0 (the caller checks this).
+
+    Mod y^2 - x*y + 1 over Z[x], y^k = U_k*y - U_(k-1) with U_(k+1) =
+    x*U_k - U_(k-1), U_0 = 0, U_(-1) = -1, so m = A*y + B and the resultant
+    m(0)*chi = A^2 + x*A*B + B^2 (`certificates` has why), formed up to
+    x^d since the higher terms cancel.  The result is chi / gcd(chi, chi'),
+    the gcd by primitive pseudo-remainders, the quotient exact over Z.
+    """
+    a = _int_coeffs(m)
+    n = len(a)
+    A, B = [0] * n, [0] * n
+    prev, cur = [-1] + [0] * (n - 1), [0] * n      # U_(k-1), U_k
+    for c in a:
+        if c:
+            A = [x + c * u for x, u in zip(A, cur)]
+            B = [x - c * u for x, u in zip(B, prev)]
+        prev, cur = cur, [u - p for u, p in zip([0] + cur[:-1], prev)]
+    chi = [0] * (n + 1)
+    for i, (ai, bi) in enumerate(zip(A, B)):
+        for j in range(n - i):
+            chi[i + j] += ai * A[j] + bi * B[j]
+            chi[i + j + 1] += ai * B[j]
+    chi = _primitive(chi[:n])     # drop x^(d+1), whose sum is incomplete
+    g = _primitive([i * c for i, c in enumerate(chi)][1:])
+    r = _negated_pseudo_remainder(chi, g)
+    while r:
+        g, r = r, _negated_pseudo_remainder(g, r)
+    if len(g) > 1:
+        quo = [0] * (n - len(g) + 1)
+        for i in range(len(quo) - 1, -1, -1):
+            c = quo[i] = chi[i + len(g) - 1] // g[-1]
+            for j, y in enumerate(g, i):
+                chi[j] -= c * y
+        chi = quo
+    lead = chi[-1]
+    return Poly([Fraction(c, lead) for c in chi])
 
 
 # -- reduction mod p and irreducibility certification -------------------

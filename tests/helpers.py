@@ -1,9 +1,10 @@
 """Shared generators and oracles for the test suite."""
 
+import math
 from fractions import Fraction
 
-from ietsaf import (IET, NumberField, Poly, certify_irreducible, gf2, is_squarefree,
-                    isolate_real_roots)
+from ietsaf import (IET, NumberField, Poly, certify_irreducible, count_real_roots, gf2,
+                    is_squarefree, isolate_real_roots)
 from ietsaf.errors import (IterationCapError, NonSquarefreeError, PolynomialError,
                            ReducibleModulusError)
 from ietsaf.field import SIGN_BISECTION_CAP, SIGN_GCD_CHECK_AFTER
@@ -166,6 +167,49 @@ def min_poly_by_fractions(a):
         rows.append((pivot, vec, combo))
         power = power * a
     raise PolynomialError("no dependency among d+1 powers")
+
+
+def field_at_a_real_root(m):
+    """`NumberField` on the largest real root of squarefree monic integer m,
+    or None when m has no real root.  Rational roots of m are integers."""
+    bound = cauchy_root_bound(m)
+    roots = isolate_real_roots(m, -bound, bound)
+    if not roots:
+        return None
+    lo, hi = roots[-1]
+    for k in range(math.floor(lo) + 1, math.floor(hi) + 1):
+        if m(k) == 0:
+            width = Fraction(1, 2)
+            while count_real_roots(m, k - width, k + width) != 1:
+                width /= 2
+            return NumberField(m, k - width, k + width)
+    while m(lo) == 0:          # the root is irrational: no midpoint is a root
+        mid = (lo + hi) / 2
+        if count_real_roots(m, mid, hi) == 1:
+            lo = mid
+        else:
+            hi = mid
+    return NumberField(m, lo, hi)
+
+
+def charpoly_by_fractions(a):
+    """Characteristic polynomial of multiplication by a on its field, by
+    Faddeev-LeVerrier over `Fraction` on the matrix built with `AlgNum`
+    multiplication (column j: a times basis vector j)."""
+    field = a.field
+    n = field.degree
+    basis = [field.element([int(i == j) for i in range(n)]) for j in range(n)]
+    cols = [(a * e).coords for e in basis]
+    mat = [[cols[j][i] for j in range(n)] for i in range(n)]
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    prod = [[Fraction(0)] * n for _ in range(n)]     # M_0 = 0
+    for k in range(1, n + 1):
+        prod = [[sum(mat[i][t] * prod[t][j] for t in range(n))
+                 + (coeffs[n - k + 1] if i == j else 0) for j in range(n)]
+                for i in range(n)]
+        trace = sum(sum(mat[i][t] * prod[t][i] for t in range(n)) for i in range(n))
+        coeffs[n - k] = -trace / k
+    return Poly(coeffs)
 
 
 def gf2_completion_by_factoring(mbar, k):

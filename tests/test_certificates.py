@@ -73,6 +73,11 @@ def test_vanishing_preconditions():
         vanishing_by_reciprocity(Poly([1, -2, 1]))         # not squarefree
     with pytest.raises(InputError):
         vanishing_by_field_degree(QUAD, (Fraction(0), Fraction(1)))
+    # a supplied endpoint that is a root: hi for x - 2, lo for (x - 2)(x^2 - 7)
+    with pytest.raises(InputError, match="does not isolate"):
+        vanishing_by_field_degree(Poly([-2, 1]), (Fraction(1), Fraction(2)))
+    with pytest.raises(InputError, match="does not isolate"):
+        vanishing_by_field_degree(Poly([14, -7, -2, 1]), (Fraction(2), Fraction(3)))
 
 
 def test_vanishing_with_supplied_interval():
@@ -98,9 +103,12 @@ def test_nonlift_runs_no_rational_gcd(monkeypatch, capsys):
 
 
 def test_vanishing_call_counts(monkeypatch, capsys):
-    """One `vanishing` run: no separate squarefree test, one Sturm chain for
-    both criteria and the field, and no field multiplication in min_poly."""
-    counts = {"is_squarefree": 0, "sturm_chain": 0, "mul": 0, "mul_in_min_poly": 0}
+    """One `vanishing` run: no separate squarefree test and one Sturm chain
+    for both criteria.  The field-degree criterion reads the trace-field
+    polynomial off the integers of m: no `NumberField` is built, and
+    neither `AlgNum.inverse`, `AlgNum.min_poly` nor `poly_xgcd` runs."""
+    counts = {"is_squarefree": 0, "sturm_chain": 0, "mul": 0, "mul_in_min_poly": 0,
+              "field": 0, "inverse": 0, "min_poly": 0, "poly_xgcd": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -114,9 +122,18 @@ def test_vanishing_call_counts(monkeypatch, capsys):
     for module in (polys, field, certificates):
         monkeypatch.setattr(module, "sturm_chain", chain)
     monkeypatch.setattr(AlgNum, "__mul__", counting("mul", AlgNum.__mul__))
+    monkeypatch.setattr(AlgNum, "inverse", counting("inverse", AlgNum.inverse))
+    monkeypatch.setattr(field.NumberField, "__init__",
+                        counting("field", field.NumberField.__init__))
+    monkeypatch.setattr(field.NumberField, "_power_table",
+                        counting("field", field.NumberField._power_table))
+    xgcd = counting("poly_xgcd", polys.poly_xgcd)
+    for module in (polys, field):
+        monkeypatch.setattr(module, "poly_xgcd", xgcd)
     min_poly = AlgNum.min_poly
 
     def watched_min_poly(self):
+        counts["min_poly"] += 1
         before = counts["mul"]
         result = min_poly(self)
         counts["mul_in_min_poly"] += counts["mul"] - before
@@ -128,6 +145,8 @@ def test_vanishing_call_counts(monkeypatch, capsys):
     assert counts["is_squarefree"] == 0
     assert counts["sturm_chain"] == 1
     assert counts["mul_in_min_poly"] == 0
+    assert counts["field"] == counts["inverse"] == counts["min_poly"] == 0
+    assert counts["poly_xgcd"] == 0
 
 
 def test_uncertified_irreducibility_is_noted_on_both_verdicts(capsys):
@@ -195,6 +214,34 @@ def test_completion_agrees_with_bruteforce_small():
             slow = gf2_completion_bruteforce(mbar, k)
             assert (fast is None) == (slow is None), (bin(mbar), k)
 
+
+
+def test_completion_padding_equals_repeated_multiplication():
+    """(x+1)^e as the product of x^(2^j) + 1 over the set bits j of e gives
+    the witness that multiplying by x+1 once per degree gives."""
+    for mbar in (1, 0b11, 0b1011, 0b1101, 0b10011, 0b111010001):
+        for k in range(0, 70):
+            fast = gf2_completion_exists(mbar, k)
+            expected = gf2_completion_by_factoring(mbar, k)
+            assert fast == expected, (bin(mbar), k)
+
+
+def test_large_genus_witness_and_its_string():
+    """At genus 200,000 the witness is (x+1)^(g-3) for x^3 - x^2 - x - 1 and
+    its string lists exactly the binomial coefficients that are odd."""
+    genus = 200_000
+    v = nonlift_certificate(TRIB, genus)
+    e = genus - 3
+    assert v.witness == sum(1 << i for i in range(e + 1) if i & e == i)    # Lucas
+    text = gf2.to_string(v.witness)
+    terms = text.split(" + ")
+    assert len(terms) == 2 ** bin(e).count("1")
+    assert terms[0] == f"x^{e}" and terms[-2:] == ["x", "1"]     # e is odd
+    for a in (0b10, 0b11, 0b110, 0b1000000000000000000000001):
+        reference = " + ".join(
+            "1" if i == 0 else ("x" if i == 1 else f"x^{i}")
+            for i in range(gf2.degree(a), -1, -1) if a >> i & 1)
+        assert gf2.to_string(a) == reference
 
 try:
     from hypothesis import given, settings

@@ -338,3 +338,19 @@ def test_ay_genus_40_float_and_lift_file_match_golden(tmp_path, capsys):
     assert out == (DATA / "ay40_check_float.txt").read_text(encoding="utf-8")
     assert lift.read_text(encoding="utf-8") == (DATA / "ay40_lift.iet").read_text(
         encoding="utf-8")
+
+
+VANISHING_GOLDEN = json.loads((DATA / "vanishing_json.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(VANISHING_GOLDEN))
+def test_vanishing_matches_golden(name, capsys):
+    """`vanishing --json` on the AY stretch polynomials g = 2..40, Lehmer's
+    polynomial, x^3 - x - 3 and a reducible quintic of index 1, and the
+    exit 2 of a reducible quintic whose trace polynomial has degree 4:
+    recorded before the field-degree criterion moved to the resultant."""
+    case = VANISHING_GOLDEN[name]
+    code, out, err = run(capsys, case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])
+    assert [line for line in err.splitlines(True)
+            if not line.startswith("elapsed:")] == case["stderr"].splitlines(True)

@@ -26,11 +26,15 @@ from ietsaf.polys import (
     parse_rational,
     sign_at,
     sturm_chain,
+    trace_minpoly,
 )
 
 from helpers import (
+    charpoly_by_fractions,
     count_real_roots_by_fractions,
+    field_at_a_real_root,
     is_irreducible_mod_by_powering,
+    min_poly_by_fractions,
     mulmod_by_lists,
     sturm_chain_by_fractions,
 )
@@ -282,8 +286,38 @@ def test_poly_str_render():
     assert str(Poly()) == "0"
 
 
+
+def test_trace_minpoly_examples():
+    assert trace_minpoly(Poly([1, -3, 1])) == Poly([-3, 1])           # index 2
+    assert trace_minpoly(Poly([-2, 1])) == Poly([Fraction(-5, 2), 1])  # beta = 2 + 1/2
+    assert trace_minpoly(Poly([-3, -1, 0, 1])) == Poly(
+        [Fraction(-13, 3), -4, Fraction(1, 3), 1])
+    # (y - 2)(y - 3)(y + 1): beta takes the distinct values 5/2, 10/3 and -2
+    assert trace_minpoly(Poly([6, 1, -4, 1])) == (
+        Poly([Fraction(-5, 2), 1]) * Poly([Fraction(-10, 3), 1]) * Poly([2, 1]))
+    # (y^2 + 1)(y^2 - 3y + 1): beta is 0 twice and 3 twice
+    assert trace_minpoly(Poly([1, 0, 1]) * Poly([1, -3, 1])) == Poly([0, -3, 1])
+    # a reducible quintic whose beta has a minimal polynomial of degree 4
+    assert trace_minpoly(Poly([-1, 2, 1, 3, -4, 1])) == Poly([12, 8, -4, -3, 1])
+
+
+@pytest.mark.parametrize("coeffs", [
+    [-1, -1, -1, -1, -1, 1],
+    [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1],       # Lehmer's polynomial
+    [-1, 2, 1, 3, -4, 1],                         # reducible, radical of degree 4
+    [3, -2, 0, 5, 1, -1, 2, 1],
+])
+def test_trace_minpoly_matches_sympy_resultant(coeffs):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    m = sum(c * y ** i for i, c in enumerate(coeffs))
+    chi = sympy.Poly(sympy.resultant(m, y ** 2 - x * y + 1, y), x) * sympy.Rational(1, coeffs[0])
+    radical = sympy.Poly(sympy.sqf_part(chi.as_expr()), x).monic()
+    expected = Poly([Fraction(int(c.p), int(c.q)) for c in reversed(radical.all_coeffs())])
+    assert trace_minpoly(Poly(coeffs)) == expected
+
 try:
-    from hypothesis import given, settings
+    from hypothesis import assume, given, settings
     from hypothesis import strategies as st
 except ImportError:  # hypothesis is an optional test dependency
     given = None
@@ -386,3 +420,47 @@ else:
                 assert fast == sympy.Poly(coeffs[::-1], x, modulus=q).is_irreducible
             else:
                 assert not fast
+
+    units = st.sampled_from([1, -1, 2, -2, 3, -3])
+
+    def monic(constant, middle):
+        return Poly([constant, *middle, 1])
+
+    general = st.builds(monic, units, st.lists(st.integers(-4, 4), max_size=13))
+
+    def reciprocal(sign, half, centre):
+        # c_(d-i) = sign * c_i with c_0 = sign and c_d = 1, of even degree;
+        # the centre coefficient must vanish when sign = -1, and then m has
+        # the roots 1 and -1 (an odd-degree reciprocal m has one of them)
+        centre = centre if sign == 1 else 0
+        return monic(sign, half + [centre] + [sign * c for c in reversed(half)])
+
+    def reciprocals(max_half):
+        return st.builds(reciprocal, st.sampled_from([1, 1, 1, -1]),
+                         st.lists(st.integers(-4, 4), max_size=max_half),
+                         st.integers(-4, 4))
+
+    # a reciprocal factor gives each of its values of beta twice, so a
+    # product with another factor can have an index that is not 1 or 2
+    factor = st.builds(monic, units, st.lists(st.integers(-3, 3), max_size=6))
+    products = st.builds(lambda f, g: f * g, factor | reciprocals(2), factor)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(general, reciprocals(6), products))
+    def test_trace_minpoly_matches_krylov_and_charpoly(m):
+        """The resultant kernel gives the minimal polynomial of lambda +
+        1/lambda that Krylov elimination (over Z and over `Fraction`) finds,
+        and the squarefree part of the characteristic polynomial; for
+        irreducible m that polynomial is the index-th power of it."""
+        assume(is_squarefree(m))
+        field = field_at_a_real_root(m)
+        assume(field is not None)
+        lam = field.gen()
+        beta = lam + lam.inverse()
+        mu = trace_minpoly(m)
+        assert mu == beta.min_poly() == min_poly_by_fractions(beta).monic()
+        chi = charpoly_by_fractions(beta)
+        assert chi // poly_gcd(chi, chi.derivative()) == mu
+        if certify_irreducible(m) is not None:
+            assert m.degree % mu.degree == 0
+            assert chi == mu ** (m.degree // mu.degree)
