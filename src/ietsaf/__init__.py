@@ -46,7 +46,6 @@ from .polys import (
     is_reciprocal,
     is_squarefree,
     isolate_real_roots,
-    poly_gcd,
     poly_xgcd,
     reverse,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "isolate_real_roots",
     "loads_iet",
     "nonlift_certificate",
-    "poly_gcd",
     "poly_xgcd",
     "read_iet",
     "reciprocal_mod2",

@@ -149,21 +149,14 @@ class AYSystem:
     def build(cls, g: int) -> "AYSystem":
         field = ay_alpha(g)
         involution = ay_boundary_involution(g, field)
-        lift = involution.scale(HALF).rotate(HALF)
-        system = cls(g, field, involution, lift, ay_stretch_minpoly(g),
-                     involution.compose(involution))
+        system = cls(g, field, involution, ay_lift(g, involution=involution),
+                     ay_stretch_minpoly(g), involution.compose(involution))
         system._check()
         return system
 
     def _check(self) -> None:
-        field = self.field
-        alpha = field.gen()
-        acc = field.zero()
-        power = field.one()
-        for _ in range(self.g):
-            power = power * alpha
-            acc = acc + power
-        if not (acc - 1).is_zero():
+        # IET.__init__ checked that the total is the sum 2*(alpha + ... + alpha^g)
+        if self.boundary_involution.total != 2:
             raise InputError("alpha powers do not sum to 1")
         if not self.is_involution():
             raise InputError("boundary map is not an involution")

@@ -182,9 +182,8 @@ def _by_field_degree(m: Poly, prime) -> VanishingVerdict:
         raise PolynomialError(
             f"degree of {beta_min} does not divide {m.degree}; modulus reducible?"
         )
+    # 1 or 2: a value of beta = r + 1/r comes from at most two roots, r and 1/r
     index = m.degree // beta_min.degree
-    if index not in (1, 2):
-        raise PolynomialError(f"trace-field index {index} outside {{1, 2}}")
     return VanishingVerdict(
         vanishes=(index == 1),
         method="field-degree",

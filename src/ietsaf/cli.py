@@ -17,7 +17,7 @@ import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, gf2
 from .arnoux_yoccoz import (
     AYSystem,
     ay_lift,
@@ -66,34 +66,25 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _print_report(args, report: dict, human_lines) -> None:
-    if getattr(args, "json", False):
-        sys.stdout.write(dumps_report(report))
-    else:
-        for line in human_lines:
-            print(line)
-
-
 def cmd_saf(args) -> int:
     iet = read_iet(args.iet)
     wedge = iet.saf()
     verdict = "VANISHES" if wedge.is_zero() else "NONZERO"
     matrix = [[str(c) for c in row] for row in wedge.rows]
-    report = {
-        "command": "saf",
-        "inputs": {"iet": args.iet},
-        "matrix": matrix,
-        "verdict": verdict,
-    }
-    lines = [f"wedge matrix ({iet.field.degree} x {iet.field.degree}):"]
+    if args.json:
+        sys.stdout.write(dumps_report({
+            "command": "saf",
+            "inputs": {"iet": args.iet},
+            "matrix": matrix,
+            "verdict": verdict,
+        }))
+        return 0
+    print(f"wedge matrix ({iet.field.degree} x {iet.field.degree}):")
     for row in matrix:
-        lines.append("  " + "  ".join(row))
-    lines.append(f"verdict: {verdict}")
+        print("  " + "  ".join(row))
+    print(f"verdict: {verdict}")
     if args.float:
-        lines.append(
-            "total length ~ " + algnum_decimal(iet.total)
-        )
-    _print_report(args, report, lines)
+        print("total length ~ " + algnum_decimal(iet.total))
     return 0
 
 
@@ -109,53 +100,55 @@ def cmd_vanishing(args) -> int:
     interval = parse_interval(args.interval) if args.interval else None
     by_rec, by_deg = vanishing_verdicts(m, interval)
     agree = by_rec.vanishes == by_deg.vanishes
-    report = {
-        "command": "vanishing",
-        "inputs": {"minpoly": m.to_string(), "interval": args.interval},
-        "reciprocity": by_rec.to_dict(),
-        "field_degree": by_deg.to_dict(),
-        "agree": agree,
-    }
-    lines = [
-        f"minimal polynomial: {m}",
-        f"reciprocity method:  vanishes={by_rec.vanishes} "
-        f"(reversal: {by_rec.detail})",
-        f"field-degree method: vanishes={by_deg.vanishes} "
-        f"(trace-field index {by_deg.index}, min poly of lambda+1/lambda: "
-        f"{by_deg.detail})",
-        f"methods agree: {agree}",
-    ]
+    if args.json:
+        sys.stdout.write(dumps_report({
+            "command": "vanishing",
+            "inputs": {"minpoly": m.to_string(), "interval": args.interval},
+            "reciprocity": by_rec.to_dict(),
+            "field_degree": by_deg.to_dict(),
+            "agree": agree,
+        }))
+        return 0
+    print(f"minimal polynomial: {m}")
+    print(f"reciprocity method:  vanishes={by_rec.vanishes} "
+          f"(reversal: {by_rec.detail})")
+    print(f"field-degree method: vanishes={by_deg.vanishes} "
+          f"(trace-field index {by_deg.index}, min poly of lambda+1/lambda: "
+          f"{by_deg.detail})")
+    print(f"methods agree: {agree}")
     for note in dict.fromkeys(by_rec.notes + by_deg.notes):  # each note once
-        lines.append(f"note: {note}")
-    _print_report(args, report, lines)
+        print(f"note: {note}")
     return 0
 
 
 def cmd_nonlift(args) -> int:
     m = _parse_minpoly(args.minpoly)
     verdict = nonlift_certificate(m, args.genus)
-    report = {
-        "command": "nonlift",
-        "inputs": {"minpoly": m.to_string(), "genus": args.genus},
-        "verdict": verdict.to_dict(),       # the witness is formatted here only
-    }
-    lines = [f"minimal polynomial: {m}", f"genus: {args.genus}"]
-    if verdict.reason:
-        lines.append(f"outcome: {verdict.outcome} ({verdict.reason})")
-    else:
-        lines.append(
-            f"outcome: {verdict.outcome} "
-            f"(variant={verdict.variant}, witness={report['verdict']['witness']})"
-        )
     if args.oracle:
         slow = nonlift_certificate(m, args.genus,
                                    completion=gf2_completion_bruteforce)
         agree = slow.outcome == verdict.outcome
-        report["oracle"] = {"verdict": slow.to_dict(), "agree": agree}
-        lines.append(f"brute-force oracle agrees: {agree}")
+    if args.json:
+        report = {
+            "command": "nonlift",
+            "inputs": {"minpoly": m.to_string(), "genus": args.genus},
+            "verdict": verdict.to_dict(),
+        }
+        if args.oracle:
+            report["oracle"] = {"verdict": slow.to_dict(), "agree": agree}
+        sys.stdout.write(dumps_report(report))
+        return 0
+    print(f"minimal polynomial: {m}")
+    print(f"genus: {args.genus}")
+    if verdict.reason:
+        print(f"outcome: {verdict.outcome} ({verdict.reason})")
+    else:
+        print(f"outcome: {verdict.outcome} (variant={verdict.variant}, "
+              f"witness={gf2.to_string(verdict.witness)})")
+    if args.oracle:
+        print(f"brute-force oracle agrees: {agree}")
     for note in verdict.notes:
-        lines.append(f"note: {note}")
-    _print_report(args, report, lines)
+        print(f"note: {note}")
     return 0
 
 
@@ -181,29 +174,30 @@ def cmd_ay(args) -> int:
     # the irreducibility note, so the nonlift verdict needs none
     cert = _nonlift(system.stretch_minpoly, args.genus)
     checks["certificate_inconclusive"] = cert.outcome == OUTCOME_INCONCLUSIVE
-    report = {
-        "command": "ay",
-        "inputs": {"genus": args.genus},
-        "alpha_interval": f"{system.field.interval[0]},{system.field.interval[1]}",
-        "stretch_minpoly": system.stretch_minpoly.to_string(),
-        "checks": checks,
-        "self_similarity_offset": None if witness is None else
-            ",".join(str(c) for c in witness.coords),
-        "all_pass": all(checks.values()),
-    }
-    lines = [f"genus {args.genus}: alpha in ({system.field.interval[0]}, "
-             f"{system.field.interval[1]})"]
-    if args.float:
-        lines[-1] += f", alpha ~ {algnum_decimal(system.alpha())}"
-    for name, value in checks.items():
-        lines.append(f"check {name}: {'pass' if value else 'FAIL'}")
-    lines.append(f"all checks pass: {all(checks.values())}")
-    for note in dict.fromkeys(by_rec.notes + by_deg.notes):
-        lines.append(f"note: {note}")
-    _print_report(args, report, lines)
+    lo, hi = system.field.interval
+    # --float refines the field, with or without --json, so the lift file
+    # written below records the narrower root interval
+    approx = f", alpha ~ {algnum_decimal(system.alpha())}" if args.float else ""
+    if args.json:
+        sys.stdout.write(dumps_report({
+            "command": "ay",
+            "inputs": {"genus": args.genus},
+            "alpha_interval": f"{lo},{hi}",
+            "stretch_minpoly": system.stretch_minpoly.to_string(),
+            "checks": checks,
+            "self_similarity_offset": None if witness is None else
+                ",".join(str(c) for c in witness.coords),
+            "all_pass": all(checks.values()),
+        }))
+    else:
+        print(f"genus {args.genus}: alpha in ({lo}, {hi}){approx}")
+        for name, value in checks.items():
+            print(f"check {name}: {'pass' if value else 'FAIL'}")
+        print(f"all checks pass: {all(checks.values())}")
+        for note in dict.fromkeys(by_rec.notes + by_deg.notes):
+            print(f"note: {note}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dumps_iet(lift))
+        _emit(args, dumps_iet(lift))
     return 0
 
 

@@ -22,14 +22,15 @@ rational one would.  Each element caches it until the field bisects.
 
 `sign` is one loop: a rational root hit by bisection decides by
 `sign_at`; else an enclosure on one side of 0 decides; after
-SIGN_GCD_CHECK_AFTER bisections a gcd with the modulus rules out a zero
-divisor; else the field bisects once, at the midpoint (a+b)/2D, whose
-sign under the modulus comes from `sign_at`.  A nonzero element cannot
-vanish at the root, so the loop ends.  Disjoint enclosures decide a
-comparison by cross-multiplying with the two dens; the difference's own
-enclosure would then exclude 0 too (subdistributivity), so the interval
-moves as if the difference's sign were taken.  `approx` bisects until
-the same enclosure is narrow enough.
+SIGN_GCD_CHECK_AFTER bisections a gcd of num with the modulus rules out
+a zero divisor, on the integer remainder sequence that Sturm chains use
+(`polys.primitive_gcd`); else the field bisects once, at the midpoint
+(a+b)/2D, whose sign under the modulus comes from `sign_at`.  A nonzero
+element cannot vanish at the root, so the loop ends.  Disjoint
+enclosures decide a comparison by cross-multiplying with the two dens;
+the difference's own enclosure would then exclude 0 too
+(subdistributivity), so the interval moves as if the difference's sign
+were taken.  `approx` bisects until the same enclosure is narrow enough.
 
 The constructor builds the integer Sturm chain of the modulus once and
 keeps it; its last entry also shows whether the modulus is squarefree.
@@ -86,8 +87,8 @@ from .polys import (
     Poly,
     certify_irreducible,
     count_real_roots,
-    poly_gcd,
     poly_xgcd,
+    primitive_gcd,
     sign_at,
     sturm_chain,
 )
@@ -495,9 +496,9 @@ class AlgNum:
             if hi < 0:
                 return -1
             if i == SIGN_GCD_CHECK_AFTER:
-                g = poly_gcd(Poly(self.num), field.modulus)
-                if g.degree > 0:
-                    raise ReducibleModulusError(g)
+                g = primitive_gcd(field._ints, self.num)
+                if len(g) > 1:
+                    raise ReducibleModulusError(Poly(g).monic())
             field._bisect_once()
         raise IterationCapError("sign determination exceeded the bisection cap")
 

@@ -20,7 +20,8 @@ the word, so rotation conjugacy is an exact cyclic-shift test on words.
 Binary operations (compose, equality, rotation conjugacy) check once that
 the two maps' fields are equal, then move the second map onto the first
 map's field object.  Every later comparison is then between elements of
-one field object and goes through its fixed-point filter.
+one field object and is decided by their exact integer enclosures
+(`AlgNum._compare`).
 
 Inputs are validated once, at the boundary: the constructor, the public
 constructors built on it, and `from_pieces`.  Internal results (compose,

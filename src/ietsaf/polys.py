@@ -287,16 +287,6 @@ class Poly:
 X = Poly([0, 1])
 
 
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over the rationals (1 for coprime inputs)."""
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.monic()
-
-
 def poly_xgcd(p: Poly, q: Poly):
     """Extended gcd: (g, u, v) with u*p + v*q = g, g monic or zero."""
     a, b = p, q
@@ -403,6 +393,18 @@ def _negated_pseudo_remainder(a, b):
     return _primitive([-x for x in r])
 
 
+def primitive_gcd(a, b):
+    """gcd over Q of two integer coefficient lists (constant first), as a
+    primitive integer list: the last nonzero entry of their primitive
+    remainder sequence.  Trailing zeros are dropped first, since the
+    sequence reads the last entry as the leading coefficient; the gcd of
+    two zero lists is []."""
+    a, b = _mtrim(list(a)), _mtrim(list(b))
+    while b:
+        a, b = b, _negated_pseudo_remainder(a, b)
+    return _primitive(a)
+
+
 def sturm_chain(p: Poly):
     """Sturm chain of a squarefree p as primitive integer coefficient lists.
 
@@ -498,7 +500,7 @@ def trace_minpoly(m: Poly) -> Poly:
     x*U_k - U_(k-1), U_0 = 0, U_(-1) = -1, so m = A*y + B and the resultant
     m(0)*chi = A^2 + x*A*B + B^2 (`certificates` has why), formed up to
     x^d since the higher terms cancel.  The result is chi / gcd(chi, chi'),
-    the gcd by primitive pseudo-remainders, the quotient exact over Z.
+    the gcd by `primitive_gcd`, the quotient exact over Z.
     """
     a = _int_coeffs(m)
     n = len(a)
@@ -515,10 +517,7 @@ def trace_minpoly(m: Poly) -> Poly:
             chi[i + j] += ai * A[j] + bi * B[j]
             chi[i + j + 1] += ai * B[j]
     chi = _primitive(chi[:n])     # drop x^(d+1), whose sum is incomplete
-    g = _primitive([i * c for i, c in enumerate(chi)][1:])
-    r = _negated_pseudo_remainder(chi, g)
-    while r:
-        g, r = r, _negated_pseudo_remainder(g, r)
+    g = primitive_gcd(chi, [i * c for i, c in enumerate(chi)][1:])
     if len(g) > 1:
         quo = [0] * (n - len(g) + 1)
         for i in range(len(quo) - 1, -1, -1):

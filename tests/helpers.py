@@ -8,8 +8,18 @@ from ietsaf import (IET, NumberField, Poly, certify_irreducible, count_real_root
 from ietsaf.errors import (IterationCapError, NonSquarefreeError, PolynomialError,
                            ReducibleModulusError)
 from ietsaf.field import SIGN_BISECTION_CAP, SIGN_GCD_CHECK_AFTER
-from ietsaf.polys import (_int_coeffs, _mgcd, _mmod, _mtrim, _prime_factors, cauchy_root_bound,
-                          poly_gcd)
+from ietsaf.polys import _int_coeffs, _mgcd, _mmod, _mtrim, _prime_factors, cauchy_root_bound
+
+
+def poly_gcd(p: Poly, q: Poly) -> Poly:
+    """Monic gcd over the rationals by Euclid on `Fraction` coefficients
+    (1 for coprime inputs, 0 when both are 0)."""
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, a % b
+    if a.is_zero:
+        return a
+    return a.monic()
 
 
 def random_cubic_field(rng, above_one=False):

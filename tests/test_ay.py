@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -130,3 +131,16 @@ def test_system_build_and_consistency():
         assert verdict.vanishes
         cert = nonlift_certificate(system.stretch_minpoly, g)
         assert cert.outcome == OUTCOME_INCONCLUSIVE
+        assert system.lift == ay_lift(g, system.field)
+
+
+def test_system_check_rejects_a_wrong_circumference():
+    system = AYSystem.build(3)
+    short = dataclasses.replace(
+        system, boundary_involution=IET.identity(system.field, 1, circle=True))
+    with pytest.raises(InputError, match="alpha powers do not sum to 1"):
+        short._check()
+    unpaired = dataclasses.replace(
+        system, involution_square=IET.rotation(system.field, 2, HALF))
+    with pytest.raises(InputError, match="boundary map is not an involution"):
+        unpaired._check()

@@ -85,20 +85,25 @@ def test_vanishing_with_supplied_interval():
     assert not v.vanishes
 
 
-def test_nonlift_runs_no_rational_gcd(monkeypatch, capsys):
-    """The squarefree check reads the integer Sturm chain; no `Fraction`
-    Euclid runs."""
+@pytest.mark.parametrize("argv", [
+    ["nonlift", "--minpoly", "-1,-1,-1,1", "--genus", "3"],
+    ["vanishing", "--minpoly", "-1,-1,-1,1"],
+    ["ay", "--genus", "3", "--check"],
+], ids=["nonlift", "vanishing", "ay-check"])
+def test_commands_run_no_rational_euclid(argv, monkeypatch, capsys):
+    """Squarefreeness, the trace-field polynomial and the sign's zero-divisor
+    check run on integer remainder sequences: no `Fraction` Euclid runs, so
+    `Poly.__divmod__`, which every one of them goes through, is never called."""
     calls = []
-    poly_gcd = polys.poly_gcd
+    divmod_ = Poly.__divmod__
 
     def counting(*args):
         calls.append(args)
-        return poly_gcd(*args)
+        return divmod_(*args)
 
-    for module in (polys, field):
-        monkeypatch.setattr(module, "poly_gcd", counting)
-    assert cli.main(["nonlift", "--minpoly", "-1,-1,-1,1", "--genus", "3"]) == 0
-    assert "outcome:" in capsys.readouterr().out
+    monkeypatch.setattr(Poly, "__divmod__", counting)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
     assert calls == []
 
 

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import ietsaf
-from ietsaf import ay_lift, cli, dumps_iet
+from ietsaf import Poly, ay_lift, cli, dumps_iet
 from ietsaf.errors import IterationCapError
 
 
@@ -354,3 +354,52 @@ def test_vanishing_matches_golden(name, capsys):
     assert (code, out) == (case["exit"], case["stdout"])
     assert [line for line in err.splitlines(True)
             if not line.startswith("elapsed:")] == case["stderr"].splitlines(True)
+
+
+HUMAN_GOLDEN = json.loads((DATA / "human_text.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(HUMAN_GOLDEN))
+def test_human_text_matches_golden(name, capsys):
+    """Human-readable stdout of `vanishing` (AY g = 3 and 19, x^2 - 3x + 1,
+    x - 2, a supplied interval), `nonlift` with and without `--oracle`,
+    `saf` with and without `--float`, and `ay --check`: recorded before the
+    commands stopped building text under `--json`.  `{data}` in an argument
+    stands for this test data directory."""
+    case = HUMAN_GOLDEN[name]
+    argv = [arg.replace("{data}", str(DATA)) for arg in case["argv"]]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (case["exit"], case["stdout"])
+    assert [line for line in err.splitlines(True)
+            if not line.startswith("elapsed:")] == case["stderr"].splitlines(True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["vanishing", "--minpoly", "-1,-1,-1,1", "--json"],
+    ["nonlift", "--minpoly", "1,-3,1", "--genus", "4", "--oracle", "--json"],
+    ["ay", "--genus", "3", "--check", "--json"],
+])
+def test_json_runs_format_no_human_text(argv, monkeypatch, capsys):
+    """Under `--json` only the report is built: no polynomial is formatted
+    for a human line that would not be printed."""
+    def refuse(self):
+        raise AssertionError("Poly.__str__ called under --json")
+
+    monkeypatch.setattr(Poly, "__str__", refuse)
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert json.loads(out)["command"] == argv[0]
+
+
+def test_float_refines_the_lift_file_with_or_without_json(tmp_path, capsys):
+    """`--float` narrows the root interval before `--out` writes the lift,
+    and `--json` leaves that as it is."""
+    files = []
+    for extra in ([], ["--json"]):
+        path = tmp_path / f"lift{len(files)}.iet"
+        code, _, _ = run(capsys, ["ay", "--genus", "5", "--check", "--float",
+                                  "--out", str(path), *extra])
+        assert code == 0
+        files.append(path.read_text(encoding="utf-8"))
+    assert files[0] == files[1]
+    assert files[0] != dumps_iet(ay_lift(5))

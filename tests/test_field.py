@@ -313,7 +313,7 @@ def test_zero_divisor_raises_through_the_gcd_check():
 
 
 try:
-    from hypothesis import HealthCheck, assume, given, settings
+    from hypothesis import HealthCheck, assume, example, given, settings
     from hypothesis import strategies as st
 except ImportError:  # hypothesis is an optional test dependency
     given = None
@@ -452,6 +452,8 @@ else:
 
     @field_settings
     @given(fields(), st.integers(1, 3), st.integers(1, 2 ** 70), st.integers(0, 3))
+    # x^2 + 2x: the constructor's refinement lands on the rational root -2
+    @example(spec=(Poly([0, 2, 1]), -3, Fraction(-7, 5)), wnum=1, wden=1, steps=0)
     def test_refine_interval_matches_fraction_bisection(spec, wnum, wden, steps):
         p, lo, hi = spec
         field = NumberField(p, lo, hi)      # refines to width 2^-20
@@ -459,7 +461,8 @@ else:
         assert (*field.interval, field.exact_root) == (lo, hi, root)
         width = Fraction(wnum, wden)
         field.refine_interval(width)
-        lo, hi, root = refine_by_fractions(p, lo, hi, width)
+        if root is None:    # a root hit is kept; bisection stops there
+            lo, hi, root = refine_by_fractions(p, lo, hi, width)
         assert (*field.interval, field.exact_root) == (lo, hi, root)
         for _ in range(steps):
             field._bisect_once()

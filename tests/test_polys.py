@@ -14,7 +14,6 @@ from ietsaf import (
     is_reciprocal,
     is_squarefree,
     isolate_real_roots,
-    poly_gcd,
     poly_xgcd,
     reverse,
 )
@@ -24,6 +23,7 @@ from ietsaf.polys import (
     cauchy_root_bound,
     is_irreducible_mod,
     parse_rational,
+    primitive_gcd,
     sign_at,
     sturm_chain,
     trace_minpoly,
@@ -36,6 +36,7 @@ from helpers import (
     is_irreducible_mod_by_powering,
     min_poly_by_fractions,
     mulmod_by_lists,
+    poly_gcd,
     sturm_chain_by_fractions,
 )
 
@@ -440,8 +441,9 @@ else:
                          st.lists(st.integers(-4, 4), max_size=max_half),
                          st.integers(-4, 4))
 
-    # a reciprocal factor gives each of its values of beta twice, so a
-    # product with another factor can have an index that is not 1 or 2
+    # a reciprocal factor gives each of its values of beta twice, so in a
+    # product with another factor the degree of beta's minimal polynomial
+    # need not divide deg m (it is still at least deg m / 2)
     factor = st.builds(monic, units, st.lists(st.integers(-3, 3), max_size=6))
     products = st.builds(lambda f, g: f * g, factor | reciprocals(2), factor)
 
@@ -459,8 +461,23 @@ else:
         beta = lam + lam.inverse()
         mu = trace_minpoly(m)
         assert mu == beta.min_poly() == min_poly_by_fractions(beta).monic()
+        # each value of beta comes from at most two roots, y and 1/y
+        assert m.degree <= 2 * mu.degree
         chi = charpoly_by_fractions(beta)
         assert chi // poly_gcd(chi, chi.derivative()) == mu
         if certify_irreducible(m) is not None:
             assert m.degree % mu.degree == 0
             assert chi == mu ** (m.degree // mu.degree)
+
+    coefficients = st.lists(st.integers(-6, 6), max_size=5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(coefficients, coefficients, coefficients, st.integers(0, 3), st.integers(0, 3))
+    def test_primitive_gcd_matches_fraction_euclid(shared, a, b, pad_a, pad_b):
+        """The integer remainder sequence finds the gcd that Euclid over
+        `Fraction` finds, on inputs with a shared factor and trailing zeros."""
+        p, q = Poly(shared) * Poly(a), Poly(shared) * Poly(b)
+        g = primitive_gcd([int(c) for c in p.coeffs] + [0] * pad_a,
+                          [int(c) for c in q.coeffs] + [0] * pad_b)
+        assert (Poly(g).monic() if g else Poly()) == poly_gcd(p, q)
+        assert not g or (g[-1] != 0 and math.gcd(*g) == 1)
