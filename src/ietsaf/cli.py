@@ -216,8 +216,9 @@ def cmd_lift(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    outer = read_iet(args.iet)
-    inner = read_iet(args.iet2)
+    fields = {}     # one field object per distinct field text
+    outer = read_iet(args.iet, fields)
+    inner = read_iet(args.iet2, fields)
     _emit(args, dumps_iet(outer.compose(inner)))
     return 0
 

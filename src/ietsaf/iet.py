@@ -35,7 +35,9 @@ re-check of the tiling.  Where the image order is known combinatorially
 the keys are ints: `compose` is one merge sweep of the inner map's
 images (in image order) against the outer map's pieces (in domain
 order), O(n + m), and a composite piece's image rank is (outer perm,
-inner perm).  Only `first_return` sorts its images by value.
+inner perm).  Only `first_return` sorts its images by value.  `saf`
+builds its matrix antisymmetric, so it returns it through
+`WedgeClass._trusted`; the public `WedgeClass` constructor validates.
 """
 
 from __future__ import annotations
@@ -99,9 +101,17 @@ class WedgeClass:
         self.rows = rows
 
     @classmethod
+    def _trusted(cls, field: NumberField, rows) -> "WedgeClass":
+        """The class of `rows`, a d x d antisymmetric tuple of `Fraction`
+        tuples; the builder for internal results, it checks nothing."""
+        out = object.__new__(cls)
+        out.field, out.rows = field, rows
+        return out
+
+    @classmethod
     def zero(cls, field: NumberField) -> "WedgeClass":
         d = field.degree
-        return cls(field, [[Fraction(0)] * d for _ in range(d)])
+        return cls._trusted(field, ((Fraction(0),) * d,) * d)
 
     def is_zero(self) -> bool:
         return all(c == 0 for row in self.rows for c in row)
@@ -111,13 +121,15 @@ class WedgeClass:
             return NotImplemented
         if other.field is not self.field and other.field != self.field:
             raise FieldMismatchError("wedge classes over different fields")
-        return WedgeClass(
+        return WedgeClass._trusted(
             self.field,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            tuple(tuple(a + b for a, b in zip(r1, r2))
+                  for r1, r2 in zip(self.rows, other.rows)),
         )
 
     def __neg__(self) -> "WedgeClass":
-        return WedgeClass(self.field, [[-c for c in row] for row in self.rows])
+        return WedgeClass._trusted(self.field,
+                                   tuple(tuple(-c for c in row) for row in self.rows))
 
     def __sub__(self, other: "WedgeClass") -> "WedgeClass":
         return self + (-other)
@@ -505,7 +517,8 @@ class IET:
                         if m:
                             rows[i][j] += m * scale
                             rows[j][i] -= m * scale
-        return WedgeClass(self.field, [[Fraction(x, den) for x in row] for row in rows])
+        return WedgeClass._trusted(
+            self.field, tuple(tuple(Fraction(x, den) for x in row) for row in rows))
 
     def __repr__(self):
         kind = "circle" if self.circle else "interval"

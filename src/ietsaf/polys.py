@@ -3,9 +3,12 @@
 Polynomials are immutable with `fractions.Fraction` coefficients stored
 constant-first: ``Poly([-1, 0, 1])`` is ``x^2 - 1``.  The zero polynomial
 has an empty coefficient tuple and degree -1.  Text I/O uses the same
-constant-first convention, e.g. ``"-1,0,1"``; every rational in text,
-here and in IET files and command options, goes through `parse_rational`,
-which accepts ``[+-]digits[/digits]`` and nothing else.
+constant-first convention, e.g. ``"-1,0,1"``.  Every rational in text,
+here and in IET files and command options, is read by `parse_ratio`: one
+match of ``[+-]digits[/digits]`` and nothing else, returned as the ints
+(n, d) it reads, with no `Fraction` built.  `parse_rational`, which
+`Poly.from_string` calls, makes a `Fraction` of those ints; IET
+coordinates stay on ints (`ietfile.parse_coords`).
 
 Besides ring and Euclidean arithmetic the module provides the
 coefficient reversal ``x^n p(1/x)``, the reciprocity test (root multiset
@@ -54,26 +57,37 @@ from .errors import NonSquarefreeError, ParseError, PolynomialError
 
 TRIAL_PRIMES = (2, 3, 5, 7, 11, 13)
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 # slot size in bytes -> array type code of that size (2, 4 and 8 bytes)
 _SLOT_CODES = {array(code).itemsize: code for code in "QLIH"}
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def parse_rational(text: str) -> Fraction:
-    """The rational `[+-]digits[/digits]`, surrounding whitespace stripped.
+def parse_ratio(text: str):
+    """The ints (n, d) of `[+-]digits[/digits]`, surrounding whitespace stripped.
 
-    No decimal point and no exponent: a short text such as "1e999999999"
-    cannot ask for a huge number.
+    d > 0 and n/d is not reduced: "+6/4" gives (6, 4).  No decimal point
+    and no exponent: a short text such as "1e999999999" cannot ask for a
+    huge number.
     """
-    stripped = text.strip()
-    if not _RATIONAL.fullmatch(stripped):
+    match = _RATIO.fullmatch(text.strip())
+    if match is None:
         raise ParseError(f"bad rational {text!r}")
+    num, den = match.groups()
+    # the error texts are the ones `Fraction(text)` gave
     try:
-        return Fraction(stripped)
-    except (ValueError, ZeroDivisionError) as exc:   # digit limit, zero denominator
+        n, d = int(num), int(den or 1)
+    except ValueError as exc:   # the int digit limit
         raise ParseError(f"bad rational {text!r}: {exc}") from None
+    if d == 0:
+        raise ParseError(f"bad rational {text!r}: Fraction({n}, 0)")
+    return n, d
+
+
+def parse_rational(text: str) -> Fraction:
+    """`parse_ratio` as a reduced `Fraction`."""
+    return Fraction(*parse_ratio(text))
 
 
 def _coeff(c) -> Fraction:
@@ -281,7 +295,7 @@ class Poly:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
     def __repr__(self) -> str:
-        return f"Poly({self.to_string()!r})"
+        return f"Poly.from_string({self.to_string()!r})"
 
 
 X = Poly([0, 1])

@@ -10,8 +10,12 @@ from types import SimpleNamespace
 import pytest
 
 import ietsaf
-from ietsaf import Poly, ay_lift, cli, dumps_iet
+from ietsaf import NumberField, Poly, ay_lift, cli, dumps_iet
 from ietsaf.errors import IterationCapError
+
+
+DATA = Path(__file__).parent / "data"
+FILES = DATA / "files"
 
 
 def run(capsys, argv):
@@ -291,6 +295,38 @@ def test_compose_files_over_different_roots_exits_2(tmp_path, capsys):
     assert err.startswith("error: composition of IETs over different fields")
 
 
+def _count_fields(monkeypatch):
+    """Counts of `NumberField.__init__` and `NumberField.__eq__` calls."""
+    counts = {"init": 0, "eq": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(NumberField, "__init__", counting("init", NumberField.__init__))
+    monkeypatch.setattr(NumberField, "__eq__", counting("eq", NumberField.__eq__))
+    return counts
+
+
+def test_compose_builds_one_field_per_field_text(ay3, tmp_path, monkeypatch, capsys):
+    """Files with the same modulus and root_interval text share one field
+    object, so no field comparison runs; a different root_interval text
+    gets its own field, compared once it is composed."""
+    copy = _write(tmp_path / "copy.iet", open(ay3, encoding="utf-8").read())
+    counts = _count_fields(monkeypatch)
+    assert run(capsys, ["compose", "--iet", ay3, "--iet2", copy])[0] == 0
+    assert counts == {"init": 1, "eq": 0}
+
+    counts = _count_fields(monkeypatch)
+    a, b = (str(FILES / name) for name in ("cubic_a.iet", "cubic_b.iet"))
+    assert run(capsys, ["compose", "--iet", a, "--iet2", a])[0] == 0
+    assert counts == {"init": 1, "eq": 0}
+    assert run(capsys, ["compose", "--iet", a, "--iet2", b])[0] == 0
+    assert counts["init"] == 3 and counts["eq"] >= 1
+
+
 # -- one argument tree per process, and the golden ay reports ----------------------
 
 
@@ -311,7 +347,6 @@ def test_in_process_calls_match_separate_runs(capsys):
     assert in_process[0][1].startswith("{") and in_process[2][1].startswith("minimal")
 
 
-DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "ay_check_json.json"
 
 
@@ -403,3 +438,29 @@ def test_float_refines_the_lift_file_with_or_without_json(tmp_path, capsys):
         files.append(path.read_text(encoding="utf-8"))
     assert files[0] == files[1]
     assert files[0] != dumps_iet(ay_lift(5))
+
+
+FILE_COMMANDS = json.loads((FILES / "commands.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(FILE_COMMANDS))
+def test_file_commands_match_golden(name, tmp_path, monkeypatch, capsys):
+    """`--out` files of `compose` (same and different field text), `invert`,
+    `lift` and `induce --sub`, and the stdout of `saf --json`, on
+    hand-written cubic and quartic files with negative, fractional and
+    unreduced (`+6/4`) coordinates; recorded before coordinates were read
+    and written as ints.  `{out}` in an argument stands for the output file."""
+    monkeypatch.chdir(FILES)
+    out = tmp_path / name
+    argv = [arg.replace("{out}", str(out)) for arg in FILE_COMMANDS[name]]
+    code, stdout, err = run(capsys, argv)
+    assert code == 0, err
+    text = out.read_text(encoding="utf-8") if "{out}" in FILE_COMMANDS[name] else stdout
+    assert text == (FILES / "expected" / name).read_text(encoding="utf-8")
+
+
+def test_lift_of_an_interval_map_exits_2(monkeypatch, capsys):
+    monkeypatch.chdir(FILES)
+    code, out, err = run(capsys, ["lift", "--iet", "cubic_a.iet"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: rotation requires circle semantics\n")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ietsaf import IET, NumberField, ParseError, Poly, ay_lift, dumps_iet, field, loads_iet
+from ietsaf.ietfile import coords_to_string, parse_coords
 
 from helpers import random_cubic_field, random_iet
 
@@ -85,3 +86,61 @@ def test_invalid_lengths_rejected():
     from ietsaf import InputError
     with pytest.raises((ParseError, InputError)):
         loads_iet(json.dumps(bad))
+
+
+# -- the integer path against the `Fraction` path -------------------------------------
+
+CUBIC = NumberField(Poly([-1, -1, 0, 1]), 1, 2)
+QUARTIC = NumberField(Poly([-1, -1, -1, -1, 1]), 1, 2)
+
+try:
+    from hypothesis import example, given
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is an optional test dependency
+    given = None
+
+
+if given is None:
+
+    def test_integer_coordinates_match_fractions():
+        pytest.skip("hypothesis is not installed")
+
+else:
+
+    @st.composite
+    def ratio_texts(draw):
+        """`[+-]digits[/digits]` with optional padding: unreduced, signed,
+        zero and leading-zero numerators and denominators."""
+        sign = draw(st.sampled_from(["", "+", "-"]))
+        n = draw(st.integers(0, 10 ** 6) | st.integers(0, 12))
+        text = f"{sign}{n:0{draw(st.integers(1, 3))}d}"
+        if draw(st.booleans()):
+            text += f"/{draw(st.integers(1, 10 ** 6) | st.integers(1, 12))}"
+        return draw(st.sampled_from(["", " ", "\t"])) + text + draw(
+            st.sampled_from(["", " ", "\n"]))
+
+    @st.composite
+    def coordinate_texts(draw):
+        field = draw(st.sampled_from([CUBIC, QUARTIC]))
+        parts = draw(st.lists(ratio_texts(), min_size=field.degree,
+                              max_size=field.degree))
+        return field, ",".join(parts)
+
+    @given(coordinate_texts())
+    @example((CUBIC, "+6/4,-1/2,0"))
+    @example((QUARTIC, "-0,0/5,2/4,-6/3"))
+    def test_parse_coords_matches_fraction_elements(case):
+        field, text = case
+        x = parse_coords(text, field)
+        expected = field.element([Fraction(p) for p in text.split(",")])
+        assert x == expected
+        assert (x.num, x.den) == (expected.num, expected.den)
+        assert type(x.num) is tuple and x.field is field
+
+    @given(st.sampled_from([CUBIC, QUARTIC]), st.data())
+    def test_coords_to_string_matches_fraction_text(field, data):
+        coords = data.draw(st.lists(
+            st.fractions(min_value=-10 ** 9, max_value=10 ** 9, max_denominator=10 ** 6),
+            min_size=field.degree, max_size=field.degree))
+        x = field.element(coords)
+        assert coords_to_string(x) == ",".join(str(c) for c in x.coords)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from ietsaf.polys import (
     _PackedResidues,
     cauchy_root_bound,
     is_irreducible_mod,
+    parse_ratio,
     parse_rational,
     primitive_gcd,
     sign_at,
@@ -281,6 +283,48 @@ def test_parse_rational_accepts_only_signed_digits_over_digits():
         Poly.from_string("-1,1e3")
 
 
+def test_parse_ratio_keeps_the_ints_it_reads():
+    assert parse_ratio(" \t+6/4\n") == (6, 4)
+    assert parse_ratio("-0") == (0, 1)
+    assert parse_ratio("007/010") == (7, 10)
+    assert parse_ratio("-3") == (-3, 1)
+
+
+BIG = "1" * 5000
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("1/0", ": Fraction(1, 0)"),
+    ("-5/0", ": Fraction(-5, 0)"),
+    (" 1/0 ", ": Fraction(1, 0)"),
+    ("\u0661", ""),
+    ("1/", ""),
+    (" 1/ ", ""),
+    ("1 /2", ""),
+    ("", ""),
+    (BIG, "digits"),
+    ("-" + BIG, "digits"),
+    ("1/" + BIG, "digits"),
+    (BIG + "/0", "digits"),
+])
+def test_parse_error_texts(text, detail):
+    """The error texts that `parse_rational` gave when it parsed through
+    `Fraction(str)`; `parse_ratio`, `parse_rational` and
+    `Poly.from_string` give them all."""
+    if detail == "digits":
+        if not 0 < DIGIT_LIMIT < len(BIG):
+            pytest.skip("this interpreter reads 5,000-digit ints")
+        detail = (f": Exceeds the limit ({DIGIT_LIMIT} digits) for integer string "
+                  f"conversion: value has 5000 digits; use "
+                  f"sys.set_int_max_str_digits() to increase the limit")
+    message = f"bad rational {text!r}{detail}"
+    for parse in (parse_ratio, parse_rational, lambda t: Poly.from_string("1," + t)):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message
+
+
 def test_poly_str_render():
     assert str(Poly([-1, -1, -1, 1])) == "x^3 - x^2 - x - 1"
     assert str(Poly([1, -3, 1])) == "x^2 - 3*x + 1"
@@ -318,7 +362,7 @@ def test_trace_minpoly_matches_sympy_resultant(coeffs):
     assert trace_minpoly(Poly(coeffs)) == expected
 
 try:
-    from hypothesis import assume, given, settings
+    from hypothesis import assume, example, given, settings
     from hypothesis import strategies as st
 except ImportError:  # hypothesis is an optional test dependency
     given = None
@@ -481,3 +525,12 @@ else:
                           [int(c) for c in q.coeffs] + [0] * pad_b)
         assert (Poly(g).monic() if g else Poly()) == poly_gcd(p, q)
         assert not g or (g[-1] != 0 and math.gcd(*g) == 1)
+
+    rationals = st.fractions(min_value=-60, max_value=60, max_denominator=15)
+
+    @given(st.lists(rationals, max_size=8))
+    @example([Fraction(-1, 2), 0, Fraction(3, 4), -2])
+    def test_repr_evaluates_to_the_polynomial(coeffs):
+        """A falsifying example printed with `repr` can be pasted back."""
+        p = Poly(coeffs)
+        assert eval(repr(p), {"Poly": Poly}) == p
