@@ -409,6 +409,20 @@ def test_human_text_matches_golden(name, capsys):
             if not line.startswith("elapsed:")] == case["stderr"].splitlines(True)
 
 
+ERROR_GOLDEN = json.loads((DATA / "error_lines.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_GOLDEN))
+def test_error_lines_match_golden(name, capsys):
+    """Exit code, empty stdout and the `error:` line of `vanishing` and
+    `nonlift` on invalid polynomials, intervals and genera."""
+    case = ERROR_GOLDEN[name]
+    code, out, err = run(capsys, case["argv"])
+    assert (code, out) == (case["exit"], "")
+    assert [line for line in err.splitlines(True)
+            if not line.startswith("elapsed:")] == case["stderr"].splitlines(True)
+
+
 @pytest.mark.parametrize("argv", [
     ["vanishing", "--minpoly", "-1,-1,-1,1", "--json"],
     ["nonlift", "--minpoly", "1,-3,1", "--genus", "4", "--oracle", "--json"],
