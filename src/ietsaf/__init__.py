@@ -11,7 +11,6 @@ from .arnoux_yoccoz import (
     ay_boundary_involution,
     ay_lift,
     ay_perturbed_involution,
-    ay_self_similarity_check,
     ay_self_similarity_witness,
     ay_stretch_minpoly,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "ay_boundary_involution",
     "ay_lift",
     "ay_perturbed_involution",
-    "ay_self_similarity_check",
     "ay_self_similarity_witness",
     "ay_stretch_minpoly",
     "certify_irreducible",

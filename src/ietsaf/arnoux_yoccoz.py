@@ -17,10 +17,10 @@ factor 1/alpha has minimal polynomial x^g - x^(g-1) - ... - x - 1.
 Self-similarity: the first-return map of the lift to [0, alpha) is
 conjugate to the alpha-scaled lift by an exact rotation of the return
 circle; the conjugating offset is (3*alpha - 1)/2 in the chart used
-here.  The check below verifies the conjugacy exactly and returns the
-witness offset.  (Plain chart equality of the two maps does not hold in
-this chart or any rotated or reflected one; the conjugacy is the
-invariant content.)
+here.  `ay_self_similarity_witness` takes a lift already built,
+verifies the conjugacy exactly and returns the witness offset.  (Plain
+chart equality of the two maps does not hold in this chart or any
+rotated or reflected one; the conjugacy is the invariant content.)
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .field import AlgNum, NumberField
+from .field import NumberField
 from .iet import IET, rotation_conjugacy
 from .polys import Poly
 
@@ -66,16 +66,16 @@ def _blocks(field: NumberField, g: int):
     return out
 
 
-def ay_boundary_involution(g: int, field: NumberField | None = None) -> IET:
-    """The gluing involution on the circle of circumference 2.
+def ay_boundary_involution(g: int) -> IET:
+    """The gluing involution on the circle of circumference 2, over a new
+    field `ay_alpha(g)`.
 
     Blocks alpha, alpha, alpha^2, alpha^2, ..., alpha^g, alpha^g in
     cyclic order starting at 0, adjacent equal blocks swapped.
     """
     if g < GENUS_MIN:
         raise InputError(f"construction requires g >= {GENUS_MIN}")
-    if field is None:
-        field = ay_alpha(g)
+    field = ay_alpha(g)
     powers = _blocks(field, g)
     lengths = []
     pairing = []
@@ -85,13 +85,12 @@ def ay_boundary_involution(g: int, field: NumberField | None = None) -> IET:
     return IET.pair_involution(field, lengths, pairing, circle=True)
 
 
-def ay_perturbed_involution(g: int, field: NumberField | None = None) -> IET:
+def ay_perturbed_involution(g: int) -> IET:
     """Negative control: a valid pair involution with the cyclic positions
     of one alpha^2 and one alpha^3 block exchanged.  Not self-similar."""
     if g < GENUS_MIN:
         raise InputError(f"construction requires g >= {GENUS_MIN}")
-    if field is None:
-        field = ay_alpha(g)
+    field = ay_alpha(g)
     powers = _blocks(field, g)
     lengths = []
     for p in powers:
@@ -105,52 +104,42 @@ def ay_perturbed_involution(g: int, field: NumberField | None = None) -> IET:
     return IET.pair_involution(field, lengths, pairing, circle=True)
 
 
-def ay_lift(g: int, field: NumberField | None = None,
-            involution: IET | None = None) -> IET:
-    """The double-cover interval exchange, normalized to circle length 1."""
+def ay_lift(g: int, involution: IET | None = None) -> IET:
+    """The double-cover interval exchange, normalized to circle length 1,
+    of `involution` (by default the boundary involution of genus g)."""
     if involution is None:
-        involution = ay_boundary_involution(g, field)
+        involution = ay_boundary_involution(g)
     return involution.scale(HALF).rotate(HALF)
 
 
-def ay_self_similarity_witness(g: int, involution: IET | None = None,
-                               lift: IET | None = None):
+def ay_self_similarity_witness(lift: IET):
     """The exact rotation offset conjugating the alpha-scaled lift to the
-    first-return map on [0, alpha), or None when no conjugacy exists.
-    A `lift` already built is used as it is."""
-    if g < GENUS_MIN:
-        raise InputError(f"construction requires g >= {GENUS_MIN}")
-    if lift is None:
-        lift = ay_lift(g, involution=involution)
+    first-return map on [0, alpha), or None when no conjugacy exists;
+    alpha is the generator of the lift's field."""
     alpha = lift.field.gen()
     returned = lift.first_return(alpha)
     scaled = lift.scale(alpha)
     return rotation_conjugacy(returned, scaled)
 
 
-def ay_self_similarity_check(g: int, involution: IET | None = None) -> bool:
-    """Whether the first-return map on [0, alpha) is an exact rotation
-    conjugate of the alpha-scaled lift (the renormalization property)."""
-    return ay_self_similarity_witness(g, involution=involution) is not None
-
-
 @dataclass(frozen=True)
 class AYSystem:
-    """All constructed objects for one genus."""
+    """All constructed objects for one genus, each built once."""
 
-    g: int
     field: NumberField
     boundary_involution: IET
     lift: IET
     stretch_minpoly: Poly
-    involution_square: IET
+    is_involution: bool
 
     @classmethod
     def build(cls, g: int) -> "AYSystem":
-        field = ay_alpha(g)
-        involution = ay_boundary_involution(g, field)
-        system = cls(g, field, involution, ay_lift(g, involution=involution),
-                     ay_stretch_minpoly(g), involution.compose(involution))
+        involution = ay_boundary_involution(g)
+        field = involution.field
+        square = involution.compose(involution)
+        system = cls(field, involution, ay_lift(g, involution),
+                     ay_stretch_minpoly(g),
+                     square == IET.identity(field, involution.total))
         system._check()
         return system
 
@@ -158,12 +147,5 @@ class AYSystem:
         # IET.__init__ checked that the total is the sum 2*(alpha + ... + alpha^g)
         if self.boundary_involution.total != 2:
             raise InputError("alpha powers do not sum to 1")
-        if not self.is_involution():
+        if not self.is_involution:
             raise InputError("boundary map is not an involution")
-
-    def is_involution(self) -> bool:
-        return self.involution_square == IET.identity(
-            self.field, self.boundary_involution.total)
-
-    def alpha(self) -> AlgNum:
-        return self.field.gen()

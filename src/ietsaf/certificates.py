@@ -18,14 +18,17 @@ fields and beta's minimal polynomial is the squarefree part
 chi / gcd(chi, chi') (`polys.trace_minpoly`, O(d^2) integer steps).  It
 reads neither the reversal of m nor `is_reciprocal`.
 
-The two must agree on every input; the test suite enforces this.  Both
-validate m in `_validate_stretch`, which builds one Sturm chain of m for
-the squarefree check and the root count above 1, and certifies
-irreducibility once.  The reciprocity criterion is only sound for
-irreducible m, so both verdicts carry a note when that certificate is
-missing.  `vanishing_verdicts` runs both criteria on one validation.
+The two must agree on every input; the test suite enforces this.  Every
+entry point validates m once, in `_validate_minpoly` (monic, integral,
+degree >= 1, squarefree by one Sturm chain); the command line passes it
+the parsed polynomial as it is.  Both criteria go through
+`_validate_stretch`, which counts the roots above 1 on that chain and
+certifies irreducibility once.  The reciprocity criterion is only sound
+for irreducible m, so both verdicts carry a note when that certificate
+is missing.  `vanishing_verdicts` runs both criteria on one validation.
 `ay --check` runs the nonlift checks on that same validation through
-`_nonlift`, so it certifies m once.
+`_nonlift`, so it certifies m once; `nonlift --oracle` reruns them with
+the brute-force completion on the validation of `nonlift_certificate`.
 
 The nonlift certificate decides whether lambda could be the stretch
 factor of a map lifted from a nonorientable surface of genus g+1: such a
@@ -40,7 +43,7 @@ A negative answer certifies that lambda is not such a lift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gf2
@@ -51,7 +54,6 @@ from .polys import (
     certify_irreducible,
     count_real_roots,
     is_reciprocal,
-    is_squarefree,
     reverse,
     sturm_chain,
     trace_minpoly,
@@ -104,18 +106,23 @@ class CertVerdict:
         }
 
 
-def _validate_stretch(m: Poly, interval=None):
-    """Validate preconditions, with one Sturm chain of m: monic, integral,
-    squarefree, m(0) != 0, and a real root > 1 (in `interval` when given).
-    Returns `certify_irreducible(m)`."""
+def _validate_minpoly(m: Poly):
+    """Check that m is monic, integral, of degree >= 1 and squarefree, and
+    return its Sturm chain, which the squarefree test builds."""
     if not (m.is_monic and m.is_integral):
         raise InputError("minimal polynomial must be monic with integer coefficients")
     if m.degree < 1:
         raise InputError("minimal polynomial must have degree >= 1")
     try:
-        chain = sturm_chain(m)
+        return sturm_chain(m)
     except NonSquarefreeError:
         raise InputError(f"minimal polynomial is not squarefree: {m}") from None
+
+
+def _validate_stretch(m: Poly, interval=None):
+    """`_validate_minpoly`, then, on its Sturm chain: m(0) != 0 and a real
+    root > 1 (in `interval` when given).  Returns `certify_irreducible(m)`."""
+    chain = _validate_minpoly(m)
     if m.constant() == 0:
         raise InputError("minimal polynomial must have nonzero constant term")
     if interval is not None:
@@ -262,14 +269,9 @@ def nonlift_certificate(m: Poly, g: int,
     product of degree g.  The first failure certifies exclusion; success
     returns the completion witness.
     """
-    if not (m.is_monic and m.is_integral):
-        raise InputError("certificate requires a monic integer polynomial")
-    if m.degree < 1:
-        raise InputError("certificate requires degree >= 1")
+    _validate_minpoly(m)
     if g < 1:
         raise InputError("genus must be >= 1")
-    if not is_squarefree(m):
-        raise InputError(f"certificate input is not squarefree: {m}")
     notes = ()
     if certify_irreducible(m) is None:
         notes = ("irreducibility unverified mod trial primes",)

@@ -36,9 +36,9 @@ class ReducibleModulusError(InputError):
     The offending factor is kept so callers can report it.
     """
 
-    def __init__(self, factor, message=None):
+    def __init__(self, factor):
         self.factor = factor
-        super().__init__(message or f"reducible modulus, factor found: {factor}")
+        super().__init__(f"reducible modulus, factor found: {factor}")
 
 
 class IterationCapError(RuntimeError):

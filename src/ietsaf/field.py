@@ -34,9 +34,10 @@ were taken.  `approx` bisects until the same enclosure is narrow enough.
 
 The constructor builds the integer Sturm chain of the modulus once and
 keeps it; its last entry also shows whether the modulus is squarefree.
-It checks that neither endpoint is a root with `sign_at`, counts the
-roots between them with the chain, and refines the interval to width
-2^-20 with the same integer bisection loop that signs use.
+It checks that neither endpoint is a root with `sign_at`, keeping the
+sign at the lower one for bisection, counts the roots between them with
+the chain, and refines the interval to width 2^-20 with the same integer
+bisection loop that signs use.
 Two field objects are equal when they have the same modulus and the
 same distinguished root, and deciding that costs one Sturm count with
 the kept chain on the intersection of the two isolating intervals.
@@ -55,13 +56,11 @@ elimination on those powers is fraction-free (cross-multiplication, then
 division by the content), so it is exact with no `Fraction` at all; the
 minimal polynomial of a is that of gamma at den*x, made monic.
 
-Irreducibility of the modulus is certified best-effort by reduction
-modulo small primes (`certify_irreducible`), on the first read of
-`certified_prime` and never by the constructor: arithmetic does not
-depend on it, so a field loaded from a file or built for the
-Arnoux-Yoccoz alpha is never certified unless something reads the
-prime.  An actually reducible modulus is detected loudly the moment
-inversion (or sign refinement) runs into a zero divisor.
+A field does not certify that its modulus is irreducible: arithmetic
+does not depend on it, and the stretch-factor criteria certify their own
+polynomial (`certificates`).  An actually reducible modulus is detected
+loudly the moment inversion (or sign refinement) runs into a zero
+divisor.
 
 `min_poly` is the method for a general element.  The field-degree
 vanishing criterion does not build a field: it reads the minimal
@@ -71,7 +70,6 @@ polynomial of lambda + 1/lambda off the integer coefficients of m
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -85,7 +83,6 @@ from .errors import (
 )
 from .polys import (
     Poly,
-    certify_irreducible,
     count_real_roots,
     poly_xgcd,
     primitive_gcd,
@@ -178,8 +175,8 @@ class NumberField:
         if lo >= hi:
             raise InputError("root interval is empty")
         ints = [c.numerator for c in modulus.coeffs]
-        if (sign_at(ints, lo.numerator, lo.denominator) == 0
-                or sign_at(ints, hi.numerator, hi.denominator) == 0):
+        sign_lo = sign_at(ints, lo.numerator, lo.denominator)
+        if sign_lo == 0 or sign_at(ints, hi.numerator, hi.denominator) == 0:
             raise InputError("root count in interval != 1 (root at an endpoint)")
         if count_real_roots(modulus, lo, hi, chain) != 1:
             raise InputError(
@@ -194,16 +191,11 @@ class NumberField:
         self._a = lo.numerator * (den // lo.denominator)
         self._b = hi.numerator * (den // hi.denominator)
         self._D = den
-        self._sign_lo = sign_at(ints, lo.numerator, lo.denominator)
+        self._sign_lo = sign_lo
         self._exact_root = None
         self._generation = 0
         self._high_powers = self._power_table()
         self.refine_interval(Fraction(1, 2 ** 20))
-
-    @functools.cached_property
-    def certified_prime(self):
-        """`certify_irreducible(modulus)`, computed on first read."""
-        return certify_irreducible(self.modulus)
 
     def _power_table(self):
         # integer coords of alpha^d .. alpha^(2d-2) in the power basis

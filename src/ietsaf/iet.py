@@ -24,19 +24,22 @@ one field object and is decided by their exact integer enclosures
 (`AlgNum._compare`).
 
 Inputs are validated once, at the boundary: the constructor, the public
-constructors built on it, and `from_pieces`.  Internal results (compose,
-inverse, rotate, scale, first_return, canonical and the move onto another
-field object) are built on a trusted path, `IET._from_tiling`: the
-caller hands over pieces (start, end, translation) in domain order that
-tile [0, L) and whose images tile it too, plus one sort key per piece
-that orders the images.  The builder derives perm from those keys and
-stores the breakpoints and translations as they are, with no exact
-re-check of the tiling.  Where the image order is known combinatorially
-the keys are ints: `compose` is one merge sweep of the inner map's
-images (in image order) against the outer map's pieces (in domain
-order), O(n + m), and a composite piece's image rank is (outer perm,
-inner perm).  Only `first_return` sorts its images by value.  `saf`
-builds its matrix antisymmetric, so it returns it through
+constructors built on it, and `from_pieces`.  The constructor keeps the
+partial sums it checks the total with as the breakpoints and derives the
+translations from them, so every IET, however built, stores both, and
+`breaks()` and `translations()` compute nothing.  Internal results
+(compose, inverse, rotate, scale, first_return, canonical and the move
+onto another field object) are built on a trusted path,
+`IET._from_tiling`: the caller hands over pieces (start, end,
+translation) in domain order that tile [0, L) and whose images tile it
+too, plus one sort key per piece that orders the images.  The builder
+derives perm from those keys and stores the breakpoints and translations
+as they are, with no exact re-check of the tiling.  Where the image
+order is known combinatorially the keys are ints: `compose` is one merge
+sweep of the inner map's images (in image order) against the outer map's
+pieces (in domain order), O(n + m), and a composite piece's image rank
+is (outer perm, inner perm).  Only `first_return` sorts its images by
+value.  `saf` builds its matrix antisymmetric, so it returns it through
 `WedgeClass._trusted`; the public `WedgeClass` constructor validates.
 """
 
@@ -164,18 +167,24 @@ class IET:
         for l in lengths:
             if l.sign() <= 0:
                 raise InputError("nonpositive interval length")
-        acc = field.zero()
+        breaks = [field.zero()]
         for l in lengths:
-            acc = acc + l
-        if acc != total:
+            breaks.append(breaks[-1] + l)
+        if breaks[-1] != total:
             raise InputError("lengths do not sum to the total length")
+        # in image order, each piece lands where the previous image ends
+        translations = [None] * n
+        offset = breaks[0]
+        for i in sorted(range(n), key=perm.__getitem__):
+            translations[i] = offset - breaks[i]
+            offset = offset + lengths[i]
         self.field = field
         self.total = total
         self.lengths = lengths
         self.perm = perm
         self.circle = bool(circle)
-        self._breaks = None
-        self._translations = None
+        self._breaks = tuple(breaks)
+        self._translations = tuple(translations)
 
     # -- derived data ----------------------------------------------------
 
@@ -185,29 +194,10 @@ class IET:
 
     def breaks(self):
         """Partition endpoints a_0 = 0 < a_1 < ... < a_n = L."""
-        if self._breaks is None:
-            acc = self.field.zero()
-            out = [acc]
-            for l in self.lengths:
-                acc = acc + l
-                out.append(acc)
-            self._breaks = tuple(out)
         return self._breaks
 
     def translations(self):
         """Per-interval translations, derived from lengths and perm."""
-        if self._translations is None:
-            n = self.n
-            inv = [0] * n
-            for i, k in enumerate(self.perm):
-                inv[k] = i
-            offsets = [self.field.zero()]
-            for k in range(n - 1):
-                offsets.append(offsets[-1] + self.lengths[inv[k]])
-            breaks = self.breaks()
-            self._translations = tuple(
-                offsets[self.perm[i]] - breaks[i] for i in range(n)
-            )
         return self._translations
 
     def pieces(self):

@@ -697,8 +697,8 @@ def is_irreducible_mod(p: Poly, q: int) -> bool:
     return h == x
 
 
-def certify_irreducible(p: Poly, primes=TRIAL_PRIMES):
-    """First prime in `primes` modulo which p is irreducible, else None.
+def certify_irreducible(p: Poly):
+    """First prime in TRIAL_PRIMES modulo which p is irreducible, else None.
 
     Irreducibility modulo any prime implies irreducibility over Q for a
     monic integer polynomial, so a hit is a sound certificate; a miss
@@ -706,7 +706,7 @@ def certify_irreducible(p: Poly, primes=TRIAL_PRIMES):
     """
     if not (p.is_monic and p.is_integral and p.degree >= 1):
         raise PolynomialError("irreducibility certification needs a monic integer polynomial")
-    for q in primes:
+    for q in TRIAL_PRIMES:
         if is_irreducible_mod(p, q):
             return q
     return None

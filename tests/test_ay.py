@@ -12,7 +12,6 @@ from ietsaf import (
     ay_boundary_involution,
     ay_lift,
     ay_perturbed_involution,
-    ay_self_similarity_check,
     ay_self_similarity_witness,
     ay_stretch_minpoly,
     eval_at,
@@ -73,8 +72,8 @@ def test_boundary_involution_first_block_swap():
 
 
 def test_lift_structure_g4():
-    field = ay_alpha(4)
-    lift = ay_lift(4, field)
+    lift = ay_lift(4)
+    field = lift.field
     alpha = field.gen()
     assert lift.total == field.one()
     # 2g intervals before wraparound splitting; one extra piece after
@@ -107,20 +106,18 @@ def test_stretch_minpoly():
 
 def test_self_similarity_conjugacy():
     for g in range(3, 13):
-        witness = ay_self_similarity_witness(g)
+        witness = ay_self_similarity_witness(ay_lift(g))
         assert witness is not None, g
         # offset is (3*alpha - 1)/2 in this chart
         field = witness.field
         expected = (field.gen() * 3 - 1) * HALF
         assert witness == expected
-        assert ay_self_similarity_check(g)
 
 
 def test_self_similarity_negative_control():
     invol = ay_perturbed_involution(3)
     assert invol.compose(invol) == IET.identity(invol.field, 2)
-    assert not ay_self_similarity_check(3, involution=invol)
-    assert ay_self_similarity_witness(3, involution=invol) is None
+    assert ay_self_similarity_witness(ay_lift(3, ay_perturbed_involution(3))) is None
 
 
 def test_system_build_and_consistency():
@@ -131,7 +128,8 @@ def test_system_build_and_consistency():
         assert verdict.vanishes
         cert = nonlift_certificate(system.stretch_minpoly, g)
         assert cert.outcome == OUTCOME_INCONCLUSIVE
-        assert system.lift == ay_lift(g, system.field)
+        assert system.lift == ay_lift(g)
+        assert system.is_involution
 
 
 def test_system_check_rejects_a_wrong_circumference():
@@ -140,7 +138,6 @@ def test_system_check_rejects_a_wrong_circumference():
         system, boundary_involution=IET.identity(system.field, 1, circle=True))
     with pytest.raises(InputError, match="alpha powers do not sum to 1"):
         short._check()
-    unpaired = dataclasses.replace(
-        system, involution_square=IET.rotation(system.field, 2, HALF))
+    unpaired = dataclasses.replace(system, is_involution=False)
     with pytest.raises(InputError, match="boundary map is not an involution"):
         unpaired._check()

@@ -121,8 +121,8 @@ def test_vanishing_call_counts(monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(certificates, "is_squarefree",
-                        counting("is_squarefree", certificates.is_squarefree))
+    monkeypatch.setattr(polys, "is_squarefree",
+                        counting("is_squarefree", polys.is_squarefree))
     chain = counting("sturm_chain", polys.sturm_chain)
     for module in (polys, field, certificates):
         monkeypatch.setattr(module, "sturm_chain", chain)

@@ -174,8 +174,8 @@ def test_ay_check_prints_each_verdict_note_once(capsys):
 
 
 def test_ay_check_certifies_the_stretch_polynomial_once(monkeypatch, capsys):
-    """The alpha field's prime is never read, and the nonlift verdict
-    reuses the validation and certificate of the vanishing verdicts."""
+    """No field certifies its modulus, and the nonlift verdict reuses the
+    validation and certificate of the vanishing verdicts."""
     calls = []
     certify = ietsaf.polys.certify_irreducible
 
@@ -183,11 +183,50 @@ def test_ay_check_certifies_the_stretch_polynomial_once(monkeypatch, capsys):
         calls.append(p)
         return certify(p, *args)
 
-    for module in (ietsaf.polys, ietsaf.field, ietsaf.certificates):
+    for module in (ietsaf.polys, ietsaf.certificates):
         monkeypatch.setattr(module, "certify_irreducible", counting)
     code, out, _ = run(capsys, ["ay", "--genus", "5", "--check"])
     assert code == 0 and "all checks pass: True" in out
     assert calls == [ietsaf.ay_stretch_minpoly(5)]
+
+
+def test_nonlift_oracle_validates_and_certifies_once(monkeypatch, capsys):
+    """The brute-force oracle reruns the checks past validation on the
+    validation of the certificate: one Sturm chain, one certificate."""
+    counts = {"sturm_chain": 0, "certify": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    chain = counting("sturm_chain", ietsaf.polys.sturm_chain)
+    certify = counting("certify", ietsaf.polys.certify_irreducible)
+    for module in (ietsaf.polys, ietsaf.field, ietsaf.certificates):
+        monkeypatch.setattr(module, "sturm_chain", chain)
+    for module in (ietsaf.polys, ietsaf.certificates):
+        monkeypatch.setattr(module, "certify_irreducible", certify)
+    code, out, _ = run(capsys, ["nonlift", "--minpoly", "-1,-1,-1,-1,1",
+                                "--genus", "6", "--oracle"])
+    assert code == 0 and "brute-force oracle agrees: True" in out
+    assert counts == {"sturm_chain": 1, "certify": 1}
+
+
+def test_ay_check_builds_one_identity(monkeypatch, capsys):
+    """`ay --check` decides the involution check once, in `AYSystem.build`,
+    and the report reads the stored answer."""
+    calls = []
+    identity = ietsaf.IET.identity.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return identity(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ietsaf.IET, "identity", classmethod(counting))
+    code, out, _ = run(capsys, ["ay", "--genus", "8", "--check"])
+    assert code == 0 and "check involution: pass" in out
+    assert len(calls) == 1
 
 
 def test_ay_genus_8_report(capsys):

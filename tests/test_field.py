@@ -31,7 +31,6 @@ QUAD = Poly([1, -3, 1])          # x^2 - 3x + 1, root ~ 2.618
 def test_field_new_examples():
     k3 = NumberField(AY3, 0, 1)
     assert k3.degree == 3
-    assert k3.certified_prime == 3
     quad = NumberField(QUAD, 2, 3)
     assert quad.degree == 2
     with pytest.raises(InputError):
@@ -154,7 +153,6 @@ def test_reducible_modulus_detected_on_inversion():
     # (x^2+1)(x+2) is squarefree with a single real root -2... use interval around it
     modulus = Poly([1, 0, 1]) * Poly([2, 1])
     field = NumberField(modulus, -3, 0)
-    assert field.certified_prime is None
     # x^2 + 1 is a zero divisor: inversion must name a factor
     elem = field.element([1, 0, 1])
     with pytest.raises(ReducibleModulusError) as info:

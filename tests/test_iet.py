@@ -322,8 +322,8 @@ def test_rotation_conjugacy_none_for_different_maps(k3):
 
 def test_rotation_conjugacy_negatives_agree_with_oracle(k3):
     # the perturbed Arnoux-Yoccoz lift is not self-similar
-    lift = ay_lift(3, involution=ay_perturbed_involution(3, k3))
-    alpha = k3.gen()
+    lift = ay_lift(3, involution=ay_perturbed_involution(3))
+    alpha = lift.field.gen()
     returned, scaled = lift.first_return(alpha), lift.scale(alpha)
     assert rotation_conjugacy(returned, scaled) is None
     assert rotation_conjugacy_by_compose(returned, scaled) is None
@@ -331,7 +331,7 @@ def test_rotation_conjugacy_negatives_agree_with_oracle(k3):
     three = IET(k3, 1, [quarter, quarter, 2 * quarter], [2, 1, 0], circle=True)
     four = IET(k3, 1, [eighth, quarter, eighth, 4 * eighth], [3, 2, 1, 0],
                circle=True)
-    rot = IET.rotation(k3, 1, alpha)
+    rot = IET.rotation(k3, 1, k3.gen())
     assert [len(cyclic_discontinuities(f)) for f in (three, four, rot)] == [3, 4, 0]
     # arc translations 0, 1/2, 0, 1/2 in both, arc lengths differ
     uneven = IET(k3, 1, [3 * eighth, eighth, 3 * eighth, eighth], [2, 1, 0, 3],

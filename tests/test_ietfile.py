@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from ietsaf import IET, NumberField, ParseError, Poly, ay_lift, dumps_iet, field, loads_iet
+from ietsaf import (IET, AlgNum, NumberField, ParseError, Poly, ay_lift, certificates,
+                    dumps_iet, loads_iet, polys)
 from ietsaf.ietfile import coords_to_string, parse_coords
 
 from helpers import random_cubic_field, random_iet
@@ -21,19 +22,33 @@ def test_round_trip_bytes_ay():
 
 def test_loading_and_composing_certify_nothing(monkeypatch):
     calls = []
-    certify = field.certify_irreducible
+    certify = polys.certify_irreducible
 
     def counting(p, *args):
         calls.append(p)
         return certify(p, *args)
 
-    monkeypatch.setattr(field, "certify_irreducible", counting)
+    for module in (polys, certificates):
+        monkeypatch.setattr(module, "certify_irreducible", counting)
     text = dumps_iet(ay_lift(3))
     f, g = loads_iet(text), loads_iet(text)
     f.compose(g.inverse())
     assert calls == []
-    assert f.field.certified_prime == 3 and f.field.certified_prime == 3
-    assert calls == [f.field.modulus]       # certified on first read, once
+
+
+def test_loaded_breaks_and_translations_do_no_arithmetic(monkeypatch):
+    """The constructor that `loads_iet` runs stores the breakpoints and
+    translations, so reading them adds, subtracts and multiplies nothing."""
+    f = loads_iet(dumps_iet(ay_lift(4)))
+
+    def refuse(*args):
+        raise AssertionError("AlgNum arithmetic on a loaded IET")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__neg__"):
+        monkeypatch.setattr(AlgNum, name, refuse)
+    assert len(f.breaks()) == f.n + 1 and len(f.translations()) == f.n
+    assert len(f.pieces()) == f.n
 
 
 def test_round_trip_random():
