@@ -462,6 +462,35 @@ def test_error_lines_match_golden(name, capsys):
             if not line.startswith("elapsed:")] == case["stderr"].splitlines(True)
 
 
+STRETCH_GOLDEN = json.loads(
+    (DATA / "stretch_verdicts_json.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(STRETCH_GOLDEN))
+def test_stretch_verdicts_match_golden(name, capsys):
+    """`vanishing --json` and `nonlift --json` (genus d + 2) on Lehmer's
+    polynomial, the AY stretch polynomials g = 19, 21 and 22, which every
+    trial prime misses, x^4 - 10x^2 + 1 and the reciprocal quartic
+    x^4 - x^3 - x^2 - x + 1: recorded before the early rejections in
+    `is_irreducible_mod` and `trace_minpoly`."""
+    case = STRETCH_GOLDEN[name]
+    code, out, err = run(capsys, case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])
+    assert [line for line in err.splitlines(True)
+            if not line.startswith("elapsed:")] == case["stderr"].splitlines(True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ay", "--genus", "2"],
+    ["ay", "--genus", "2", "--check"],
+    ["ay", "--genus", "-1", "--check", "--json"],
+])
+def test_ay_below_genus_3_exits_2(argv, capsys):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == "error: construction requires genus >= 3"
+
+
 @pytest.mark.parametrize("argv", [
     ["vanishing", "--minpoly", "-1,-1,-1,1", "--json"],
     ["nonlift", "--minpoly", "1,-3,1", "--genus", "4", "--oracle", "--json"],
