@@ -56,6 +56,12 @@ def ay_stretch_minpoly(g: int) -> Poly:
     return Poly([-1] * g + [1])
 
 
+def _require_genus(g: int) -> None:
+    """The one check of the construction's genus, for the command line too."""
+    if g < GENUS_MIN:
+        raise InputError(f"construction requires genus >= {GENUS_MIN}")
+
+
 def _blocks(field: NumberField, g: int):
     alpha = field.gen()
     out = []
@@ -73,8 +79,7 @@ def ay_boundary_involution(g: int) -> IET:
     Blocks alpha, alpha, alpha^2, alpha^2, ..., alpha^g, alpha^g in
     cyclic order starting at 0, adjacent equal blocks swapped.
     """
-    if g < GENUS_MIN:
-        raise InputError(f"construction requires g >= {GENUS_MIN}")
+    _require_genus(g)
     field = ay_alpha(g)
     powers = _blocks(field, g)
     lengths = []
@@ -88,8 +93,7 @@ def ay_boundary_involution(g: int) -> IET:
 def ay_perturbed_involution(g: int) -> IET:
     """Negative control: a valid pair involution with the cyclic positions
     of one alpha^2 and one alpha^3 block exchanged.  Not self-similar."""
-    if g < GENUS_MIN:
-        raise InputError(f"construction requires g >= {GENUS_MIN}")
+    _require_genus(g)
     field = ay_alpha(g)
     powers = _blocks(field, g)
     lengths = []

@@ -157,6 +157,14 @@ class IET:
 
     def __init__(self, field: NumberField, total, lengths, perm, circle=False):
         total = _coerce(field, total)
+        self._tile(field, lengths, perm, circle)
+        if self.total != total:
+            raise InputError("lengths do not sum to the total length")
+        self.total = total
+
+    def _tile(self, field: NumberField, lengths, perm, circle) -> None:
+        """Validate `lengths` and `perm` and store them, with total = the
+        sum of the lengths, the breakpoints and the translations."""
         lengths = tuple(_coerce(field, l) for l in lengths)
         perm = tuple(int(k) for k in perm)
         n = len(lengths)
@@ -170,8 +178,6 @@ class IET:
         breaks = [field.zero()]
         for l in lengths:
             breaks.append(breaks[-1] + l)
-        if breaks[-1] != total:
-            raise InputError("lengths do not sum to the total length")
         # in image order, each piece lands where the previous image ends
         translations = [None] * n
         offset = breaks[0]
@@ -179,7 +185,7 @@ class IET:
             translations[i] = offset - breaks[i]
             offset = offset + lengths[i]
         self.field = field
-        self.total = total
+        self.total = breaks[-1]
         self.lengths = lengths
         self.perm = perm
         self.circle = bool(circle)
@@ -299,10 +305,9 @@ class IET:
                 raise InputError("pairing not an involution")
             if j != i and lengths[i] != lengths[j]:
                 raise InputError(f"length mismatch within pair ({i}, {j})")
-        acc = field.zero()
-        for l in lengths:
-            acc = acc + l
-        return cls(field, acc, lengths, pairing, circle)
+        out = object.__new__(cls)
+        out._tile(field, lengths, pairing, circle)   # the total is the sum it forms
+        return out
 
     # -- evaluation ---------------------------------------------------------
 

@@ -40,9 +40,19 @@ the largest sum the kernel forms, so no slot ever carries; at q = 13,
 an unpack (`to_bytes` into an `array`), and a fold of the high slots
 through packed rows of x^d .. x^(2d-2) mod f.  The rows x^(iq) mod f of
 the Frobenius map are built once per (f, q), so h -> h^q is d small-int
-times bigint multiply-adds and one unpack.  Rabin's test is then one
-pass over x^(q^k) for k = 1..d: gcd(x^(q^k) - x, f) = 1 at each k = d/r,
-r a prime factor of d, and x^(q^d) = x.
+times bigint multiply-adds and one unpack.
+
+Rabin's test is one pass over h_k = x^(q^k) mod f for k = 1..d.  It
+starts with k = 1 on plain lists: x^q mod f is a monomial or one `_mmod`
+when q <= 2d-2 (else a packed power), and gcd(x^q - x, f) != 1 means f
+has a root mod q, so f (d >= 2) is reducible and the test answers
+before the Frobenius rows 2..d-1 exist.  Most of the trial primes find
+such a root on the stretch polynomials they do not certify.  The rest
+of the pass is the Frobenius map from k = 2: gcd(h_k - x, f) = 1 at
+each k = d/r, r a prime factor of d, and h_d = x.  The k = 1 gcd is the
+first distinct-degree step; it changes no answer, since an irreducible
+f of degree >= 2 has no root.  A prime too wide for 64-bit slots is
+refused before any answer.
 """
 
 from __future__ import annotations
@@ -56,6 +66,9 @@ from math import gcd, lcm
 from .errors import NonSquarefreeError, ParseError, PolynomialError
 
 TRIAL_PRIMES = (2, 3, 5, 7, 11, 13)
+# odd primes for the squarefree filter of `trace_minpoly`: chi mod 2 was
+# not squarefree for any Arnoux-Yoccoz stretch polynomial tried
+SQUAREFREE_PRIMES = (3, 5)
 
 _RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -338,7 +351,8 @@ def is_reciprocal(p: Poly) -> bool:
         raise PolynomialError("reciprocity test requires nonzero constant term")
     if a != 1 and a != -1:
         return False
-    return reverse(p) == a * p
+    cs = p.coeffs     # reverse(p) == a*p, one coefficient pair at a time
+    return all(cs[-1 - i] == a * c for i, c in enumerate(cs[:(len(cs) + 1) // 2]))
 
 
 def is_squarefree(p: Poly) -> bool:
@@ -513,8 +527,15 @@ def trace_minpoly(m: Poly) -> Poly:
     Mod y^2 - x*y + 1 over Z[x], y^k = U_k*y - U_(k-1) with U_(k+1) =
     x*U_k - U_(k-1), U_0 = 0, U_(-1) = -1, so m = A*y + B and the resultant
     m(0)*chi = A^2 + x*A*B + B^2 (`certificates` has why), formed up to
-    x^d since the higher terms cancel.  The result is chi / gcd(chi, chi'),
-    the gcd by `primitive_gcd`, the quotient exact over Z.
+    x^d since the higher terms cancel.  The result is chi / gcd(chi, chi').
+
+    A modular filter skips the gcd over Z when it can: for an odd prime q
+    in SQUAREFREE_PRIMES (3, then 5) that does not divide lc(chi),
+    gcd(chi mod q, chi' mod q) = 1 proves chi squarefree over Q, since a
+    square factor of chi over Z would survive reduction mod q with its
+    degree.  Otherwise (reciprocal m always lands here, chi being a
+    square) the gcd comes from `primitive_gcd` and the quotient is exact
+    over Z.
     """
     a = _int_coeffs(m)
     n = len(a)
@@ -531,14 +552,17 @@ def trace_minpoly(m: Poly) -> Poly:
             chi[i + j] += ai * A[j] + bi * B[j]
             chi[i + j + 1] += ai * B[j]
     chi = _primitive(chi[:n])     # drop x^(d+1), whose sum is incomplete
-    g = primitive_gcd(chi, [i * c for i, c in enumerate(chi)][1:])
-    if len(g) > 1:
-        quo = [0] * (n - len(g) + 1)
-        for i in range(len(quo) - 1, -1, -1):
-            c = quo[i] = chi[i + len(g) - 1] // g[-1]
-            for j, y in enumerate(g, i):
-                chi[j] -= c * y
-        chi = quo
+    deriv = [i * c for i, c in enumerate(chi)][1:]
+    if not any(chi[-1] % q and len(_mgcd([c % q for c in chi], [c % q for c in deriv], q)) == 1
+               for q in SQUAREFREE_PRIMES):
+        g = primitive_gcd(chi, deriv)
+        if len(g) > 1:
+            quo = [0] * (n - len(g) + 1)
+            for i in range(len(quo) - 1, -1, -1):
+                c = quo[i] = chi[i + len(g) - 1] // g[-1]
+                for j, y in enumerate(g, i):
+                    chi[j] -= c * y
+            chi = quo
     lead = chi[-1]
     return Poly([Fraction(c, lead) for c in chi])
 
@@ -588,22 +612,31 @@ def _prime_factors(n: int):
     return sorted(out)
 
 
+def _slot_size(d: int, q: int) -> int:
+    """Bytes per packed slot for degree d mod q: the least of 2, 4 and 8
+    above d*(q-1)^2 + q - 1, the largest sum formed, so no slot carries.
+    A prime too large for 64-bit slots is refused."""
+    bound = d * (q - 1) ** 2 + q - 1
+    size = min((s for s in _SLOT_CODES if bound < 1 << (8 * s)), default=None)
+    if size is None:
+        raise PolynomialError(f"prime {q} too large for degree {d}")
+    return size
+
+
 class _PackedResidues:
     """Arithmetic in GF(q)[x]/(f) on packed residues, f monic of degree d >= 2.
 
     Coefficient i of a residue sits in slot i of one Python int (the
-    module docstring has the slot width and the product).  The Frobenius
-    rows x^(iq) mod f are built once: a row with iq <= 2d-2 is a monomial
-    or a row of the reduction table, and each later one is the row before
-    it times x^q.  A prime too large for 64-bit slots is refused.
+    module docstring has the slot width and the product).  The rows
+    x^d .. x^(2d-2) mod f are built with the ring; the Frobenius rows
+    x^(iq) mod f are built once, from x^q, by `frobenius_table`: a row with
+    iq <= 2d-2 is a monomial or a row of the reduction table, and each
+    later one is the row before it times x^q.
     """
 
     def __init__(self, f, q):
         d = len(f) - 1
-        bound = d * (q - 1) ** 2 + q - 1    # the largest sum formed: no slot carries
-        size = min((s for s in _SLOT_CODES if bound < 1 << (8 * s)), default=None)
-        if size is None:
-            raise PolynomialError(f"prime {q} too large for degree {d}")
+        size = _slot_size(d, q)
         self.q, self.d, self.size, self.code = q, d, size, _SLOT_CODES[size]
         reduction = [-c % q for c in f[:-1]]     # x^d mod f
         cur, high = reduction, []
@@ -615,14 +648,17 @@ class _PackedResidues:
                 cur = [(a + top * b) % q for a, b in zip(cur, reduction)]
         self.high = high
 
-        def x_to(j):    # x^j mod f for j <= 2d-2, with no product
-            return 1 << (8 * size * j) if j < d else high[j - d]
+    def x_to(self, j: int) -> int:
+        """x^j mod f for j <= 2d-2, with no product."""
+        return 1 << (8 * self.size * j) if j < self.d else self.high[j - self.d]
 
-        # Frobenius rows x^(iq) mod f: h^q = sum h_i x^(iq) over GF(q)
-        x_q = x_to(q) if q <= 2 * d - 2 else self.power(x_to(1), q)
+    def frobenius_table(self, x_q: int) -> None:
+        """The rows x^(iq) mod f, i < d, from x_q = x^q mod f: h^q = sum
+        h_i x^(iq) over GF(q)."""
+        d, q = self.d, self.q
         rows = [1, x_q]
         for i in range(2, d):
-            rows.append(x_to(i * q) if i * q <= 2 * d - 2 else self.mul(rows[-1], x_q))
+            rows.append(self.x_to(i * q) if i * q <= 2 * d - 2 else self.mul(rows[-1], x_q))
         self.frobenius_rows = rows
 
     def pack(self, coeffs) -> int:
@@ -666,35 +702,56 @@ class _PackedResidues:
         return self.unpack(acc, self.d)
 
 
-def is_irreducible_mod(p: Poly, q: int) -> bool:
-    """Rabin irreducibility test for p reduced modulo the prime q.
+def _coprime_minus_x(h, f, q) -> bool:
+    """Whether gcd(h - x, f) = 1 over GF(q), for a residue list h of length >= 2."""
+    diff = list(h)
+    diff[1] = (diff[1] - 1) % q
+    return len(_mgcd(diff, f, q)) == 1
 
-    One pass over h_k = x^(q^k) mod f for k = 1..d, each step one
-    Frobenius map: gcd(h_k - x, f) = 1 at each k = d/r (r a prime factor
-    of d), and h_d = x.
-    """
-    f = _mtrim([c % q for c in _int_coeffs(p)])
+
+def _irreducible_mod(a, q: int) -> bool:
+    """`is_irreducible_mod` on the integer coefficient list a."""
+    f = _mtrim([c % q for c in a])
     d = len(f) - 1
-    if d < p.degree:
+    if d < len(a) - 1:
         return False  # leading coefficient vanished mod q
     if d == 0:
         return False
     if d == 1:
         return True
+    _slot_size(d, q)    # refuse a prime too wide for the slots before any answer
     inv_lead = pow(f[-1], -1, q)
     f = [c * inv_lead % q for c in f]
-    ring = _PackedResidues(f, q)
+    # k = 1 on plain lists: a root mod q answers before the Frobenius table
+    ring = None
+    if q <= 2 * d - 2:
+        x_q = _mmod([0] * q + [1], f, q)
+    else:
+        ring = _PackedResidues(f, q)
+        x_q = ring.unpack(ring.power(ring.x_to(1), q), d)
+    x_q += [0] * (d - len(x_q))
+    if not _coprime_minus_x(x_q, f, q):
+        return False
+    if ring is None:
+        ring = _PackedResidues(f, q)
+    ring.frobenius_table(ring.pack(x_q))
     checks = {d // r for r in _prime_factors(d)}
-    x = [0, 1] + [0] * (d - 2)
-    h = x
-    for k in range(1, d + 1):
+    h = x_q
+    for k in range(2, d + 1):
         h = ring.frobenius(h)
-        if k in checks:
-            diff = list(h)
-            diff[1] = (diff[1] - 1) % q
-            if len(_mgcd(diff, f, q)) != 1:
-                return False
-    return h == x
+        if k in checks and not _coprime_minus_x(h, f, q):
+            return False
+    return h == [0, 1] + [0] * (d - 2)
+
+
+def is_irreducible_mod(p: Poly, q: int) -> bool:
+    """Rabin irreducibility test for p reduced modulo the prime q.
+
+    One pass over h_k = x^(q^k) mod f for k = 1..d (the module docstring
+    has the order of its steps): gcd(h_k - x, f) = 1 at k = 1 and at each
+    k = d/r (r a prime factor of d), and h_d = x.
+    """
+    return _irreducible_mod(_int_coeffs(p), q)
 
 
 def certify_irreducible(p: Poly):
@@ -706,7 +763,8 @@ def certify_irreducible(p: Poly):
     """
     if not (p.is_monic and p.is_integral and p.degree >= 1):
         raise PolynomialError("irreducibility certification needs a monic integer polynomial")
+    a = _int_coeffs(p)
     for q in TRIAL_PRIMES:
-        if is_irreducible_mod(p, q):
+        if _irreducible_mod(a, q):
             return q
     return None

@@ -177,6 +177,38 @@ def test_pair_involution_examples(k3):
         IET.pair_involution(k3, [a, a * a], [1, 0])
 
 
+def test_pair_involution_errors(k3):
+    a = k3.gen()
+    with pytest.raises(InputError, match="pairing not a bijection"):
+        IET.pair_involution(k3, [a, a], [0, 0])
+    with pytest.raises(InputError, match="at least one interval"):
+        IET.pair_involution(k3, [], [])
+    with pytest.raises(InputError, match="nonpositive interval length"):
+        IET.pair_involution(k3, [-a, -a], [1, 0])
+
+
+def test_pair_involution_sums_the_lengths_once(k3, monkeypatch):
+    """16 blocks, as at genus 8: the breakpoints and the image offsets are
+    one addition per block each (the parent summed the blocks once more)."""
+    a = k3.gen()
+    lengths = [a * k for k in range(1, 9) for _ in range(2)]
+    pairing = [k ^ 1 for k in range(16)]
+    calls = []
+    add = ietsaf.field.AlgNum.__add__
+
+    def counting_add(self, other):
+        calls.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(ietsaf.field.AlgNum, "__add__", counting_add)
+    invol = IET.pair_involution(k3, lengths, pairing)
+    assert len(calls) == 32
+    monkeypatch.undo()
+    total = sum(lengths[1:], lengths[0])
+    assert invol == IET(k3, total, lengths, pairing, circle=True)
+    assert invol.total == total
+
+
 def test_pair_involutions_random(k3):
     rng = random.Random(53)
     for _ in range(20):

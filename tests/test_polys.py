@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import ietsaf.polys
+
 from ietsaf import (
     NonSquarefreeError,
     ParseError,
@@ -266,6 +268,107 @@ def test_irreducible_mod_on_wide_slots():
         is_irreducible_mod(Poly([1, 0, 1]), 2 ** 61 - 1)   # no slot is wide enough
 
 
+AY22 = Poly([-1] * 22 + [1])     # every trial prime misses it
+
+
+def _count_calls(monkeypatch, name):
+    """The results of every call of `ietsaf.polys.<name>` from now on."""
+    calls = []
+    original = getattr(ietsaf.polys, name)
+
+    def counting(*args):
+        calls.append(original(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(ietsaf.polys, name, counting)
+    return calls
+
+
+def test_root_mod_q_answers_before_the_frobenius_table(monkeypatch):
+    """AY22 has a root mod 3: the k = 1 gcd on plain lists says so, and no
+    packed ring is built (x^3 mod f is a monomial)."""
+    built = _count_calls(monkeypatch, "_PackedResidues")
+    assert not is_irreducible_mod(AY22, 3)
+    assert built == []
+    assert is_irreducible_mod_by_powering(AY22, 3) is False
+    # with q > 2d - 2, x^q mod f is a packed power: the ring, but no table
+    assert not is_irreducible_mod(Poly([-2, 0, 1]), 7)        # 3^2 = 2 mod 7
+    assert len(built) == 1 and not hasattr(built[0], "frobenius_rows")
+
+
+def test_certify_irreducible_agrees_with_sympy_on_ay_polynomials():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for g in range(3, 26):
+        coeffs = [-1] * g + [1]
+        expected = next((q for q in TRIAL_PRIMES if sympy.Poly(
+            coeffs[::-1], x, modulus=q).is_irreducible), None)
+        assert certify_irreducible(Poly(coeffs)) == expected, g
+    assert certify_irreducible(AY22) is None
+
+
+def test_wide_slot_refusal_comes_before_a_root():
+    # x^2 - 1 has the root 1 mod every prime; the slot width is still refused
+    with pytest.raises(PolynomialError, match="too large"):
+        is_irreducible_mod(Poly([-1, 0, 1]), 2 ** 61 - 1)
+
+
+def test_trace_minpoly_skips_the_integer_gcd_when_chi_is_squarefree_mod_3(monkeypatch):
+    calls = _count_calls(monkeypatch, "primitive_gcd")
+    mu = trace_minpoly(AY22)
+    assert calls == []
+    monkeypatch.undo()
+    assert mu.degree == 22 and mu == trace_minpoly_by_sympy(AY22)
+
+
+def test_trace_minpoly_of_a_reciprocal_m_takes_the_integer_gcd(monkeypatch):
+    m = Poly([1, -1, -1, -1, 1])    # chi is the square of beta's polynomial
+    calls = _count_calls(monkeypatch, "primitive_gcd")
+    mu = trace_minpoly(m)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert mu == Poly([-3, -1, 1]) == trace_minpoly_by_sympy(m)
+
+
+def test_trace_minpoly_falls_back_when_no_filter_prime_proves_squarefree(monkeypatch):
+    """m = x^3 - x^2 - 3x - 3: chi is squarefree over Q, but 3 divides its
+    leading coefficient and chi mod 5 is not squarefree, so the answer
+    comes from the integer gcd and matches both oracles."""
+    sympy = pytest.importorskip("sympy")
+    m = Poly([-3, -3, -1, 1])
+    chi = resultant_by_sympy(m).primitive()[1]
+    x = chi.gens[0]
+    assert chi.degree() == 3 and sympy.gcd(chi, chi.diff(x)).degree() == 0
+    assert chi.LC() % 3 == 0
+    chi_5 = sympy.Poly(chi.as_expr(), x, modulus=5)
+    assert chi_5.degree() == 3 and chi_5.gcd(chi_5.diff(x)).degree() > 0
+    calls = _count_calls(monkeypatch, "primitive_gcd")
+    mu = trace_minpoly(m)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert mu == trace_minpoly_by_sympy(m)
+    field = field_at_a_real_root(m)
+    lam = field.gen()
+    beta = lam + lam.inverse()
+    assert mu == beta.min_poly() == min_poly_by_fractions(beta).monic()
+
+
+def resultant_by_sympy(m):
+    """Res_y(m(y), y^2 - xy + 1) = m(0) chi(x), as a sympy polynomial in x."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    my = sum(int(c) * y ** i for i, c in enumerate(m.coeffs))
+    return sympy.Poly(sympy.resultant(my, y ** 2 - x * y + 1, y), x)
+
+
+def trace_minpoly_by_sympy(m):
+    """The monic squarefree part of chi."""
+    sympy = pytest.importorskip("sympy")
+    chi = resultant_by_sympy(m)
+    radical = sympy.Poly(sympy.sqf_part(chi.as_expr()), chi.gens[0]).monic()
+    return Poly([Fraction(int(c.p), int(c.q)) for c in reversed(radical.all_coeffs())])
+
+
 def test_poly_string_round_trip():
     p = Poly.from_string("1/2,-3,0,1")
     assert p.coeffs == (Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(1))
@@ -353,13 +456,7 @@ def test_trace_minpoly_examples():
     [3, -2, 0, 5, 1, -1, 2, 1],
 ])
 def test_trace_minpoly_matches_sympy_resultant(coeffs):
-    sympy = pytest.importorskip("sympy")
-    x, y = sympy.symbols("x y")
-    m = sum(c * y ** i for i, c in enumerate(coeffs))
-    chi = sympy.Poly(sympy.resultant(m, y ** 2 - x * y + 1, y), x) * sympy.Rational(1, coeffs[0])
-    radical = sympy.Poly(sympy.sqf_part(chi.as_expr()), x).monic()
-    expected = Poly([Fraction(int(c.p), int(c.q)) for c in reversed(radical.all_coeffs())])
-    assert trace_minpoly(Poly(coeffs)) == expected
+    assert trace_minpoly(Poly(coeffs)) == trace_minpoly_by_sympy(Poly(coeffs))
 
 try:
     from hypothesis import assume, example, given, settings
