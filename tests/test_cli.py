@@ -462,6 +462,24 @@ def test_error_lines_match_golden(name, capsys):
             if not line.startswith("elapsed:")] == case["stderr"].splitlines(True)
 
 
+IET_ERROR_GOLDEN = json.loads(
+    (DATA / "iet_error_lines.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(IET_ERROR_GOLDEN))
+def test_iet_file_error_lines_match_golden(name, tmp_path, capsys):
+    """Exit code, empty stdout and the `error:` line of `saf FILE` on IET
+    files with a bad modulus, root interval, lengths or perm: recorded
+    before the field and the certificates shared one polynomial check."""
+    case = IET_ERROR_GOLDEN[name]
+    path = tmp_path / "bad.iet"
+    path.write_text(json.dumps(case["iet"]), encoding="utf-8")
+    code, out, err = run(capsys, ["saf", str(path)])
+    assert (code, out) == (case["exit"], "")
+    assert [line for line in err.splitlines(True)
+            if not line.startswith("elapsed:")] == case["stderr"].splitlines(True)
+
+
 STRETCH_GOLDEN = json.loads(
     (DATA / "stretch_verdicts_json.json").read_text(encoding="utf-8"))
 

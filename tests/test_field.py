@@ -299,6 +299,19 @@ def test_rational_root_hit_exactly_by_bisection():
     assert Fraction(99, 100) < a < Fraction(101, 100)
 
 
+def test_field_equality_after_bisection_hit_a_rational_root():
+    """A field whose bisection hit the root 1 of (x - 1)(x^2 - 2) equals a
+    twin field around 1 and differs from one around sqrt 2, both ways."""
+    modulus = Poly([-1, 1]) * Poly([-2, 0, 1])
+    exact = NumberField(modulus, Fraction(3, 4), Fraction(5, 4))
+    assert exact.exact_root == 1
+    near_one = NumberField(modulus, 0, Fraction(5, 4))
+    near_root2 = NumberField(modulus, Fraction(5, 4), Fraction(3, 2))
+    assert near_one.exact_root is None and near_root2.exact_root is None
+    assert exact == near_one and near_one == exact
+    assert exact != near_root2 and near_root2 != exact
+
+
 def test_zero_divisor_raises_through_the_gcd_check():
     modulus = Poly([-2, 0, 1]) * Poly([-3, 0, 1])  # x^4 - 5x^2 + 6
     field = NumberField(modulus, 1, Fraction(3, 2))

@@ -302,6 +302,22 @@ def test_from_pieces_validates_the_tiling(k3):
     assert swap.perm == (1, 0) and swap == IET.rotation(k3, 1, 1 - a)
 
 
+def test_from_pieces_rejects_pieces_that_do_not_start_at_0(k3):
+    quarter = Fraction(1, 4)
+    with pytest.raises(InputError, match="pieces do not start at 0"):
+        IET.from_pieces(k3, 1, [(quarter, 1, -quarter)])
+    with pytest.raises(InputError, match="pieces do not start at 0"):
+        IET.from_pieces(k3, 1, [(quarter, Fraction(1, 2), 0), (Fraction(1, 2), 1, 0)])
+
+
+def test_from_pieces_rejects_overlapping_images(k3):
+    """[0, 1/2) stays and [1/2, 1) moves onto [1/4, 3/4): the domain is
+    tiled and the lengths sum to 1, but the images overlap."""
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    with pytest.raises(InputError, match="image intervals do not tile"):
+        IET.from_pieces(k3, 1, [(0, half, 0), (half, 1, -quarter)])
+
+
 def test_equality_ignores_circle_flag(k3):
     a = IET.identity(k3, 1, circle=True)
     b = IET.identity(k3, 1, circle=False)
