@@ -19,9 +19,10 @@ chi / gcd(chi, chi') (`polys.trace_minpoly`, O(d^2) integer steps).  It
 reads neither the reversal of m nor `is_reciprocal`.
 
 The two must agree on every input; the test suite enforces this.  Every
-entry point validates m once, in `_validate_minpoly` (monic, integral,
-degree >= 1, squarefree by one Sturm chain); the command line passes it
-the parsed polynomial as it is.  Both criteria go through
+entry point validates m once, with the check `NumberField` makes of its
+modulus: `polys.monic_squarefree_chain` (monic, integral, degree >= 1,
+squarefree by one Sturm chain, which it returns); the command line
+passes it the parsed polynomial as it is.  Both criteria go through
 `_validate_stretch`, which counts the roots above 1 on that chain and
 certifies irreducibility once.  The reciprocity criterion is only sound
 for irreducible m, so both verdicts carry a note when that certificate
@@ -47,15 +48,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gf2
-from .errors import InputError, NonSquarefreeError, PolynomialError
+from .errors import InputError, PolynomialError
 from .polys import (
     Poly,
     cauchy_root_bound,
     certify_irreducible,
     count_real_roots,
     is_reciprocal,
+    monic_squarefree_chain,
     reverse,
-    sturm_chain,
     trace_minpoly,
 )
 
@@ -64,6 +65,8 @@ OUTCOME_INCONCLUSIVE = "Inconclusive"
 REASON_DEGREE = "DegreeExceedsGenus"
 REASON_CONSTANT = "ConstantNotUnit"
 REASON_COMPLETION = "NoMod2Completion"
+NOTE_UNVERIFIED = "irreducibility unverified mod trial primes"
+MINPOLY = "minimal polynomial"      # the noun of the input-check messages
 
 
 @dataclass(frozen=True)
@@ -106,23 +109,10 @@ class CertVerdict:
         }
 
 
-def _validate_minpoly(m: Poly):
-    """Check that m is monic, integral, of degree >= 1 and squarefree, and
-    return its Sturm chain, which the squarefree test builds."""
-    if not (m.is_monic and m.is_integral):
-        raise InputError("minimal polynomial must be monic with integer coefficients")
-    if m.degree < 1:
-        raise InputError("minimal polynomial must have degree >= 1")
-    try:
-        return sturm_chain(m)
-    except NonSquarefreeError:
-        raise InputError(f"minimal polynomial is not squarefree: {m}") from None
-
-
 def _validate_stretch(m: Poly, interval=None):
-    """`_validate_minpoly`, then, on its Sturm chain: m(0) != 0 and a real
-    root > 1 (in `interval` when given).  Returns `certify_irreducible(m)`."""
-    chain = _validate_minpoly(m)
+    """`monic_squarefree_chain`, then, on that Sturm chain: m(0) != 0 and a
+    real root > 1 (in `interval` when given).  Returns `certify_irreducible(m)`."""
+    chain = monic_squarefree_chain(m, MINPOLY)
     if m.constant() == 0:
         raise InputError("minimal polynomial must have nonzero constant term")
     if interval is not None:
@@ -142,7 +132,7 @@ def _notes(m: Poly, prime) -> tuple:
         notes = ("degenerate input: rational stretch factor; "
                  "pseudo-Anosov stretch factors are irrational",)
     if prime is None:
-        notes += ("irreducibility unverified mod trial primes",)
+        notes += (NOTE_UNVERIFIED,)
     return notes
 
 
@@ -258,8 +248,7 @@ def gf2_completion_bruteforce(mbar: int, k: int):
     return None
 
 
-def nonlift_certificate(m: Poly, g: int,
-                        completion=gf2_completion_exists) -> CertVerdict:
+def nonlift_certificate(m: Poly, g: int) -> CertVerdict:
     """Decide whether a stretch factor with minimal polynomial m passes
     the necessary conditions for being a nonorientable lift on genus g.
 
@@ -269,13 +258,13 @@ def nonlift_certificate(m: Poly, g: int,
     product of degree g.  The first failure certifies exclusion; success
     returns the completion witness.
     """
-    _validate_minpoly(m)
+    monic_squarefree_chain(m, MINPOLY)
     if g < 1:
         raise InputError("genus must be >= 1")
     notes = ()
     if certify_irreducible(m) is None:
-        notes = ("irreducibility unverified mod trial primes",)
-    return _nonlift(m, g, notes, completion)
+        notes = (NOTE_UNVERIFIED,)
+    return _nonlift(m, g, notes)
 
 
 def _nonlift(m: Poly, g: int, notes=(), completion=gf2_completion_exists) -> CertVerdict:

@@ -14,7 +14,7 @@ import functools
 import re
 import sys
 import time
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import __version__, gf2
@@ -54,8 +54,9 @@ _SIGNED_VALUE = re.compile(r"-[\d.]")
 def algnum_decimal(value: AlgNum) -> str:
     """Decimal rendering with FLOAT_DIGITS significant digits (display only)."""
     approx = value.approx(Fraction(1, 10 ** (FLOAT_DIGITS + 5)))
-    getcontext().prec = FLOAT_DIGITS
-    return str(Decimal(approx.numerator) / Decimal(approx.denominator))
+    with localcontext() as context:
+        context.prec = FLOAT_DIGITS
+        return str(Decimal(approx.numerator) / Decimal(approx.denominator))
 
 
 def _emit(args, text: str) -> None:

@@ -32,15 +32,21 @@ the difference's own enclosure would then exclude 0 too
 (subdistributivity), so the interval moves as if the difference's sign
 were taken.  `approx` bisects until the same enclosure is narrow enough.
 
-The constructor builds the integer Sturm chain of the modulus once and
-keeps it; its last entry also shows whether the modulus is squarefree.
-It checks that neither endpoint is a root with `sign_at`, keeping the
-sign at the lower one for bisection, counts the roots between them with
-the chain, and refines the interval to width 2^-20 with the same integer
-bisection loop that signs use.
+The constructor checks its modulus with `polys.monic_squarefree_chain`,
+the check the stretch-factor criteria make of a minimal polynomial:
+monic with integer coefficients, degree >= 1, and squarefree by the
+last entry of its integer Sturm chain.  It keeps that chain, and reads
+the modulus as ints off entry 0, since a monic integer polynomial is its
+own primitive integer multiple.  It checks that neither endpoint is a
+root with `sign_at`, keeping the sign at the lower one for bisection,
+counts the roots between them with the chain, and refines the interval
+to width 2^-20 with the same integer bisection loop that signs use.
 Two field objects are equal when they have the same modulus and the
 same distinguished root, and deciding that costs one Sturm count with
-the kept chain on the intersection of the two isolating intervals.
+the kept chain on the intersection of the two isolating intervals.  No
+endpoint is ever a root (bisection stops at a root without moving the
+interval) and each interval holds exactly one, so the intersection holds
+a root exactly when both hold the same one, a rational one included.
 Elements of two equal field objects have the same coordinates in the
 same basis, but arithmetic and comparisons are fastest within one field
 object.
@@ -77,17 +83,16 @@ from .errors import (
     FieldMismatchError,
     InputError,
     IterationCapError,
-    NonSquarefreeError,
     PolynomialError,
     ReducibleModulusError,
 )
 from .polys import (
     Poly,
     count_real_roots,
+    monic_squarefree_chain,
     poly_xgcd,
     primitive_gcd,
     sign_at,
-    sturm_chain,
 )
 
 SIGN_GCD_CHECK_AFTER = 48
@@ -164,17 +169,10 @@ class NumberField:
 
     def __init__(self, modulus: Poly, lo, hi):
         lo, hi = Fraction(lo), Fraction(hi)
-        if not (modulus.is_monic and modulus.is_integral):
-            raise InputError("field modulus must be a monic integer polynomial")
-        if modulus.degree < 1:
-            raise InputError("field modulus must have degree >= 1")
-        try:
-            chain = sturm_chain(modulus)
-        except NonSquarefreeError:
-            raise InputError(f"field modulus is not squarefree: {modulus}") from None
+        chain = monic_squarefree_chain(modulus, "field modulus")
         if lo >= hi:
             raise InputError("root interval is empty")
-        ints = [c.numerator for c in modulus.coeffs]
+        ints = chain[0]     # the modulus is its own primitive integer multiple
         sign_lo = sign_at(ints, lo.numerator, lo.denominator)
         if sign_lo == 0 or sign_at(ints, hi.numerator, hi.denominator) == 0:
             raise InputError("root count in interval != 1 (root at an endpoint)")
@@ -200,7 +198,7 @@ class NumberField:
     def _power_table(self):
         # integer coords of alpha^d .. alpha^(2d-2) in the power basis
         d = self.degree
-        reduction = [-int(c) for c in self.modulus.coeffs[:-1]]
+        reduction = [-c for c in self._ints[:-1]]
         table = []
         cur = list(reduction)
         table.append(tuple(cur))
@@ -298,9 +296,6 @@ class NumberField:
         if self.modulus != other.modulus:
             return False
         (lo1, hi1), (lo2, hi2) = self.interval, other.interval
-        if self._exact_root is not None or other._exact_root is not None:
-            r = self._exact_root if self._exact_root is not None else other._exact_root
-            return lo2 < r < hi2 and lo1 < r < hi1
         lo, hi = max(lo1, lo2), min(hi1, hi2)
         if lo >= hi:
             return False

@@ -23,24 +23,26 @@ map's field object.  Every later comparison is then between elements of
 one field object and is decided by their exact integer enclosures
 (`AlgNum._compare`).
 
-Inputs are validated once, at the boundary: the constructor, the public
-constructors built on it, and `from_pieces`.  The constructor keeps the
-partial sums it checks the total with as the breakpoints and derives the
-translations from them, so every IET, however built, stores both, and
-`breaks()` and `translations()` compute nothing.  Internal results
+An IET stores one form: field, perm, circle flag, the breakpoints
+0 = a_0 < ... < a_n = L and the n translations; L, the lengths and n
+are read off them.  Inputs are validated once, at the boundary: the
+constructor keeps the partial sums it checks the total with as the
+breakpoints and derives the translations from them and perm, and the
+public constructors build on it.  `from_pieces` checks that its pieces
+start at 0 and meet end to end, then builds through the constructor
+with perm the order of the image starts: the images tile [0, L) exactly
+when the derived translations are the given ones.  Internal results
 (compose, inverse, rotate, scale, first_return, canonical and the move
 onto another field object) are built on a trusted path,
-`IET._from_tiling`: the caller hands over pieces (start, end,
-translation) in domain order that tile [0, L) and whose images tile it
-too, plus one sort key per piece that orders the images.  The builder
-derives perm from those keys and stores the breakpoints and translations
-as they are, with no exact re-check of the tiling.  Where the image
-order is known combinatorially the keys are ints: `compose` is one merge
-sweep of the inner map's images (in image order) against the outer map's
-pieces (in domain order), O(n + m), and a composite piece's image rank
-is (outer perm, inner perm).  Only `first_return` sorts its images by
-value.  `saf` builds its matrix antisymmetric, so it returns it through
-`WedgeClass._trusted`; the public `WedgeClass` constructor validates.
+`IET._from_tiling`, from the breakpoints and translations of pieces
+that tile [0, L) with images that tile it too, plus one sort key per
+piece that orders the images; it derives perm from the keys and
+re-checks nothing.  Where the image order is known combinatorially the
+keys are ints: `compose` is one merge sweep of the inner map's images
+(in image order) against the outer map's pieces (in domain order),
+O(n + m), and a composite piece's image rank is (outer perm, inner
+perm).  Only `first_return` sorts its images by value.  `saf` builds
+its matrix antisymmetric, so it returns it through `WedgeClass._trusted`.
 """
 
 from __future__ import annotations
@@ -78,11 +80,10 @@ def _on_field(f: "IET", field: NumberField):
     if f.field != field:
         return None
 
-    def move(x):
-        return AlgNum(field, x.num, x.den)
+    def move(xs):
+        return tuple(AlgNum(field, x.num, x.den) for x in xs)
 
-    return IET._from_tiling(field, move(f.total),
-                            [(move(u), move(v), move(t)) for u, v, t in f.pieces()],
+    return IET._from_tiling(field, move(f._breaks), move(f._translations),
                             f.perm, f.circle)
 
 
@@ -152,19 +153,17 @@ class WedgeClass:
 class IET:
     """Exchange of n subintervals of [0, L), with optional circle semantics."""
 
-    __slots__ = ("field", "total", "lengths", "perm", "circle",
-                 "_breaks", "_translations")
+    __slots__ = ("field", "perm", "circle", "_breaks", "_translations")
 
     def __init__(self, field: NumberField, total, lengths, perm, circle=False):
         total = _coerce(field, total)
         self._tile(field, lengths, perm, circle)
         if self.total != total:
             raise InputError("lengths do not sum to the total length")
-        self.total = total
 
     def _tile(self, field: NumberField, lengths, perm, circle) -> None:
-        """Validate `lengths` and `perm` and store them, with total = the
-        sum of the lengths, the breakpoints and the translations."""
+        """Validate `lengths` and `perm`, and store perm with the
+        breakpoints (partial sums of the lengths) and the translations."""
         lengths = tuple(_coerce(field, l) for l in lengths)
         perm = tuple(int(k) for k in perm)
         n = len(lengths)
@@ -185,8 +184,6 @@ class IET:
             translations[i] = offset - breaks[i]
             offset = offset + lengths[i]
         self.field = field
-        self.total = breaks[-1]
-        self.lengths = lengths
         self.perm = perm
         self.circle = bool(circle)
         self._breaks = tuple(breaks)
@@ -196,7 +193,17 @@ class IET:
 
     @property
     def n(self) -> int:
-        return len(self.lengths)
+        return len(self._translations)
+
+    @property
+    def total(self) -> AlgNum:
+        return self._breaks[-1]
+
+    @property
+    def lengths(self):
+        """Subinterval lengths: the gaps between consecutive breakpoints."""
+        breaks = self._breaks
+        return tuple(breaks[i + 1] - breaks[i] for i in range(self.n))
 
     def breaks(self):
         """Partition endpoints a_0 = 0 < a_1 < ... < a_n = L."""
@@ -230,61 +237,44 @@ class IET:
         return cls(field, total, [total - c, c], [1, 0], circle)
 
     @classmethod
-    def _from_tiling(cls, field, total, pieces, ranks, circle) -> "IET":
+    def _from_tiling(cls, field, breaks, translations, ranks, circle) -> "IET":
         """The trusted builder for internal results; it checks nothing.
 
-        `pieces` are (start, end, translation) triples over `field` (this
-        object) in domain order that tile [0, total), and their images
-        tile it too; sorting `ranks` (one key per piece) puts the pieces
-        in image order.
+        `breaks` 0 = a_0 < ... < a_n = L and the n `translations` are
+        over `field` (this object), the pieces [a_i, a_(i+1)) with their
+        translations tile [0, L) and so do their images; sorting `ranks`
+        (one key per piece) puts the pieces in image order.
         """
-        n = len(pieces)
+        n = len(translations)
         perm = [0] * n
         for slot, i in enumerate(sorted(range(n), key=ranks.__getitem__)):
             perm[i] = slot
         out = object.__new__(cls)
-        out.field, out.total, out.circle = field, total, circle
-        out.lengths = tuple(v - u for u, v, _ in pieces)
-        out.perm = tuple(perm)
-        out._breaks = tuple([u for u, _, _ in pieces] + [total])
-        out._translations = tuple(t for _, _, t in pieces)
+        out.field, out.perm, out.circle = field, tuple(perm), circle
+        out._breaks, out._translations = tuple(breaks), tuple(translations)
         return out
 
     @classmethod
     def from_pieces(cls, field: NumberField, total, pieces, circle=False) -> "IET":
-        """Build from (start, end, translation) triples; validates that the
-        pieces have positive lengths and tile [0, L), and that their images
-        tile it as well."""
-        total = _coerce(field, total)
+        """Build from (start, end, translation) triples that tile [0, L)
+        and whose images tile it too; validated through the constructor,
+        with perm the order of the image starts."""
         pieces = sorted(((_coerce(field, u), _coerce(field, v), _coerce(field, t))
                          for u, v, t in pieces), key=lambda p: p[0])
         if not pieces:
             raise InputError("no pieces")
         if pieces[0][0] != field.zero():
             raise InputError("pieces do not start at 0")
-        for u, v, _ in pieces:
-            if not u < v:
-                raise InputError("nonpositive interval length")
-        for (u, v, _), (u2, _, _) in zip(pieces, pieces[1:]):
+        for (_, v, _), (u2, _, _) in zip(pieces, pieces[1:]):
             if v != u2:
                 raise InputError("pieces do not tile the domain")
-        if pieces[-1][1] != total:
-            raise InputError("pieces do not reach the total length")
-        images = sorted(
-            ((u + t, v + t, i) for i, (u, v, t) in enumerate(pieces)),
-            key=lambda p: p[0],
-        )
-        if images[0][0] != field.zero():
+        order = sorted(range(len(pieces)), key=lambda i: pieces[i][0] + pieces[i][2])
+        perm = sorted(range(len(pieces)), key=order.__getitem__)   # order inverted
+        out = cls(field, total, [v - u for u, v, _ in pieces], perm, circle)
+        # the derived translations lay the images end to end in image order
+        if out._translations != tuple(t for _, _, t in pieces):
             raise InputError("image intervals do not tile [0, L)")
-        for (a, b, _), (a2, _, _) in zip(images, images[1:]):
-            if b != a2:
-                raise InputError("image intervals do not tile [0, L)")
-        if images[-1][1] != total:
-            raise InputError("image intervals do not tile [0, L)")
-        ranks = [0] * len(pieces)
-        for slot, (_, _, i) in enumerate(images):
-            ranks[i] = slot
-        return cls._from_tiling(field, total, pieces, ranks, circle)
+        return out
 
     @classmethod
     def pair_involution(cls, field: NumberField, block_lengths, pairing,
@@ -346,7 +336,7 @@ class IET:
         slot_piece = [0] * other.n
         for i, k in enumerate(other.perm):
             slot_piece[k] = i
-        groups = [[] for _ in range(other.n)]   # (piece, image rank) per inner piece
+        groups = [[] for _ in range(other.n)]   # (start, translation, rank) per inner piece
         j, pos = 0, self.field.zero()
         for k, i in enumerate(slot_piece):
             s = inner_ts[i]
@@ -355,23 +345,23 @@ class IET:
                 outer_end = outer_ends[j]
                 c = 0 if end == outer_end else (-1 if end < outer_end else 1)
                 b = end if c <= 0 else outer_end
-                groups[i].append(((pos - s, b - s, s + outer_ts[j]), (self.perm[j], k)))
+                groups[i].append((pos - s, s + outer_ts[j], (self.perm[j], k)))
                 pos = b
                 if c >= 0:
                     j += 1
                 if c <= 0:
                     break
-        flat = [x for group in groups for x in group]
-        return IET._from_tiling(self.field, self.total, [p for p, _ in flat],
-                                [r for _, r in flat], self.circle and other.circle)
+        starts, ts, ranks = zip(*(x for group in groups for x in group))
+        return IET._from_tiling(self.field, starts + (self.total,), ts, ranks,
+                                self.circle and other.circle)
 
     def inverse(self) -> "IET":
         """The inverse map: the images in image order, translated back."""
-        pieces, inv = [None] * self.n, [0] * self.n
-        for i, ((u, v, t), k) in enumerate(zip(self.pieces(), self.perm)):
-            pieces[k] = (u + t, v + t, -t)
-            inv[k] = i
-        return IET._from_tiling(self.field, self.total, pieces, inv, self.circle)
+        n = self.n
+        starts, ts, inv = [None] * n, [None] * n, [0] * n
+        for i, (u, t, k) in enumerate(zip(self._breaks, self._translations, self.perm)):
+            starts[k], ts[k], inv[k] = u + t, -t, i
+        return IET._from_tiling(self.field, starts + [self.total], ts, inv, self.circle)
 
     def rotate(self, c) -> "IET":
         """x -> self(x) + c (mod L); requires circle semantics.
@@ -386,42 +376,38 @@ class IET:
         if c.sign() < 0 or not c < self.total:
             raise DomainError("rotation constant outside [0, L)")
         total = self.total
-        pieces, ranks = [], []
+        pieces = []     # (start, translation, image rank)
         for (u, v, t), k in zip(self.pieces(), self.perm):
             t2 = t + c
             if not (u + t2) < total:          # whole image wraps
-                pieces.append((u, v, t2 - total))
-                ranks.append((0, k))
+                pieces.append((u, t2 - total, (0, k)))
             elif total < v + t2:              # image straddles the endpoint
-                w = total - t2
-                pieces.append((u, w, t2))
-                ranks.append((1, k))
-                pieces.append((w, v, t2 - total))
-                ranks.append((0, k))
+                pieces.append((u, t2, (1, k)))
+                pieces.append((total - t2, t2 - total, (0, k)))
             else:
-                pieces.append((u, v, t2))
-                ranks.append((1, k))
-        return IET._from_tiling(self.field, total, pieces, ranks, True)
+                pieces.append((u, t2, (1, k)))
+        starts, ts, ranks = zip(*pieces)
+        return IET._from_tiling(self.field, starts + (total,), ts, ranks, True)
 
     def scale(self, s) -> "IET":
         """Conjugate by x -> s*x: an IET on [0, s*L)."""
         s = _coerce(self.field, s)
         if s.sign() <= 0:
             raise DomainError("scale factor must be positive")
-        bs = [x * s for x in self.breaks()]
-        pieces = [(bs[i], bs[i + 1], t * s) for i, t in enumerate(self.translations())]
-        return IET._from_tiling(self.field, bs[-1], pieces, self.perm, self.circle)
+        return IET._from_tiling(self.field, [x * s for x in self._breaks],
+                                [t * s for t in self._translations], self.perm, self.circle)
 
-    def first_return(self, b, cap: int = FIRST_RETURN_CAP) -> "IET":
+    def first_return(self, b) -> "IET":
         """The induced first-return map on [0, b)."""
-        return self._first_return_with_times(b, cap)[0]
+        return self._first_return_with_times(b)[0]
 
-    def _first_return_with_times(self, b, cap: int = FIRST_RETURN_CAP):
+    def _first_return_with_times(self, b):
         """First-return map plus the return time of each induced piece.
 
         Subintervals of [0, b) are pushed forward through the map; a piece
         splits whenever its orbit straddles a discontinuity or the point b.
-        Each application of the map to a piece costs one unit of the cap.
+        Each application of the map to a piece costs one unit of
+        FIRST_RETURN_CAP.
         """
         b = _coerce(self.field, b)
         if b.sign() <= 0 or self.total < b:
@@ -430,7 +416,7 @@ class IET:
         breaks, ts, n = self.breaks(), self.translations(), self.n
         work = deque([(zero, b, zero, 0)])  # (x_lo, x_hi, translation so far, steps)
         done = []
-        budget = cap
+        cap = budget = FIRST_RETURN_CAP
         while work:
             lo, hi, trans, steps = work.popleft()
             budget -= 1
@@ -451,36 +437,32 @@ class IET:
                 ntrans = trans + ts[j]
                 if not xs + ntrans < b:
                     work.append((xs, xe, ntrans, steps + 1))
-                elif not b < xe + ntrans:
-                    done.append((xs, xe, ntrans, steps + 1))
                 else:
-                    w = b - ntrans
-                    done.append((xs, w, ntrans, steps + 1))
-                    work.append((w, xe, ntrans, steps + 1))
+                    done.append((xs, ntrans, steps + 1))
+                    if b < xe + ntrans:         # the rest lands past b
+                        work.append((b - ntrans, xe, ntrans, steps + 1))
                 if last:
                     break
                 j, xs = j + 1, xe
         done.sort(key=lambda p: p[0])
-        pieces = [(u, v, t) for u, v, t, _ in done]
-        iet = IET._from_tiling(self.field, b, pieces, [u + t for u, _, t in pieces],
-                               self.circle)
-        times = [s for _, _, _, s in done]
-        return iet, times
+        starts, ts, times = zip(*done)
+        iet = IET._from_tiling(self.field, starts + (b,), ts,
+                               [u + t for u, t in zip(starts, ts)], self.circle)
+        return iet, list(times)
 
     # -- canonical form and equality --------------------------------------------
 
     def canonical(self) -> "IET":
         """Merge adjacent intervals with equal translations."""
-        merged, ranks = [], []
-        for (u, v, t), k in zip(self.pieces(), self.perm):
-            if merged and merged[-1][2] == t:
-                merged[-1] = (merged[-1][0], v, t)
-            else:
-                merged.append((u, v, t))
+        starts, ts, ranks = [], [], []
+        for u, t, k in zip(self._breaks, self._translations, self.perm):
+            if not ts or ts[-1] != t:
+                starts.append(u)
+                ts.append(t)
                 ranks.append(k)     # a merged run's images stay in one block
-        if len(merged) == self.n:
+        if len(ts) == self.n:
             return self
-        return IET._from_tiling(self.field, self.total, merged, ranks, self.circle)
+        return IET._from_tiling(self.field, starts + [self.total], ts, ranks, self.circle)
 
     def __eq__(self, other) -> bool:
         """Equality as piecewise maps: same field, total, and canonical pieces.

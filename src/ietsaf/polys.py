@@ -27,7 +27,8 @@ its content.  Each entry is therefore a positive multiple of the
 classical entry (Euclid's remainders over the rationals, signs
 flipped), and every count of sign variations is the classical one.  The
 last entry is gcd(p, p') up to a unit, so the same Euclid run decides
-squarefreeness.
+squarefreeness.  `monic_squarefree_chain` is the one input check of a
+field modulus and of a minimal polynomial, and returns that chain.
 
 Irreducibility is certified by Rabin's test modulo the trial primes
 2..13 (`certify_irreducible`: the first prime modulo which p is
@@ -63,7 +64,7 @@ from array import array
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import NonSquarefreeError, ParseError, PolynomialError
+from .errors import InputError, NonSquarefreeError, ParseError, PolynomialError
 
 TRIAL_PRIMES = (2, 3, 5, 7, 11, 13)
 # odd primes for the squarefree filter of `trace_minpoly`: chi mod 2 was
@@ -311,9 +312,6 @@ class Poly:
         return f"Poly.from_string({self.to_string()!r})"
 
 
-X = Poly([0, 1])
-
-
 def poly_xgcd(p: Poly, q: Poly):
     """Extended gcd: (g, u, v) with u*p + v*q = g, g monic or zero."""
     a, b = p, q
@@ -457,6 +455,20 @@ def sturm_chain(p: Poly):
                 )
             chain.append(r)
     return chain
+
+
+def monic_squarefree_chain(p: Poly, noun: str):
+    """The Sturm chain of p, after checking that p is monic with integer
+    coefficients, of degree >= 1 and squarefree; `noun` names p in the
+    InputError.  Entry 0 is then p's own coefficients as ints."""
+    if not (p.is_monic and p.is_integral):
+        raise InputError(f"{noun} must be monic with integer coefficients")
+    if p.degree < 1:
+        raise InputError(f"{noun} must have degree >= 1")
+    try:
+        return sturm_chain(p)
+    except NonSquarefreeError:
+        raise InputError(f"{noun} is not squarefree: {p}") from None
 
 
 def _variations(chain, num: int, den: int) -> int:

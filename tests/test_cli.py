@@ -1,5 +1,6 @@
 """The command line contract: exit codes, stable stdout, argument forms."""
 
+import decimal
 import json
 import os
 import subprocess
@@ -201,10 +202,9 @@ def test_nonlift_oracle_validates_and_certifies_once(monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    chain = counting("sturm_chain", ietsaf.polys.sturm_chain)
+    monkeypatch.setattr(ietsaf.polys, "sturm_chain",
+                        counting("sturm_chain", ietsaf.polys.sturm_chain))
     certify = counting("certify", ietsaf.polys.certify_irreducible)
-    for module in (ietsaf.polys, ietsaf.field, ietsaf.certificates):
-        monkeypatch.setattr(module, "sturm_chain", chain)
     for module in (ietsaf.polys, ietsaf.certificates):
         monkeypatch.setattr(module, "certify_irreducible", certify)
     code, out, _ = run(capsys, ["nonlift", "--minpoly", "-1,-1,-1,-1,1",
@@ -311,7 +311,7 @@ def _write(path, text):
 
 
 def test_compose_files_with_different_root_intervals(ay3, tmp_path, capsys):
-    data = json.loads(open(ay3, encoding="utf-8").read())
+    data = json.loads(Path(ay3).read_text(encoding="utf-8"))
     data["root_interval"] = "1/2,3/5"
     other = _write(tmp_path / "other.iet", json.dumps(data))
     same = run(capsys, ["compose", "--iet", ay3, "--iet2", ay3])
@@ -353,7 +353,7 @@ def test_compose_builds_one_field_per_field_text(ay3, tmp_path, monkeypatch, cap
     """Files with the same modulus and root_interval text share one field
     object, so no field comparison runs; a different root_interval text
     gets its own field, compared once it is composed."""
-    copy = _write(tmp_path / "copy.iet", open(ay3, encoding="utf-8").read())
+    copy = _write(tmp_path / "copy.iet", Path(ay3).read_text(encoding="utf-8"))
     counts = _count_fields(monkeypatch)
     assert run(capsys, ["compose", "--iet", ay3, "--iet2", copy])[0] == 0
     assert counts == {"init": 1, "eq": 0}
@@ -564,3 +564,13 @@ def test_lift_of_an_interval_map_exits_2(monkeypatch, capsys):
     code, out, err = run(capsys, ["lift", "--iet", "cubic_a.iet"])
     assert (code, out) == (2, "")
     assert err.startswith("error: rotation requires circle semantics\n")
+
+
+def test_float_output_keeps_the_callers_decimal_precision(capsys):
+    """`--float` renders with its own precision and leaves the caller's
+    decimal context as it was."""
+    with decimal.localcontext() as context:
+        context.prec = 28
+        code, out, _ = run(capsys, ["ay", "--genus", "3", "--check", "--float"])
+        assert code == 0 and "alpha ~ " in out
+        assert decimal.getcontext().prec == 28

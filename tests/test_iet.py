@@ -7,6 +7,7 @@ from functools import partial
 import pytest
 
 import ietsaf.field
+import ietsaf.iet
 import ietsaf.polys
 from ietsaf import (
     DomainError,
@@ -156,12 +157,13 @@ def test_first_return_kac_accounting(k3):
     assert acc == k3.one()
 
 
-def test_first_return_cap(k3):
+def test_first_return_cap(k3, monkeypatch):
     from ietsaf import IterationCapError
+    monkeypatch.setattr(ietsaf.iet, "FIRST_RETURN_CAP", 1)
     theta = k3.gen()
     rot = IET.rotation(k3, 1, theta)
     with pytest.raises(IterationCapError):
-        rot.first_return(theta, cap=1)
+        rot.first_return(theta)
 
 
 def test_pair_involution_examples(k3):
