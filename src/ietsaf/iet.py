@@ -240,10 +240,10 @@ class IET:
     def _from_tiling(cls, field, breaks, translations, ranks, circle) -> "IET":
         """The trusted builder for internal results; it checks nothing.
 
-        `breaks` 0 = a_0 < ... < a_n = L and the n `translations` are
-        over `field` (this object), the pieces [a_i, a_(i+1)) with their
-        translations tile [0, L) and so do their images; sorting `ranks`
-        (one key per piece) puts the pieces in image order.
+        `breaks` (0 = a_0 < ... < a_n = L) and the n `translations` are
+        over `field` (this object); the pieces [a_i, a_(i+1)) tile [0, L)
+        and so do their images.  Sorting `ranks` (one key per piece) puts
+        the pieces in image order.
         """
         n = len(translations)
         perm = [0] * n
