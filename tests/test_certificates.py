@@ -15,7 +15,7 @@ from ietsaf import (
     vanishing_by_reciprocity,
     vanishing_verdicts,
 )
-from ietsaf import certificates, cli, field, gf2, polys
+from ietsaf import cli, field, gf2, polys
 from ietsaf.field import AlgNum
 from ietsaf.certificates import (
     OUTCOME_INCONCLUSIVE,
