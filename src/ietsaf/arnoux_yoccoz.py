@@ -62,14 +62,18 @@ def _require_genus(g: int) -> None:
         raise InputError(f"construction requires genus >= {GENUS_MIN}")
 
 
-def _blocks(field: NumberField, g: int):
+def _paired_blocks(g: int):
+    """(field, lengths, pairing) of `ay_boundary_involution(g)`."""
+    _require_genus(g)
+    field = ay_alpha(g)
     alpha = field.gen()
-    out = []
     power = field.one()
-    for _ in range(g):
+    lengths, pairing = [], []
+    for k in range(g):
         power = power * alpha
-        out.append(power)
-    return out
+        lengths += [power, power]
+        pairing += [2 * k + 1, 2 * k]
+    return field, lengths, pairing
 
 
 def ay_boundary_involution(g: int) -> IET:
@@ -79,32 +83,16 @@ def ay_boundary_involution(g: int) -> IET:
     Blocks alpha, alpha, alpha^2, alpha^2, ..., alpha^g, alpha^g in
     cyclic order starting at 0, adjacent equal blocks swapped.
     """
-    _require_genus(g)
-    field = ay_alpha(g)
-    powers = _blocks(field, g)
-    lengths = []
-    pairing = []
-    for k, p in enumerate(powers):
-        lengths += [p, p]
-        pairing += [2 * k + 1, 2 * k]
+    field, lengths, pairing = _paired_blocks(g)
     return IET.pair_involution(field, lengths, pairing, circle=True)
 
 
 def ay_perturbed_involution(g: int) -> IET:
     """Negative control: a valid pair involution with the cyclic positions
     of one alpha^2 and one alpha^3 block exchanged.  Not self-similar."""
-    _require_genus(g)
-    field = ay_alpha(g)
-    powers = _blocks(field, g)
-    lengths = []
-    for p in powers:
-        lengths += [p, p]
+    field, lengths, pairing = _paired_blocks(g)
     lengths[3], lengths[4] = lengths[4], lengths[3]
-    pairing = []
-    for k in range(g):
-        pairing += [2 * k + 1, 2 * k]
-    pairing[2], pairing[4] = 4, 2
-    pairing[3], pairing[5] = 5, 3
+    pairing[2:6] = [4, 5, 2, 3]
     return IET.pair_involution(field, lengths, pairing, circle=True)
 
 

@@ -37,9 +37,12 @@ lambda must be a root of a monic integer polynomial p of degree g with
 constant coefficient +-1 that is reciprocal mod 2 (p, p(-x), or their
 reversals).  Since the candidate p factors as (a variant of m) times a
 monic integer cofactor, existence reduces to a completion problem over
-GF(2): can m mod 2 (or its reversal) be multiplied by a degree g-d
-polynomial with constant term 1 so that the product is self-reciprocal?
-A negative answer certifies that lambda is not such a lift.
+GF(2): can m mod 2 be multiplied by a degree g-d polynomial with
+constant term 1 so that the product is self-reciprocal?  A negative
+answer certifies that lambda is not such a lift.  The reversal of m mod
+2 would decide the same: for |m(0)| = 1 both have degree d and constant
+term 1, and the least completion rev(v) / gcd(v, rev v) of either v has
+degree d - deg gcd(m mod 2, its reversal).
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .polys import (
     is_reciprocal,
     monic_squarefree_chain,
     reverse,
+    sign_at,
     trace_minpoly,
 )
 
@@ -95,7 +99,7 @@ class CertVerdict:
 
     outcome: str                   # OUTCOME_NOT_LIFT or OUTCOME_INCONCLUSIVE
     reason: str | None = None      # set when certified
-    variant: str | None = None     # "direct" or "reversed", set when inconclusive
+    variant: str | None = None     # "direct" (completion of m mod 2), set when inconclusive
     witness: int | None = None     # GF(2) completion, set when inconclusive
     notes: tuple = ()
 
@@ -119,7 +123,8 @@ def _validate_stretch(m: Poly, interval=None):
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         if lo < 1:
             raise InputError("supplied interval must lie in [1, oo)")
-        if m(lo) == 0 or m(hi) == 0 or count_real_roots(m, lo, hi, chain) != 1:
+        if (any(sign_at(chain[0], x.numerator, x.denominator) == 0 for x in (lo, hi))
+                or count_real_roots(m, lo, hi, chain) != 1):
             raise InputError("supplied interval does not isolate one root > 1")
     elif count_real_roots(m, Fraction(1), cauchy_root_bound(m), chain) == 0:
         raise InputError(f"no real root > 1 for {m}")
@@ -254,9 +259,9 @@ def nonlift_certificate(m: Poly, g: int) -> CertVerdict:
 
     Checks, in order: deg m <= g; |m(0)| = 1 (forced by the unit
     constant term of the degree-g polynomial); and existence of a GF(2)
-    completion of m mod 2 or of its mod-2 reversal to a self-reciprocal
-    product of degree g.  The first failure certifies exclusion; success
-    returns the completion witness.
+    completion of m mod 2 to a self-reciprocal product of degree g.  The
+    first failure certifies exclusion; success returns the completion
+    witness.
     """
     monic_squarefree_chain(m, MINPOLY)
     if g < 1:
@@ -275,14 +280,8 @@ def _nonlift(m: Poly, g: int, notes=(), completion=gf2_completion_exists) -> Cer
         return CertVerdict(OUTCOME_NOT_LIFT, reason=REASON_DEGREE, notes=notes)
     if abs(m.constant()) != 1:
         return CertVerdict(OUTCOME_NOT_LIFT, reason=REASON_CONSTANT, notes=notes)
-    mbar = gf2.from_poly(m)
-    variants = [("direct", mbar)]
-    rbar = gf2.reverse(mbar)
-    if rbar != mbar:
-        variants.append(("reversed", rbar))
-    for name, vbar in variants:
-        witness = completion(vbar, g - d)
-        if witness is not None:
-            return CertVerdict(OUTCOME_INCONCLUSIVE, variant=name,
-                               witness=witness, notes=notes)
-    return CertVerdict(OUTCOME_NOT_LIFT, reason=REASON_COMPLETION, notes=notes)
+    witness = completion(gf2.from_poly(m), g - d)
+    if witness is None:
+        return CertVerdict(OUTCOME_NOT_LIFT, reason=REASON_COMPLETION, notes=notes)
+    return CertVerdict(OUTCOME_INCONCLUSIVE, variant="direct", witness=witness,
+                       notes=notes)

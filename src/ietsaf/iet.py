@@ -32,17 +32,18 @@ public constructors build on it.  `from_pieces` checks that its pieces
 start at 0 and meet end to end, then builds through the constructor
 with perm the order of the image starts: the images tile [0, L) exactly
 when the derived translations are the given ones.  Internal results
-(compose, inverse, rotate, scale, first_return, canonical and the move
-onto another field object) are built on a trusted path,
-`IET._from_tiling`, from the breakpoints and translations of pieces
-that tile [0, L) with images that tile it too, plus one sort key per
-piece that orders the images; it derives perm from the keys and
-re-checks nothing.  Where the image order is known combinatorially the
-keys are ints: `compose` is one merge sweep of the inner map's images
-(in image order) against the outer map's pieces (in domain order),
-O(n + m), and a composite piece's image rank is (outer perm, inner
-perm).  Only `first_return` sorts its images by value.  `saf` builds
-its matrix antisymmetric, so it returns it through `WedgeClass._trusted`.
+(compose, inverse, scale, first_return, canonical and the move onto
+another field object) are built on a trusted path, `IET._from_tiling`,
+from the breakpoints and translations of pieces that tile [0, L) with
+images that tile it too, plus one sort key per piece that orders the
+images; it derives perm from the keys and re-checks nothing.  Where the
+image order is known combinatorially the keys are ints: `compose` is
+one merge sweep of the inner map's images (in image order) against the
+outer map's pieces (in domain order), O(n + m), and a composite piece's
+image rank is (outer perm, inner perm).  `rotate(c)` is R_c o f, whose
+one cut is at L - c.  Only `first_return` sorts its images by value.
+`saf` builds its matrix antisymmetric, so it returns it through
+`WedgeClass._trusted`.
 """
 
 from __future__ import annotations
@@ -305,15 +306,7 @@ class IET:
         x = _coerce(self.field, x)
         if x.sign() < 0 or not x < self.total:
             raise DomainError("point outside [0, L)")
-        breaks = self.breaks()
-        lo, hi = 0, self.n  # invariant: breaks[lo] <= x < breaks[hi]
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if x < breaks[mid]:
-                hi = mid
-            else:
-                lo = mid
-        return x + self.translations()[lo]
+        return x + self._translations[bisect_right(self._breaks, x, 1, self.n) - 1]
 
     # -- algebra of maps ------------------------------------------------------
 
@@ -364,30 +357,10 @@ class IET:
         return IET._from_tiling(self.field, starts + [self.total], ts, inv, self.circle)
 
     def rotate(self, c) -> "IET":
-        """x -> self(x) + c (mod L); requires circle semantics.
-
-        Adding c keeps the image order except that the images pushed past
-        L wrap to the front, so a piece's image rank is (1 unless wrapped,
-        its old image slot).
-        """
+        """x -> self(x) + c (mod L), that is R_c o self; circle maps only."""
         if not self.circle:
             raise DomainError("rotation requires circle semantics")
-        c = _coerce(self.field, c)
-        if c.sign() < 0 or not c < self.total:
-            raise DomainError("rotation constant outside [0, L)")
-        total = self.total
-        pieces = []     # (start, translation, image rank)
-        for (u, v, t), k in zip(self.pieces(), self.perm):
-            t2 = t + c
-            if not (u + t2) < total:          # whole image wraps
-                pieces.append((u, t2 - total, (0, k)))
-            elif total < v + t2:              # image straddles the endpoint
-                pieces.append((u, t2, (1, k)))
-                pieces.append((total - t2, t2 - total, (0, k)))
-            else:
-                pieces.append((u, t2, (1, k)))
-        starts, ts, ranks = zip(*pieces)
-        return IET._from_tiling(self.field, starts + (total,), ts, ranks, True)
+        return IET.rotation(self.field, self.total, c).compose(self)
 
     def scale(self, s) -> "IET":
         """Conjugate by x -> s*x: an IET on [0, s*L)."""

@@ -116,8 +116,6 @@ def iet_from_dict(data: dict, fields=None) -> IET:
     if (not isinstance(perm, list)
             or any(not isinstance(k, int) or isinstance(k, bool) for k in perm)):
         raise ParseError("'perm' must be a list of integers")
-    if sorted(perm) != list(range(1, len(lengths) + 1)):
-        raise ParseError("perm not a bijection")
     if not isinstance(data["circle"], bool):
         raise ParseError("'circle' must be a boolean")
     return IET(field, total, lengths, [k - 1 for k in perm], data["circle"])
@@ -130,6 +128,10 @@ def loads_iet(text: str, fields=None) -> IET:
         raise ParseError(
             f"invalid IET file at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError:      # an integer past the interpreter's digit limit
+        raise ParseError("invalid IET file: integer too long") from None
+    except RecursionError:
+        raise ParseError("invalid IET file: nested too deeply") from None
     return iet_from_dict(data, fields)
 
 
@@ -139,6 +141,8 @@ def read_iet(path: str, fields=None) -> IET:
             return loads_iet(handle.read(), fields)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError:      # raised by read(): loads_iet reads str
+        raise ParseError("invalid IET file: not UTF-8 text") from None
 
 
 def dumps_report(report: dict) -> str:

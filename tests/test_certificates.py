@@ -219,6 +219,17 @@ def test_completion_agrees_with_bruteforce_small():
             assert (fast is None) == (slow is None), (bin(mbar), k)
 
 
+def test_completion_of_m_mod_2_exists_exactly_when_one_of_its_reversal_does():
+    """Why `_nonlift` completes m mod 2 alone: for every odd mbar of degree
+    1 to 8 and k = 0..8, brute force finds a completion of mbar exactly when
+    it finds one of rev(mbar)."""
+    for mbar in range(3, 2 ** 9, 2):
+        rbar = gf2.reverse(mbar)
+        for k in range(9):
+            direct = gf2_completion_bruteforce(mbar, k)
+            reversed_ = gf2_completion_bruteforce(rbar, k)
+            assert (direct is None) == (reversed_ is None), (bin(mbar), k)
+
 
 def test_completion_padding_equals_repeated_multiplication():
     """(x+1)^e as the product of x^(2^j) + 1 over the set bits j of e gives

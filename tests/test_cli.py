@@ -106,6 +106,24 @@ def test_malformed_iet_file_exits_2(text, message, tmp_path, capsys):
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("data, line", [
+    (b"\xff{}\n", "error: invalid IET file: not UTF-8 text\n"),
+    (b"[" + b"9" * 5000 + b"]\n", "error: invalid IET file: integer too long\n"),
+    (b"[" * 100_000 + b"]" * 100_000 + b"\n",
+     "error: invalid IET file: nested too deeply\n"),
+], ids=["not-utf8", "long-integer", "deep-nesting"])
+def test_unreadable_iet_file_exits_2(data, line, tmp_path, capsys):
+    """Bytes that are not UTF-8, an integer past the interpreter's digit
+    limit and arrays nested past the recursion limit: each is one error
+    line and exit code 2, not a traceback."""
+    path = tmp_path / "bad.iet"
+    path.write_bytes(data)
+    code, out, err = run(capsys, ["saf", str(path)])
+    assert (code, out) == (2, "")
+    assert [text for text in err.splitlines(True)
+            if not text.startswith("elapsed:")] == [line]
+
+
 @pytest.mark.parametrize("argv", [
     ["vanishing", "--minpoly=1e3,1"],
     ["vanishing", "--minpoly", "-1,-1,-1,1", "--interval", "1e0,2"],

@@ -117,12 +117,31 @@ def test_rotate(k3):
         IET.identity(k3, 1, circle=False).rotate(Fraction(1, 2))
 
 
-def test_rotate_matches_composition_with_rotation(k3):
+def test_rotate_adds_c_mod_L_pointwise(k3):
+    """f.rotate(c)(x) == f(x) + c mod L at every breakpoint and piece
+    midpoint of f and of the result, for random c, c = 0, and c with L - c
+    at a breakpoint of f or at an image endpoint of f."""
     rng = random.Random(47)
     for _ in range(10):
-        f = random_iet(k3, rng, total=k3.one(), circle=True)
-        c = k3.from_rational(Fraction(rng.randint(1, 9), 10))
-        assert f.rotate(c) == IET.rotation(k3, 1, c).compose(f)
+        f = random_iet(k3, rng, total=random_positive(k3, rng), circle=True)
+        total = f.total
+        inner = rng.choice(f.breaks()[1:-1])
+        image_start = rng.choice([u + t for u, _, t in f.pieces() if (u + t).sign()])
+        cs = [k3.zero(), total * Fraction(rng.randint(1, 9), 10),
+              total - inner, total - image_start]
+        for c in cs:
+            rotated = f.rotate(c)
+            # its perm is the order of its image starts, and those images tile [0, L)
+            assert IET.from_pieces(k3, total, rotated.pieces(), True).perm == rotated.perm
+            points = []
+            for g in (f, rotated):
+                points += [u for u, _, _ in g.pieces()]
+                points += [(u + v) * Fraction(1, 2) for u, v, _ in g.pieces()]
+            for x in points:
+                y = f(x) + c
+                if not y < total:
+                    y = y - total
+                assert rotated(x) == y
 
 
 def test_scale(k3):
