@@ -488,7 +488,9 @@ IET_ERROR_GOLDEN = json.loads(
 def test_iet_file_error_lines_match_golden(name, tmp_path, capsys):
     """Exit code, empty stdout and the `error:` line of `saf FILE` on IET
     files with a bad modulus, root interval, lengths or perm: recorded
-    before the field and the certificates shared one polynomial check."""
+    before the field and the certificates shared one polynomial check.
+    The file with both a bad perm and a non-boolean circle flag was
+    recorded while the reader still checked perm itself."""
     case = IET_ERROR_GOLDEN[name]
     path = tmp_path / "bad.iet"
     path.write_text(json.dumps(case["iet"]), encoding="utf-8")
