@@ -64,9 +64,10 @@ minimal polynomial of a is that of gamma at den*x, made monic.
 
 A field does not certify that its modulus is irreducible: arithmetic
 does not depend on it, and the stretch-factor criteria certify their own
-polynomial (`certificates`).  An actually reducible modulus is detected
-loudly the moment inversion (or sign refinement) runs into a zero
-divisor.
+polynomial (`certificates`).  A reducible modulus is detected loudly when
+inversion, or sign refinement while it bisects, meets a zero divisor.
+Once bisection has hit a rational root, `sign` decides by `sign_at`, so
+a zero divisor vanishing there gets sign 0; `inverse` still raises.
 
 `min_poly` is the method for a general element.  The field-degree
 vanishing criterion does not build a field: it reads the minimal

@@ -25,25 +25,25 @@ one field object and is decided by their exact integer enclosures
 
 An IET stores one form: field, perm, circle flag, the breakpoints
 0 = a_0 < ... < a_n = L and the n translations; L, the lengths and n
-are read off them.  Inputs are validated once, at the boundary: the
-constructor keeps the partial sums it checks the total with as the
-breakpoints and derives the translations from them and perm, and the
-public constructors build on it.  `from_pieces` checks that its pieces
-start at 0 and meet end to end, then builds through the constructor
-with perm the order of the image starts: the images tile [0, L) exactly
-when the derived translations are the given ones.  Internal results
-(compose, inverse, scale, first_return, canonical and the move onto
-another field object) are built on a trusted path, `IET._from_tiling`,
-from the breakpoints and translations of pieces that tile [0, L) with
-images that tile it too, plus one sort key per piece that orders the
-images; it derives perm from the keys and re-checks nothing.  Where the
-image order is known combinatorially the keys are ints: `compose` is
-one merge sweep of the inner map's images (in image order) against the
-outer map's pieces (in domain order), O(n + m), and a composite piece's
-image rank is (outer perm, inner perm).  `rotate(c)` is R_c o f, whose
-one cut is at L - c.  Only `first_return` sorts its images by value.
-`saf` builds its matrix antisymmetric, so it returns it through
-`WedgeClass._trusted`.
+are read off them.  Inputs are validated once, at the boundary, by the
+one validating constructor: it keeps the partial sums it checks the
+total with as the breakpoints and derives the translations from them
+and perm.  `from_pieces` checks that its pieces start at 0 and meet end
+to end, then builds through the constructor with perm the order of the
+image starts: the images tile [0, L) exactly when the derived
+translations are the given ones.  Internal results (compose, inverse,
+scale, first_return, canonical, the move onto another field object, and
+`identity` and `rotation` once they have checked their arguments) are
+built on a trusted path, `IET._from_tiling`, from the breakpoints and
+translations of pieces that tile [0, L) with images that tile it too,
+plus one sort key per piece that orders the images; it derives perm
+from the keys and re-checks nothing.  Where the image order is known
+combinatorially the keys are ints: `compose` is one merge sweep of the
+inner map's images (in image order) against the outer map's pieces (in
+domain order), O(n + m), and a composite piece's image rank is (outer
+perm, inner perm).  `rotate(c)` is R_c o f, whose one cut is at L - c.
+Only `first_return` sorts its images by value.  `saf` builds its matrix
+antisymmetric, so it returns it through `WedgeClass._trusted`.
 """
 
 from __future__ import annotations
@@ -158,13 +158,6 @@ class IET:
 
     def __init__(self, field: NumberField, total, lengths, perm, circle=False):
         total = _coerce(field, total)
-        self._tile(field, lengths, perm, circle)
-        if self.total != total:
-            raise InputError("lengths do not sum to the total length")
-
-    def _tile(self, field: NumberField, lengths, perm, circle) -> None:
-        """Validate `lengths` and `perm`, and store perm with the
-        breakpoints (partial sums of the lengths) and the translations."""
         lengths = tuple(_coerce(field, l) for l in lengths)
         perm = tuple(int(k) for k in perm)
         n = len(lengths)
@@ -178,6 +171,8 @@ class IET:
         breaks = [field.zero()]
         for l in lengths:
             breaks.append(breaks[-1] + l)
+        if breaks[-1] != total:
+            raise InputError("lengths do not sum to the total length")
         # in image order, each piece lands where the previous image ends
         translations = [None] * n
         offset = breaks[0]
@@ -224,7 +219,11 @@ class IET:
 
     @classmethod
     def identity(cls, field: NumberField, total, circle=False) -> "IET":
-        return cls(field, total, [total], [0], circle)
+        total = _coerce(field, total)
+        if total.sign() <= 0:
+            raise InputError("nonpositive interval length")
+        zero = field.zero()
+        return cls._from_tiling(field, (zero, total), (zero,), (0,), bool(circle))
 
     @classmethod
     def rotation(cls, field: NumberField, total, c, circle=True) -> "IET":
@@ -235,7 +234,9 @@ class IET:
             return cls.identity(field, total, circle)
         if c.sign() < 0 or not c < total:
             raise DomainError("rotation constant outside [0, total)")
-        return cls(field, total, [total - c, c], [1, 0], circle)
+        cut = total - c     # 0 < c < total: both pieces have positive length
+        return cls._from_tiling(field, (field.zero(), cut, total), (c, -cut), (1, 0),
+                                bool(circle))
 
     @classmethod
     def _from_tiling(cls, field, breaks, translations, ranks, circle) -> "IET":
@@ -275,29 +276,6 @@ class IET:
         # the derived translations lay the images end to end in image order
         if out._translations != tuple(t for _, _, t in pieces):
             raise InputError("image intervals do not tile [0, L)")
-        return out
-
-    @classmethod
-    def pair_involution(cls, field: NumberField, block_lengths, pairing,
-                        circle=True) -> "IET":
-        """The involution swapping equal-length paired blocks in place.
-
-        `pairing` is a 0-based involutive permutation; self-paired blocks
-        stay fixed pointwise.  Paired blocks must have exactly equal
-        lengths, which is also what makes the result an involution.
-        """
-        lengths = tuple(_coerce(field, l) for l in block_lengths)
-        pairing = tuple(int(k) for k in pairing)
-        n = len(lengths)
-        if sorted(pairing) != list(range(n)):
-            raise InputError("pairing not a bijection")
-        for i, j in enumerate(pairing):
-            if pairing[j] != i:
-                raise InputError("pairing not an involution")
-            if j != i and lengths[i] != lengths[j]:
-                raise InputError(f"length mismatch within pair ({i}, {j})")
-        out = object.__new__(cls)
-        out._tile(field, lengths, pairing, circle)   # the total is the sum it forms
         return out
 
     # -- evaluation ---------------------------------------------------------

@@ -35,7 +35,7 @@ from math import gcd, lcm
 from .errors import ParseError
 from .field import AlgNum, NumberField, _reduced
 from .iet import IET
-from .polys import Poly, parse_ratio, parse_rational
+from .polys import Poly, parse_ratio, parse_rational, quote
 
 _KEYS = ("modulus", "root_interval", "total", "lengths", "perm", "circle")
 
@@ -43,7 +43,7 @@ _KEYS = ("modulus", "root_interval", "total", "lengths", "perm", "circle")
 def parse_interval(text: str):
     parts = text.split(",")
     if len(parts) != 2:
-        raise ParseError(f"interval must be 'lo,hi', got {text!r}")
+        raise ParseError(f"interval must be 'lo,hi', got {quote(text)}")
     return parse_rational(parts[0]), parse_rational(parts[1])
 
 
@@ -51,7 +51,7 @@ def parse_coords(text: str, field: NumberField) -> AlgNum:
     parts = text.split(",")
     if len(parts) != field.degree:
         raise ParseError(
-            f"expected {field.degree} coordinates, got {len(parts)} in {text!r}"
+            f"expected {field.degree} coordinates, got {len(parts)} in {quote(text)}"
         )
     ratios = [parse_ratio(p) for p in parts]
     den = lcm(*(d for _, d in ratios))

@@ -70,12 +70,21 @@ TRIAL_PRIMES = (2, 3, 5, 7, 11, 13)
 # odd primes for the squarefree filter of `trace_minpoly`: chi mod 2 was
 # not squarefree for any Arnoux-Yoccoz stretch polynomial tried
 SQUAREFREE_PRIMES = (3, 5)
+QUOTE_CHARS = 40
 
 _RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 # slot size in bytes -> array type code of that size (2, 4 and 8 bytes)
 _SLOT_CODES = {array(code).itemsize: code for code in "QLIH"}
 _BIG_ENDIAN = sys.byteorder == "big"
+
+
+def quote(text: str) -> str:
+    """`repr(text)`, or for a text longer than QUOTE_CHARS the repr of its
+    first QUOTE_CHARS characters and its length: an error echoes no more."""
+    if len(text) <= QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
 def parse_ratio(text: str):
@@ -87,15 +96,16 @@ def parse_ratio(text: str):
     """
     match = _RATIO.fullmatch(text.strip())
     if match is None:
-        raise ParseError(f"bad rational {text!r}")
+        raise ParseError(f"bad rational {quote(text)}")
     num, den = match.groups()
-    # the error texts are the ones `Fraction(text)` gave
+    # the error texts `Fraction(text)` gave, minus numbers past QUOTE_CHARS
     try:
         n, d = int(num), int(den or 1)
-    except ValueError as exc:   # the int digit limit
-        raise ParseError(f"bad rational {text!r}: {exc}") from None
+    except ValueError:   # the int digit limit, far past QUOTE_CHARS digits
+        raise ParseError(f"bad rational {quote(text)}: too many digits") from None
     if d == 0:
-        raise ParseError(f"bad rational {text!r}: Fraction({n}, 0)")
+        zero = f"Fraction({n}, 0)" if len(text) <= QUOTE_CHARS else "zero denominator"
+        raise ParseError(f"bad rational {quote(text)}: {zero}")
     return n, d
 
 

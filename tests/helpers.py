@@ -100,7 +100,22 @@ def random_pair_involution(field, rng, max_pairs=3, allow_fixed=True):
     for idx in range(len(tokens)):
         if pairing[idx] is None:
             pairing[idx] = idx
-    return IET.pair_involution(field, [t[1] for t in tokens], pairing, circle=True)
+    lengths = [t[1] for t in tokens]
+    return IET(field, sum(lengths[1:], lengths[0]), lengths, pairing, circle=True)
+
+
+def count_calls(monkeypatch, owner, attr):
+    """Patch the function `owner.attr` for one test with a wrapper that
+    counts its calls; the list it returns gets one entry per call."""
+    calls = []
+    function = getattr(owner, attr)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counting)
+    return calls
 
 
 def float_pieces(iet):

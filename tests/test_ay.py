@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -18,6 +17,7 @@ from ietsaf import (
     nonlift_certificate,
     vanishing_by_reciprocity,
 )
+from ietsaf.arnoux_yoccoz import _paired_blocks
 from ietsaf.certificates import OUTCOME_INCONCLUSIVE
 
 HALF = Fraction(1, 2)
@@ -132,12 +132,9 @@ def test_system_build_and_consistency():
         assert system.is_involution
 
 
-def test_system_check_rejects_a_wrong_circumference():
-    system = AYSystem.build(3)
-    short = dataclasses.replace(
-        system, boundary_involution=IET.identity(system.field, 1, circle=True))
-    with pytest.raises(InputError, match="alpha powers do not sum to 1"):
-        short._check()
-    unpaired = dataclasses.replace(system, is_involution=False)
-    with pytest.raises(InputError, match="boundary map is not an involution"):
-        unpaired._check()
+def test_constructor_rejects_a_wrong_circumference():
+    """The genus-3 blocks sum to 2, so the constructor refuses a circle of
+    circumference 1 for them."""
+    field, lengths, pairing = _paired_blocks(3)
+    with pytest.raises(InputError, match="lengths do not sum to the total length"):
+        IET(field, 1, lengths, pairing, circle=True)

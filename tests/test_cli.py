@@ -12,7 +12,10 @@ import pytest
 
 import ietsaf
 from ietsaf import NumberField, Poly, ay_lift, cli, dumps_iet
+from ietsaf.arnoux_yoccoz import _paired_blocks
 from ietsaf.errors import IterationCapError
+
+from helpers import count_calls
 
 
 DATA = Path(__file__).parent / "data"
@@ -122,6 +125,30 @@ def test_unreadable_iet_file_exits_2(data, line, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert [text for text in err.splitlines(True)
             if not text.startswith("elapsed:")] == [line]
+
+
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["vanishing", "--minpoly=" + LONG + ",1"],
+    ["vanishing", "--minpoly=" + "9" * 4000 + "/0,1"],
+    ["vanishing", "--minpoly", "-1,-1,-1,1", "--interval", "1," + LONG],
+    ["vanishing", "--minpoly", "-1,-1,-1,1", "--interval", LONG],
+    ["saf", "TOTAL"],
+], ids=["minpoly", "minpoly-zero-denominator", "interval", "interval-no-comma",
+        "iet-file-total"])
+def test_long_token_gives_one_short_error_line(argv, tmp_path, capsys):
+    """A 5,000-character token is echoed as its first 40 characters and
+    its length: one `error:` line of at most 120 characters, exit 2."""
+    path = tmp_path / "long.iet"
+    path.write_text(_ay3_with("total", LONG + ",0,0"), encoding="utf-8")
+    argv = [str(path) if token == "TOTAL" else token for token in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    lines = [line for line in err.splitlines() if not line.startswith("elapsed:")]
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines[0]) <= 120 and "characters)" in lines[0], lines[0][:200]
 
 
 @pytest.mark.parametrize("argv", [
@@ -245,6 +272,39 @@ def test_ay_check_builds_one_identity(monkeypatch, capsys):
     code, out, _ = run(capsys, ["ay", "--genus", "8", "--check"])
     assert code == 0 and "check involution: pass" in out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
+def test_ay_check_reports_a_non_involution(json_out, monkeypatch, capsys):
+    """A boundary map that is a valid circle map of circumference 2 but not
+    an involution is a computed verdict: `check involution` fails and the
+    command exits 0."""
+    def rotated_blocks(g):
+        field, lengths, _ = _paired_blocks(g)
+        n = len(lengths)
+        return ietsaf.IET(field, 2, lengths, [(k + 1) % n for k in range(n)],
+                          circle=True)
+
+    monkeypatch.setattr(ietsaf.arnoux_yoccoz, "ay_boundary_involution", rotated_blocks)
+    code, out, err = run(capsys, ["ay", "--genus", "3", "--check"]
+                         + (["--json"] if json_out else []))
+    assert code == 0, err
+    if json_out:
+        report = json.loads(out)
+        assert report["checks"]["involution"] is False
+        assert report["all_pass"] is False
+    else:
+        assert "check involution: FAIL\n" in out
+        assert "all checks pass: False\n" in out
+
+
+def test_lift_of_a_file_runs_the_validating_constructor_once(ay3, monkeypatch, capsys):
+    """`lift` validates the file it loads; its half-turn rotation and the
+    composition are built on the trusted path."""
+    inits = count_calls(monkeypatch, ietsaf.IET, "__init__")
+    code, out, err = run(capsys, ["lift", "--iet", ay3])
+    assert code == 0, err
+    assert len(inits) == 1
 
 
 def test_ay_genus_8_report(capsys):

@@ -17,6 +17,7 @@ from ietsaf import (
     NumberField,
     Poly,
     WedgeClass,
+    ay_boundary_involution,
     ay_lift,
     ay_perturbed_involution,
     cyclic_discontinuities,
@@ -26,6 +27,7 @@ from ietsaf import (
 )
 
 from helpers import (
+    count_calls,
     cyclic_discontinuities_by_canonical,
     float_pieces,
     random_cubic_field,
@@ -186,48 +188,54 @@ def test_first_return_cap(k3, monkeypatch):
 
 
 def test_pair_involution_examples(k3):
+    """Pair involutions are built by the constructor: two swapped blocks
+    are a half-turn, one fixed block is the identity."""
     a = k3.gen()
-    swap = IET.pair_involution(k3, [a, a], [1, 0])
+    swap = IET(k3, a + a, [a, a], [1, 0], circle=True)
     assert swap == IET.rotation(k3, a + a, a)
     assert swap.compose(swap) == IET.identity(k3, a + a)
-    fixed = IET.pair_involution(k3, [a], [0])
+    fixed = IET(k3, a, [a], [0], circle=True)
     assert fixed == IET.identity(k3, a)
-    with pytest.raises(InputError, match="involution"):
-        IET.pair_involution(k3, [a, a, a], [1, 2, 0])
-    with pytest.raises(InputError, match="mismatch"):
-        IET.pair_involution(k3, [a, a * a], [1, 0])
 
 
 def test_pair_involution_errors(k3):
     a = k3.gen()
-    with pytest.raises(InputError, match="pairing not a bijection"):
-        IET.pair_involution(k3, [a, a], [0, 0])
     with pytest.raises(InputError, match="at least one interval"):
-        IET.pair_involution(k3, [], [])
+        IET(k3, 0, [], [], circle=True)
     with pytest.raises(InputError, match="nonpositive interval length"):
-        IET.pair_involution(k3, [-a, -a], [1, 0])
+        IET(k3, -a - a, [-a, -a], [1, 0], circle=True)
 
 
-def test_pair_involution_sums_the_lengths_once(k3, monkeypatch):
-    """16 blocks, as at genus 8: the breakpoints and the image offsets are
-    one addition per block each (the parent summed the blocks once more)."""
-    a = k3.gen()
-    lengths = [a * k for k in range(1, 9) for _ in range(2)]
-    pairing = [k ^ 1 for k in range(16)]
-    calls = []
-    add = ietsaf.field.AlgNum.__add__
-
-    def counting_add(self, other):
-        calls.append(1)
-        return add(self, other)
-
-    monkeypatch.setattr(ietsaf.field.AlgNum, "__add__", counting_add)
-    invol = IET.pair_involution(k3, lengths, pairing)
-    assert len(calls) == 32
+def test_pair_involution_sums_the_lengths_once(monkeypatch):
+    """The boundary involution at genus 8 (16 blocks) goes through the
+    constructor once, which makes one addition per block for the
+    breakpoints and one per block for the image offsets."""
+    adds = count_calls(monkeypatch, ietsaf.field.AlgNum, "__add__")
+    inits = count_calls(monkeypatch, IET, "__init__")
+    invol = ay_boundary_involution(8)
+    assert (len(adds), len(inits)) == (32, 1)
     monkeypatch.undo()
-    total = sum(lengths[1:], lengths[0])
-    assert invol == IET(k3, total, lengths, pairing, circle=True)
-    assert invol.total == total
+    assert invol.total == 2
+    assert invol.compose(invol) == IET.identity(invol.field, 2)
+
+
+def test_rotation_runs_no_validating_constructor(k3, monkeypatch):
+    """`IET.rotation` checks 0 < c < L itself and builds on the trusted
+    path; the lift's half-turn is one of these."""
+    inits = count_calls(monkeypatch, IET, "__init__")
+    theta = k3.gen()
+    for c in (Fraction(1, 3), theta, 1 - theta):
+        rot = IET.rotation(k3, 1, c)
+        assert rot.pieces() == [(k3.zero(), 1 - c, c), (1 - c, k3.one(), c - 1)]
+        assert rot.perm == (1, 0) and rot.circle is True
+    assert IET.identity(k3, 1).pieces() == [(k3.zero(), k3.one(), k3.zero())]
+    assert inits == []
+    monkeypatch.undo()
+    assert IET.rotation(k3, 1, theta) == IET(k3, 1, [1 - theta, theta], [1, 0])
+    with pytest.raises(InputError, match="nonpositive interval length"):
+        IET.identity(k3, 0)
+    with pytest.raises(DomainError, match="outside"):
+        IET.rotation(k3, 1, 1)
 
 
 def test_pair_involutions_random(k3):

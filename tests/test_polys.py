@@ -413,19 +413,36 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 ])
 def test_parse_error_texts(text, detail):
     """The error texts that `parse_rational` gave when it parsed through
-    `Fraction(str)`; `parse_ratio`, `parse_rational` and
-    `Poly.from_string` give them all."""
+    `Fraction(str)`, for a token of up to 40 characters; a longer token is
+    shown as its first 40 characters and its length, with no interpreter
+    text.  `parse_ratio`, `parse_rational` and `Poly.from_string` give
+    them all."""
+    message = f"bad rational {text!r}{detail}"
     if detail == "digits":
         if not 0 < DIGIT_LIMIT < len(BIG):
             pytest.skip("this interpreter reads 5,000-digit ints")
-        detail = (f": Exceeds the limit ({DIGIT_LIMIT} digits) for integer string "
-                  f"conversion: value has 5000 digits; use "
-                  f"sys.set_int_max_str_digits() to increase the limit")
-    message = f"bad rational {text!r}{detail}"
+        message = f"bad rational {text[:40]!r}... ({len(text)} characters): too many digits"
     for parse in (parse_ratio, parse_rational, lambda t: Poly.from_string("1," + t)):
         with pytest.raises(ParseError) as info:
             parse(text)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("9" * 39 + "x", "bad rational '" + "9" * 39 + "x'"),
+    ("9" * 40 + "x", "bad rational '" + "9" * 40 + "'... (41 characters)"),
+    ("9" * 4000 + "/0", "bad rational '" + "9" * 40 + "'... (4002 characters): "
+                        "zero denominator"),
+    ("9" * 38 + "/0", "bad rational '" + "9" * 38 + "/0': Fraction(" + "9" * 38 + ", 0)"),
+], ids=["40-chars", "41-chars", "long-zero-denominator",
+        "40-chars-zero-denominator"])
+def test_parse_errors_quote_at_most_40_characters(text, message):
+    """A token of up to 40 characters is echoed whole; a longer one as its
+    first 40 characters and its length, and its numerator is not echoed
+    again."""
+    with pytest.raises(ParseError) as info:
+        parse_ratio(text)
+    assert str(info.value) == message
 
 
 def test_poly_str_render():
