@@ -467,12 +467,12 @@ def test_in_process_calls_match_separate_runs(capsys):
 GOLDEN = DATA / "ay_check_json.json"
 
 
-@pytest.mark.parametrize("genus", [*range(3, 15), 19, 30, 40])
+@pytest.mark.parametrize("genus", [*range(3, 15), 19, 30, 40, 60, 80])
 def test_ay_check_json_matches_golden(genus, capsys):
     """`ay --genus g --check --json` stdout, recorded before the integer-vector
-    field and the trusted IET builder (g <= 14) and before the exact integer
-    enclosure (g = 19, 30, 40, where signs bisect): intervals and offsets
-    byte-identical."""
+    field and the trusted IET builder (g <= 14), before the exact integer
+    enclosure (g = 19, 30, 40, where signs bisect) and before the power-table
+    enclosure (g = 60, 80): intervals and offsets byte-identical."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[str(genus)]
     code, out, _ = run(capsys, ["ay", "--genus", str(genus), "--check", "--json"])
     assert code == 0
