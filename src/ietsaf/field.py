@@ -14,11 +14,20 @@ Signs and comparisons use one exact integer enclosure.  The field keeps
 its isolating interval as ints (a, b, D), meaning [a/D, b/D]; the
 `interval` property forms reduced `Fraction`s when it is read.  An
 element's value at the root is num(alpha)/den with den > 0, so num(x)
-decides its sign.  The enclosure is interval Horner of num over [a, b],
-coefficient k scaled by D^(d-1-k): exactly D^(d-1) times interval Horner
-over [a/D, b/D].  Scaling by a positive constant moves no bound across
-0, so no rounding is needed, and the enclosure decides exactly when the
-rational one would.  Each element caches it until the field bisects.
+decides its sign.  The field keeps a power table: for each k < d, integer
+bounds of D^(d-1) alpha^k, the exact range of x^k over [a, b] scaled by
+D^(d-1-k).  An odd power is monotone; an even power has lower bound 0
+over an interval that holds 0, and swaps its bounds over one below 0.
+The table is built when an enclosure first needs it after a bisection.
+An element's enclosure is then one sum over its nonzero coordinates,
+each coordinate's sign picking which bound it multiplies: exactly
+D^(d-1) times the rational power-form enclosure of num over
+[a/D, b/D].  Scaling by a positive constant moves no bound across 0, so
+no rounding is needed, and the enclosure decides exactly when the
+rational one would.  Off 0 the power form contains interval Horner's
+enclosure (subdistributivity), so it can only be wider; a wider
+enclosure costs a bisection, never a wrong sign.  Each element caches
+its enclosure until the field bisects.
 
 `sign` is one loop: a rational root hit by bisection decides by
 `sign_at`; else an enclosure on one side of 0 decides; after
@@ -79,6 +88,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, neg, sub
 
 from .errors import (
     FieldMismatchError,
@@ -103,16 +113,22 @@ SIGN_BISECTION_CAP = 10 ** 6
 def _mul_mod(a, b, high_powers):
     """Integer coordinates of the product of two integer vectors in Z[x]/(m).
 
-    Convolution, then each coefficient of alpha^(d+k) is folded back
-    through row k of the field's integer power table.
+    Convolution over the nonzero terms of the sparser operand, each adding
+    a shifted multiple of the other (a monomial gives one scaled copy);
+    then each nonzero coefficient of alpha^(d+k) is folded back through
+    row k of the field's integer power table.
     """
     d = len(a)
-    conv = [0] * (2 * d - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    conv[i + j] += x * y
+    if b.count(0) > a.count(0):
+        a, b = b, a
+    terms = [(i, x) for i, x in enumerate(a) if x]
+    if len(terms) == 1:
+        (i, x), = terms
+        conv = [0] * i + ([x * y for y in b] if x != 1 else [*b])
+    else:
+        conv = [0] * (2 * d - 1)
+        for i, x in terms:
+            conv[i:i + d] = [c + x * y for c, y in zip(conv[i:i + d], b)]
     out = conv[:d]
     for k, c in enumerate(conv[d:]):
         if c:
@@ -193,6 +209,7 @@ class NumberField:
         self._sign_lo = sign_lo
         self._exact_root = None
         self._generation = 0
+        self._bounds_cache = None
         self._high_powers = self._power_table()
         self.refine_interval(Fraction(1, 2 ** 20))
 
@@ -210,6 +227,41 @@ class NumberField:
                 cur = [a + top * b for a, b in zip(cur, reduction)]
             table.append(tuple(cur))
         return table
+
+    def _power_bounds(self):
+        """Integer bounds (lo_k, hi_k) of D^(d-1) alpha^k for each k < d.
+
+        The exact range of x^k over [a, b], scaled by D^(d-1-k): an odd
+        power is monotone, an even power has lower bound 0 over an
+        interval that holds 0 and swaps its bounds over one below 0.
+        Cached until the field bisects.
+        """
+        generation = self._generation
+        cached = self._bounds_cache
+        if cached is not None and cached[0] == generation:
+            return cached[1]
+        a, b, den = self._a, self._b, self._D
+        ranges = [(1, 1)]
+        pa = pb = 1
+        for k in range(1, self.degree):
+            pa *= a
+            pb *= b
+            if k % 2 or a >= 0:
+                ranges.append((pa, pb))
+            elif b <= 0:
+                ranges.append((pb, pa))
+            else:
+                ranges.append((0, max(pa, pb)))
+        # D^j = odd^j * 2^(shift*j); bisection doubles D, so odd is mostly 1
+        shift = (den & -den).bit_length() - 1
+        odd, scale = den >> shift, 1
+        bounds = []
+        for j, (lo, hi) in enumerate(reversed(ranges)):
+            bounds.append(((lo * scale) << (shift * j), (hi * scale) << (shift * j)))
+            scale *= odd
+        bounds.reverse()
+        self._bounds_cache = (generation, bounds)
+        return bounds
 
     # -- root interval management --------------------------------------
 
@@ -336,7 +388,9 @@ class AlgNum:
 
     def _coerce(self, other):
         if isinstance(other, AlgNum):
-            if other.field is not self.field and other.field != self.field:
+            if other.field is self.field:
+                return other
+            if other.field != self.field:
                 raise FieldMismatchError("operands belong to different number fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -349,7 +403,7 @@ class AlgNum:
             return NotImplemented
         ad, bd = self.den, o.den
         if ad == bd:
-            num = tuple(x + y for x, y in zip(self.num, o.num))
+            num = tuple(map(add, self.num, o.num))
             return AlgNum(self.field, num, 1) if ad == 1 else _reduced(self.field, num, ad)
         g = gcd(ad, bd)
         sa, sb = bd // g, ad // g
@@ -359,7 +413,7 @@ class AlgNum:
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgNum(self.field, tuple(-x for x in self.num), self.den)
+        return AlgNum(self.field, tuple(map(neg, self.num)), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -367,7 +421,7 @@ class AlgNum:
             return NotImplemented
         ad, bd = self.den, o.den
         if ad == bd:
-            num = tuple(x - y for x, y in zip(self.num, o.num))
+            num = tuple(map(sub, self.num, o.num))
             return AlgNum(self.field, num, 1) if ad == 1 else _reduced(self.field, num, ad)
         g = gcd(ad, bd)
         sa, sb = bd // g, ad // g
@@ -438,27 +492,27 @@ class AlgNum:
         return Fraction(self.num[0], self.den)
 
     def _enclosure(self):
-        """(lo, hi), exactly D^(d-1) times interval Horner of num over [a/D, b/D].
+        """(lo, hi), exactly D^(d-1) times the power form of num over [a/D, b/D].
 
-        Horner on the ints num over [a, b], coefficient k scaled by
-        D^(d-1-k); nothing is rounded.  Cached until the field bisects.
+        One term per nonzero coordinate c_k, from the field's power table:
+        c_k times the lower bound of D^(d-1) alpha^k and c_k times the
+        upper one, swapped when c_k < 0.  Nothing is rounded.  Cached until
+        the field bisects.
         """
         field = self.field
+        generation = field._generation
         cached = self._enclosure_cache
-        if cached is not None and cached[0] == field._generation:
+        if cached is not None and cached[0] == generation:
             return cached[1], cached[2]
-        a, b, den = field._a, field._b, field._D
         lo = hi = 0
-        scale = 1
-        for c in reversed(self.num):
-            if lo or hi:
-                products = (lo * a, lo * b, hi * a, hi * b)
-                lo, hi = min(products), max(products)
-            if c:
-                lo += c * scale
-                hi += c * scale
-            scale *= den
-        self._enclosure_cache = (field._generation, lo, hi)
+        for c, (blo, bhi) in zip(self.num, field._power_bounds()):
+            if c > 0:
+                lo += c * blo
+                hi += c * bhi
+            elif c:
+                lo += c * bhi
+                hi += c * blo
+        self._enclosure_cache = (generation, lo, hi)
         return lo, hi
 
     def sign(self) -> int:
@@ -468,8 +522,8 @@ class AlgNum:
         decides when it lies strictly on one side of 0; after
         SIGN_GCD_CHECK_AFTER bisections a gcd with the modulus rules out a
         zero divisor; else the field bisects once and the loop repeats.
-        The enclosure is an exact positive multiple of rational interval
-        Horner, so no rounding can hide or invent a sign.
+        The enclosure is an exact positive multiple of the rational
+        power-form enclosure, so no rounding can hide or invent a sign.
         """
         if self.is_zero():
             return 0
@@ -508,7 +562,7 @@ class AlgNum:
         The two enclosures share the scale D^(d-1), so dividing each by
         its den compares them: cross-multiplied, ahi/ad < blo/bd.
         """
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, AlgNum) and isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
         if isinstance(other, AlgNum) and other.field is self.field:
             alo, ahi = self._enclosure()
@@ -535,8 +589,10 @@ class AlgNum:
     def approx(self, eps) -> Fraction:
         """A rational within eps of the element's real value.
 
-        The enclosure is den*D^(d-1) times an enclosure of the value, so
-        it bisects until the enclosure is narrower than eps*den*D^(d-1).
+        The power-form enclosure is den*D^(d-1) times an enclosure of the
+        value, so it bisects until that is narrower than eps*den*D^(d-1),
+        and returns the midpoint.  A rational root hit by bisection gives
+        the exact value.
         """
         eps = Fraction(eps)
         field = self.field

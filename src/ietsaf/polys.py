@@ -745,18 +745,20 @@ def _irreducible_mod(a, q: int) -> bool:
     inv_lead = pow(f[-1], -1, q)
     f = [c * inv_lead % q for c in f]
     # k = 1 on plain lists: a root mod q answers before the Frobenius table
-    ring = None
     if q <= 2 * d - 2:
+        ring = None
         x_q = _mmod([0] * q + [1], f, q)
+        x_q += [0] * (d - len(x_q))
     else:
         ring = _PackedResidues(f, q)
-        x_q = ring.unpack(ring.power(ring.x_to(1), q), d)
-    x_q += [0] * (d - len(x_q))
+        packed = ring.power(ring.x_to(1), q)
+        x_q = ring.unpack(packed, d)
     if not _coprime_minus_x(x_q, f, q):
         return False
     if ring is None:
         ring = _PackedResidues(f, q)
-    ring.frobenius_table(ring.pack(x_q))
+        packed = ring.pack(x_q)
+    ring.frobenius_table(packed)
     checks = {d // r for r in _prime_factors(d)}
     h = x_q
     for k in range(2, d + 1):

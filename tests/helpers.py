@@ -305,9 +305,24 @@ def refine_by_fractions(modulus, lo, hi, width):
     return lo, hi, None
 
 
+def power_form_by_fractions(coords, lo, hi):
+    """Reference for `AlgNum._enclosure`: the enclosure of sum c_k x^k over
+    [lo, hi] over `Fraction`, adding c_k times the exact range of x^k, which
+    runs between lo^k and hi^k, and from 0 for an even k >= 2 when lo < 0 < hi."""
+    total_lo = total_hi = Fraction(0)
+    for k, c in enumerate(coords):
+        ends = (lo ** k, hi ** k)
+        low, high = min(ends), max(ends)
+        if k and k % 2 == 0 and lo < 0 < hi:
+            low = Fraction(0)
+        total_lo += min(c * low, c * high)
+        total_hi += max(c * low, c * high)
+    return total_lo, total_hi
+
+
 def sign_by_fractions(value):
-    """Reference for `AlgNum.sign`: interval Horner over `Fraction` of
-    num(x) = den * value on the field's isolating interval, bisecting the
+    """Reference for `AlgNum.sign`: the power-form enclosure over `Fraction`
+    of num(x) = den * value on the field's isolating interval, bisecting the
     field on demand, with the gcd check against the modulus after
     SIGN_GCD_CHECK_AFTER bisections."""
     if value.is_zero():
@@ -318,7 +333,7 @@ def sign_by_fractions(value):
         if field.exact_root is not None:
             exact = rep(field.exact_root)
             return (exact > 0) - (exact < 0)
-        lo, hi = rep.eval_interval(*field.interval)
+        lo, hi = power_form_by_fractions(value.num, *field.interval)
         if lo > 0:
             return 1
         if hi < 0:
@@ -329,6 +344,22 @@ def sign_by_fractions(value):
                 raise ReducibleModulusError(g)
         field._bisect_once()
     raise IterationCapError("sign determination exceeded the bisection cap")
+
+
+def mul_mod_by_division(a, b, m):
+    """Reference for `field._mul_mod`: dense convolution of the integer
+    vectors a and b, then long division by the monic integer modulus m
+    (coefficients low first); the remainder's d coordinates."""
+    d = len(m) - 1
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        c = conv[k]
+        for i, mi in enumerate(m):
+            conv[k - d + i] -= c * mi
+    return conv[:d]
 
 
 def _mmul(a, b, m):

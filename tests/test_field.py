@@ -16,11 +16,11 @@ from ietsaf import (
     isolate_real_roots,
     poly_xgcd,
 )
-from ietsaf.field import _integer_dependency
+from ietsaf.field import _integer_dependency, _mul_mod
 from ietsaf.polys import cauchy_root_bound
 
-from helpers import (min_poly_by_fractions, random_cubic_field, refine_by_fractions,
-                     sign_by_fractions)
+from helpers import (min_poly_by_fractions, mul_mod_by_division, power_form_by_fractions,
+                     random_cubic_field, refine_by_fractions, sign_by_fractions)
 
 
 AY3 = Poly([-1, 1, 1, 1])        # x^3 + x^2 + x - 1, root ~ 0.5437
@@ -221,6 +221,84 @@ def test_near_zero_element_bisects_to_the_right_sign():
     assert not a <= below and not a >= above
 
 
+def test_power_form_straddles_where_horner_decides_and_bisects_once():
+    """x^2 - 2mx + m^2 - delta with m the interval's midpoint, w its width
+    and delta = 3mw/2: Horner's enclosure of it lies below 0, the power
+    form reaches 2mw + w^2/4 - delta > 0, so the sign costs one bisection
+    and is -1 (the value (alpha - m)^2 - delta is below w^2/4 - delta)."""
+    field, twin = NumberField(AY3, 0, 1), NumberField(AY3, 0, 1)
+    a, b = field.interval
+    m, w = (a + b) / 2, b - a
+    coords = [m * m - 3 * m * w / 2, -2 * m, 1]
+    value = field.element(coords)
+    horner_lo, horner_hi = Poly(value.num).eval_interval(a, b)
+    assert horner_hi < 0
+    lo, hi = value._enclosure()
+    assert lo < 0 < hi
+    assert value.sign() == sign_by_fractions(twin.element(coords)) == -1
+    assert field.interval == twin.interval
+    lo, hi = field.interval
+    assert hi - lo == w / 2
+    assert value < 0 and value <= field.zero() and not value >= 0
+
+
+def test_interval_below_zero_swaps_the_even_power_bounds():
+    """x^3 - x^2 + x + 1 has the root -alpha for alpha the root of
+    x^3 + x^2 + x - 1, so c_0 + c_1 x + c_2 x^2 has at -alpha the sign
+    that c_0 - c_1 x + c_2 x^2 has at alpha."""
+    negative = NumberField(Poly([1, 1, -1, 1]), -1, 0)
+    positive = NumberField(AY3, 0, 1)
+    a, b = negative.interval
+    assert b < 0
+    den = negative._D
+    (lo0, hi0), (lo1, hi1), (lo2, hi2) = negative._power_bounds()
+    assert (lo0, hi0) == (den ** 2, den ** 2)
+    assert (lo1, hi1) == (a * den ** 2, b * den ** 2)
+    assert (lo2, hi2) == (b * b * den ** 2, a * a * den ** 2)
+    twin = NumberField(Poly([1, 1, -1, 1]), -1, 0)
+    rng = random.Random(5)
+    for _ in range(30):
+        c = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(3)]
+        value = negative.element(c)
+        plo, phi = power_form_by_fractions(value.num, *negative.interval)
+        scale = negative._D ** 2
+        assert value._enclosure() == (plo * scale, phi * scale)
+        mirrored = positive.element([c[0], -c[1], c[2]])
+        assert value.sign() == mirrored.sign() == sign_by_fractions(twin.element(c))
+    eps = Fraction(1, 2 ** 60)
+    assert abs(negative.gen().approx(eps) + positive.gen().approx(eps)) < 2 * eps
+
+
+def test_interval_holding_zero_uses_the_even_power_lower_bound_zero():
+    """x^3 + 2^24 x - 1 has one real root, near 2^-24.  Bisection of
+    (-1/3, 2/3) has endpoints +-1/(3*2^k) and never hits 0, so at width
+    2^-20 the interval still holds 0 and every even power's lower bound is
+    0.  alpha^2 - 2^-50 is positive, but its enclosure reaches below 0
+    until the field bisects past 0."""
+    modulus = Poly([-1, 2 ** 24, 0, 1])
+    field = NumberField(modulus, Fraction(-1, 3), Fraction(2, 3))
+    twin = NumberField(modulus, Fraction(-1, 3), Fraction(2, 3))
+    a, b = field.interval
+    assert a < 0 < b
+    (_, _), (lo1, hi1), (lo2, hi2) = field._power_bounds()
+    den = field._D
+    assert (lo1, hi1) == (a * den ** 2, b * den ** 2)
+    assert lo2 == 0 and hi2 == max(a * a, b * b) * den ** 2
+    batch = [[0, 0, 1], [0, 0, -1], [1, -2 ** 24, 0], [0, 1, 2 ** 20],
+             [-Fraction(1, 2 ** 50), 0, 1]]
+    for coords in batch:
+        plo, phi = power_form_by_fractions(field.element(coords).num, a, b)
+        assert field.element(coords)._enclosure() == (plo * den ** 2, phi * den ** 2)
+    square = field.element(batch[-1])
+    lo, hi = square._enclosure()
+    assert lo < 0 < hi
+    assert square.sign() == sign_by_fractions(twin.element(batch[-1])) == 1
+    assert field.interval == twin.interval
+    assert field.interval[0] > 0
+    for coords in batch:
+        assert field.element(coords).sign() == sign_by_fractions(twin.element(coords))
+
+
 def test_exact_sign_fallback_on_an_element_with_a_denominator():
     """Near-zero elements with a denominator bisect exactly as the Fraction
     reference does on a twin field, and end on the same interval."""
@@ -245,11 +323,10 @@ def test_exact_sign_fallback_on_an_element_with_a_denominator():
 
 
 def approx_by_fractions(field, coords, eps):
-    """Reference for `AlgNum.approx`: interval Horner over the rational
-    coordinates, bisecting `field` until the enclosure is narrower than eps."""
-    rep = Poly(coords)
+    """Reference for `AlgNum.approx`: the power-form enclosure over the
+    rational coordinates, bisecting `field` until it is narrower than eps."""
     while True:
-        lo, hi = rep.eval_interval(*field.interval)
+        lo, hi = power_form_by_fractions(coords, *field.interval)
         if hi - lo < eps:
             return (lo + hi) / 2
         field._bisect_once()
@@ -370,18 +447,29 @@ else:
     @field_settings
     @given(fields(), st.data())
     def test_filtered_sign_equals_exact_sign(spec, data):
-        """The integer enclosure is D^(d-1) times Fraction interval Horner,
-        and every sign equals the Fraction reference's on a twin field."""
+        """The integer enclosure is D^(d-1) times the Fraction power form,
+        holds the exact value, and contains interval Horner's enclosure
+        unless the interval holds 0 (there an even power's bound 0 can be
+        tighter than Horner's x*x); every sign equals the Fraction
+        reference's on a twin field."""
         p, lo, hi = spec
         field, twin = NumberField(p, lo, hi), NumberField(p, lo, hi)
+        probe = NumberField(p, lo, hi)      # bisected by the containment check
         batch = [data.draw(coords(field.degree)) for _ in range(6)]
         offset = data.draw(st.integers(-3, 3))
         batch.append(near_root(*field.interval, offset) + [0] * (field.degree - 2))
         for c in batch:
             value = field.element(c)
             scale = field._D ** (field.degree - 1)
-            vlo, vhi = Poly(value.num).eval_interval(*field.interval)
-            assert value._enclosure() == (vlo * scale, vhi * scale)
+            a, b = field.interval
+            plo, phi = power_form_by_fractions(value.num, a, b)
+            elo, ehi = value._enclosure()
+            assert (elo, ehi) == (plo * scale, phi * scale)
+            exact = probe.element(value.num)
+            assert sign_by_fractions(exact - plo) >= 0 >= sign_by_fractions(exact - phi)
+            if not a < 0 < b:
+                vlo, vhi = Poly(value.num).eval_interval(a, b)
+                assert plo <= vlo and vhi <= phi
             got = _outcome(value.sign)
             exact = _outcome(lambda: sign_by_fractions(twin.element(c)))
             assert got == exact
@@ -460,6 +548,37 @@ else:
                     a.inverse()
             else:
                 assert a.inverse().coords == expected
+
+    def sparse_vectors(degree):
+        """Integer vectors with at most two nonzero coordinates; monomials
+        with coefficient 1 among them."""
+        coeff = st.one_of(st.just(1), st.integers(-2 ** 40, 2 ** 40))
+        terms = st.lists(st.tuples(st.integers(0, degree - 1), coeff), max_size=2)
+
+        def vector(pairs):
+            v = [0] * degree
+            for i, c in pairs:
+                v[i] = c
+            return v
+
+        return terms.map(vector)
+
+    @field_settings
+    @given(st.one_of(linear, fields()), st.data())
+    def test_mul_mod_on_sparse_operands_matches_dense_division(spec, data):
+        """`_mul_mod` loops over the sparser operand's nonzero terms; the
+        reference convolves densely and divides by the modulus."""
+        p, lo, hi = spec
+        field = NumberField(p, lo, hi)
+        d = field.degree
+        sparse = sparse_vectors(d)
+        dense = st.lists(st.integers(-50, 50), min_size=d, max_size=d)
+        for left, right in ((sparse, dense), (dense, sparse), (sparse, sparse),
+                            (dense, dense)):
+            a, b = data.draw(left), data.draw(right)
+            expected = mul_mod_by_division(a, b, field._ints)
+            assert _mul_mod(tuple(a), tuple(b), field._high_powers) == expected
+            assert _mul_mod(list(b), list(a), field._high_powers) == expected
 
     @field_settings
     @given(fields(), st.integers(1, 3), st.integers(1, 2 ** 70), st.integers(0, 3))

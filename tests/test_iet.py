@@ -30,7 +30,6 @@ from helpers import (
     count_calls,
     cyclic_discontinuities_by_canonical,
     float_pieces,
-    random_cubic_field,
     random_iet,
     random_pair_involution,
     random_positive,
