@@ -388,9 +388,7 @@ class AlgNum:
 
     def _coerce(self, other):
         if isinstance(other, AlgNum):
-            if other.field is self.field:
-                return other
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError("operands belong to different number fields")
             return other
         if isinstance(other, (int, Fraction)):

@@ -463,10 +463,9 @@ else:
             scale = field._D ** (field.degree - 1)
             a, b = field.interval
             plo, phi = power_form_by_fractions(value.num, a, b)
-            elo, ehi = value._enclosure()
-            assert (elo, ehi) == (plo * scale, phi * scale)
-            exact = probe.element(value.num)
-            assert sign_by_fractions(exact - plo) >= 0 >= sign_by_fractions(exact - phi)
+            assert value._enclosure() == (plo * scale, phi * scale)
+            at_root = probe.element(value.num)
+            assert sign_by_fractions(at_root - plo) >= 0 >= sign_by_fractions(at_root - phi)
             if not a < 0 < b:
                 vlo, vhi = Poly(value.num).eval_interval(a, b)
                 assert plo <= vlo and vhi <= phi
