@@ -60,9 +60,11 @@ Elements of two equal field objects have the same coordinates in the
 same basis, but arithmetic and comparisons are fastest within one field
 object.
 
-Products go through one integer kernel, `_mul_mod`: convolution, then
-reduction by a table of alpha^d .. alpha^(2d-2) whose entries are Python
-ints, since the modulus is monic and integral.  `AlgNum.__mul__` runs it
+Products go through one integer kernel, `_mul_mod`: convolution over the
+nonzero terms of the sparser operand (most products in the AY
+construction have a monomial operand), then reduction by a table of
+alpha^d .. alpha^(2d-2) whose entries are Python ints, since the modulus
+is monic and integral.  `AlgNum.__mul__` runs it
 on the two `num` vectors and multiplies the denominators.
 `AlgNum.min_poly` runs it on gamma = den*a = num, which has integer
 coordinates over a monic integer modulus, so gamma is an algebraic
