@@ -64,19 +64,20 @@ Products go through one integer kernel, `_mul_mod`: convolution over the
 nonzero terms of the sparser operand (most products in the AY
 construction have a monomial operand), then reduction by a table of
 alpha^d .. alpha^(2d-2) whose entries are Python ints, since the modulus
-is monic and integral.  `AlgNum.__mul__` runs it
-on the two `num` vectors and multiplies the denominators.
-`AlgNum.min_poly` runs it on gamma = den*a = num, which has integer
-coordinates over a monic integer modulus, so gamma is an algebraic
-integer and every power of it has integer coordinates.  Krylov
-elimination on those powers is fraction-free (cross-multiplication, then
-division by the content), so it is exact with no `Fraction` at all; the
-minimal polynomial of a is that of gamma at den*x, made monic.
+is monic and integral.  `AlgNum.__mul__` runs it on the two `num`
+vectors and multiplies the denominators.
+
+One elimination serves `min_poly` and `inverse`: `_integer_dependency`
+finds the first primitive integer dependency of a sequence of integer
+vectors, fraction-free (cross-multiplication, then division by the
+content), with no `Fraction` at all.  `min_poly` feeds it the powers of
+the algebraic integer num, `inverse` feeds it 1 and num*alpha^j, j < d.
 
 A field does not certify that its modulus is irreducible: arithmetic
 does not depend on it, and the stretch-factor criteria certify their own
 polynomial (`certificates`).  A reducible modulus is detected loudly when
-inversion, or sign refinement while it bisects, meets a zero divisor.
+inversion, or sign refinement while it bisects, meets a zero divisor;
+both report the monic gcd of num and the modulus (`polys.primitive_gcd`).
 Once bisection has hit a rational root, `sign` decides by `sign_at`, so
 a zero divisor vanishing there gets sign 0; `inverse` still raises.
 
@@ -89,6 +90,7 @@ polynomial of lambda + 1/lambda off the integer coefficients of m
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import add, neg, sub
 
@@ -103,7 +105,6 @@ from .polys import (
     Poly,
     count_real_roots,
     monic_squarefree_chain,
-    poly_xgcd,
     primitive_gcd,
     sign_at,
 )
@@ -147,21 +148,18 @@ def _reduced(field, num, den) -> "AlgNum":
     return AlgNum(field, tuple(num), den)
 
 
-def _integer_dependency(gamma, high_powers):
-    """Primitive integer c_0..c_k with sum c_i gamma^i = 0 and k minimal.
+def _integer_dependency(vectors):
+    """Primitive integer c_0..c_k with sum c_i v_i = 0 and k minimal.
 
-    gamma is an integer coordinate vector.  Fraction-free Krylov
-    elimination: each new power gamma^j is reduced against the kept rows
-    by cross-multiplication, s*vec - c*pvec with s the row's pivot entry,
-    the same update is applied to its expression in powers, and both are
-    divided by their common content.  The first power that reduces to
-    zero gives the dependency, already primitive.
+    `vectors` is any iterable of integer vectors, read only up to the first
+    dependency.  Fraction-free elimination: each vector is reduced against
+    the kept rows by cross-multiplication, s*vec - c*pvec with s the row's
+    pivot entry, the same update is applied to its expression in the
+    vectors, and both are divided by their common content.  The first
+    vector that reduces to zero gives the dependency, already primitive.
     """
-    d = len(gamma)
-    rows = []  # (pivot index, reduced vector, expression in powers)
-    power = [1] + [0] * (d - 1)
-    for j in range(d + 1):
-        vec = power
+    rows = []  # (pivot index, reduced vector, expression in the vectors)
+    for j, vec in enumerate(vectors):
         combo = [0] * j + [1]
         for pivot, pvec, pcombo in rows:
             c = vec[pivot]
@@ -179,8 +177,7 @@ def _integer_dependency(gamma, high_powers):
         if pivot is None:
             return combo
         rows.append((pivot, vec, combo))
-        power = _mul_mod(power, gamma, high_powers)
-    raise PolynomialError("unreachable: no dependency among d+1 powers")
+    raise PolynomialError("unreachable: the vectors are independent")
 
 
 class NumberField:
@@ -307,8 +304,11 @@ class NumberField:
         self._bisect(0, 1)
 
     def refine_interval(self, width: Fraction) -> None:
-        """Shrink the isolating interval below the given width."""
-        self._bisect(Fraction(width), -1)
+        """Shrink the isolating interval below the given positive width."""
+        width = Fraction(width)
+        if width <= 0:
+            raise InputError(f"refinement width must be positive, got {width}")
+        self._bisect(width, -1)
 
     # -- element constructors -------------------------------------------
 
@@ -443,19 +443,23 @@ class AlgNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgNum":
-        """Multiplicative inverse via extended gcd with the modulus.
-
-        Raises ReducibleModulusError when the gcd uncovers a nontrivial
-        factor (the element is a zero divisor of a reducible modulus).
-        """
+        """Multiplicative inverse from the first integer dependency c_0 +
+        num * sum c_(j+1) alpha^j = 0 of 1, num, num*alpha, ..., so 1/self =
+        -den * sum c_(j+1) alpha^j / c_0.  c_0 = 0 exactly when num is a zero
+        divisor; ReducibleModulusError then names the monic gcd of num and
+        the modulus, as `sign` does."""
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero field element")
         field = self.field
-        g, u, _ = poly_xgcd(Poly(self.num), field.modulus)
-        if g.degree > 0:
-            raise ReducibleModulusError(g)
-        u = u % field.modulus       # u * num = 1, so 1/self = den * u
-        return field.element([u[i] * self.den for i in range(field.degree)])
+        d, num, high_powers = field.degree, self.num, field._high_powers
+        units = [[0] * j + [1] + [0] * (d - 1 - j) for j in range(d)]
+        c0, *rest = _integer_dependency(
+            chain(units[:1], (_mul_mod(num, u, high_powers) for u in units)))
+        if c0 == 0:
+            raise ReducibleModulusError(Poly(primitive_gcd(field._ints, num)).monic())
+        scale = -self.den if c0 > 0 else self.den
+        return _reduced(field, [scale * c for c in rest] + [0] * (d - len(rest)),
+                        abs(c0))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -587,7 +591,7 @@ class AlgNum:
         return self._compare(other) >= 0
 
     def approx(self, eps) -> Fraction:
-        """A rational within eps of the element's real value.
+        """A rational within eps > 0 of the element's real value.
 
         The power-form enclosure is den*D^(d-1) times an enclosure of the
         value, so it bisects until that is narrower than eps*den*D^(d-1),
@@ -595,6 +599,8 @@ class AlgNum:
         the exact value.
         """
         eps = Fraction(eps)
+        if eps <= 0:
+            raise InputError(f"approximation tolerance must be positive, got {eps}")
         field = self.field
         while True:
             root = field._exact_root
@@ -610,16 +616,15 @@ class AlgNum:
         return float(self.approx(Fraction(1, 10 ** 20)))
 
     def min_poly(self) -> Poly:
-        """Monic rational minimal polynomial, by Krylov elimination over Z.
-
-        gamma = den*self = num has integer coordinates over a monic
-        integer modulus, so it is an algebraic integer and all its powers
-        have integer coordinates.  Its minimal polynomial sum c_i x^i comes
-        from fraction-free elimination; that of self is the one of gamma
-        at den*x, made monic, with coefficients c_i*den^i / (c_k*den^k).
-        """
-        den = self.den
-        combo = _integer_dependency(self.num, self.field._high_powers)
+        """Monic rational minimal polynomial.  gamma = den*self = num has
+        integer coordinates over a monic integer modulus, so it is an
+        algebraic integer and so are its powers; their first integer
+        dependency sum c_i gamma^i = 0 gives gamma's minimal polynomial, and
+        that of self is it at den*x, made monic: c_i*den^i / (c_k*den^k)."""
+        den, d, high_powers = self.den, self.field.degree, self.field._high_powers
+        powers = accumulate(repeat(self.num, d), lambda p, g: _mul_mod(p, g, high_powers),
+                            initial=[1] + [0] * (d - 1))
+        combo = _integer_dependency(powers)
         k = len(combo) - 1
         lead = combo[k] * den ** k
         return Poly([Fraction(c * den ** i, lead) for i, c in enumerate(combo)])

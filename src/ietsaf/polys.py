@@ -323,7 +323,10 @@ class Poly:
 
 
 def poly_xgcd(p: Poly, q: Poly):
-    """Extended gcd: (g, u, v) with u*p + v*q = g, g monic or zero."""
+    """Extended gcd: (g, u, v) with u*p + v*q = g, g monic or zero.
+
+    No library path calls it: it is kept as public API and as the tests'
+    rational oracle for `AlgNum.inverse`."""
     a, b = p, q
     ua, va = Poly([1]), Poly()
     ub, vb = Poly(), Poly([1])

@@ -104,6 +104,15 @@ def test_stretch_minpoly():
         assert eval_at(ay_stretch_minpoly(g), lam).is_zero()
 
 
+@pytest.mark.parametrize("g", [3, 8, 40, 80])
+def test_stretch_factor_is_the_inverse_of_alpha(g):
+    """alpha + ... + alpha^g = 1, so 1/alpha = 1 + alpha + ... + alpha^(g-1),
+    and its minimal polynomial is the stretch polynomial."""
+    lam = ay_alpha(g).gen().inverse()
+    assert lam.num == (1,) * g and lam.den == 1
+    assert lam.min_poly() == ay_stretch_minpoly(g)
+
+
 def test_self_similarity_conjugacy():
     for g in range(3, 13):
         witness = ay_self_similarity_witness(ay_lift(g))

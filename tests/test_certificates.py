@@ -131,9 +131,7 @@ def test_vanishing_call_counts(monkeypatch, capsys):
                         counting("field", field.NumberField.__init__))
     monkeypatch.setattr(field.NumberField, "_power_table",
                         counting("field", field.NumberField._power_table))
-    xgcd = counting("poly_xgcd", polys.poly_xgcd)
-    for module in (polys, field):
-        monkeypatch.setattr(module, "poly_xgcd", xgcd)
+    monkeypatch.setattr(polys, "poly_xgcd", counting("poly_xgcd", polys.poly_xgcd))
     min_poly = AlgNum.min_poly
 
     def watched_min_poly(self):

@@ -157,7 +157,7 @@ def test_reducible_modulus_detected_on_inversion():
     elem = field.element([1, 0, 1])
     with pytest.raises(ReducibleModulusError) as info:
         elem.inverse()
-    assert info.value.factor.degree >= 1
+    assert info.value.factor == Poly([1, 0, 1])
 
 
 def test_field_equality_same_root():
@@ -184,6 +184,25 @@ def test_approx_accuracy():
     # alpha satisfies its polynomial to within the tolerance
     residual = AY3(mid)
     assert abs(residual) < Fraction(1, 10 ** 28)
+
+
+@pytest.mark.parametrize("tolerance", [0, Fraction(-1, 3), -1])
+def test_nonpositive_tolerance_is_rejected(tolerance):
+    field = NumberField(Poly([-2, 0, 1]), 1, 2)
+    before = field.interval
+    with pytest.raises(InputError):
+        field.refine_interval(tolerance)
+    with pytest.raises(InputError):
+        field.gen().approx(tolerance)
+    assert field.interval == before
+
+
+def test_approx_at_a_rational_root_is_exact():
+    # (x - 1)(x^2 - 2) on (3/4, 5/4): the first midpoint is the root 1
+    field = NumberField(Poly([-1, 1]) * Poly([-2, 0, 1]), Fraction(3, 4), Fraction(5, 4))
+    assert field.exact_root == 1
+    value = field.element([0, Fraction(1, 3), 2])
+    assert value.approx(Fraction(1, 10 ** 6)) == Fraction(7, 3)
 
 
 def test_pow():
@@ -509,9 +528,11 @@ else:
         return tuple(prod[i] for i in range(p.degree))
 
     def oracle_inverse(p, x):
+        """Coordinates of 1/x in Q[t]/(p), or the error naming the monic
+        gcd of x and p, by the rational extended Euclid."""
         g, u, _ = poly_xgcd(Poly(x), p)
         if g.degree > 0:
-            return ReducibleModulusError
+            return ReducibleModulusError(g)
         u = u % p
         return tuple(u[i] for i in range(p.degree))
 
@@ -542,9 +563,10 @@ else:
         assert (a - b + b) == a and hash(a - b + b) == hash(a)
         if any(x):
             expected = oracle_inverse(p, x)
-            if expected is ReducibleModulusError:
-                with pytest.raises(ReducibleModulusError):
+            if isinstance(expected, ReducibleModulusError):
+                with pytest.raises(ReducibleModulusError) as info:
                     a.inverse()
+                assert info.value.factor == expected.factor
             else:
                 assert a.inverse().coords == expected
 
@@ -673,8 +695,29 @@ else:
             # D*a is an algebraic integer: its primitive dependency is monic
             den = math.lcm(*(c.denominator for c in a.coords))
             gamma = [int(c * den) for c in a.coords]
-            combo = _integer_dependency(gamma, field._high_powers)
+            powers = [[1] + [0] * (field.degree - 1)]
+            for _ in range(field.degree):
+                powers.append(_mul_mod(powers[-1], gamma, field._high_powers))
+            combo = _integer_dependency(powers)
             assert math.gcd(*combo) == 1 and abs(combo[-1]) == 1
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much,
+                                     HealthCheck.too_slow])
+    @given(moduli(), moduli(), st.data())
+    def test_zero_divisor_inverse_names_the_oracle_factor(f, h, data):
+        """A multiple of a proper factor f of the modulus f*h is a zero
+        divisor: `inverse` raises with the `poly_xgcd` oracle's gcd."""
+        field = field_of(f * h)
+        r = data.draw(st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=12),
+                               min_size=h.degree, max_size=h.degree))
+        assume(any(r))
+        x = tuple((f * Poly(r))[i] for i in range(field.degree))
+        expected = oracle_inverse(field.modulus, x)
+        assert isinstance(expected, ReducibleModulusError)
+        with pytest.raises(ReducibleModulusError) as info:
+            field.element(x).inverse()
+        assert info.value.factor == expected.factor
 
 
 try:
