@@ -62,10 +62,11 @@ object.
 
 Products go through one integer kernel, `_mul_mod`: convolution over the
 nonzero terms of the sparser operand (most products in the AY
-construction have a monomial operand), then reduction by a table of
-alpha^d .. alpha^(2d-2) whose entries are Python ints, since the modulus
-is monic and integral.  `AlgNum.__mul__` runs it on the two `num`
-vectors and multiplies the denominators.
+construction have a monomial operand), then long division by the
+modulus, top term first, on its ints: the modulus is monic, so each step
+subtracts an integer multiple of it and nothing is divided.
+`AlgNum.__mul__` runs it on the two `num` vectors and multiplies the
+denominators.
 
 One elimination serves `min_poly` and `inverse`: `_integer_dependency`
 finds the first primitive integer dependency of a sequence of integer
@@ -113,13 +114,14 @@ SIGN_GCD_CHECK_AFTER = 48
 SIGN_BISECTION_CAP = 10 ** 6
 
 
-def _mul_mod(a, b, high_powers):
+def _mul_mod(a, b, modulus):
     """Integer coordinates of the product of two integer vectors in Z[x]/(m).
 
+    `modulus` is the integer coefficients of the monic m, low first.
     Convolution over the nonzero terms of the sparser operand, each adding
     a shifted multiple of the other (a monomial gives one scaled copy);
-    then each nonzero coefficient of alpha^(d+k) is folded back through
-    row k of the field's integer power table.
+    then long division by m: from the top down, a term c x^k with k >= d
+    is folded into the d terms below it by x^k = x^(k-d) (x^d - m(x)).
     """
     d = len(a)
     if b.count(0) > a.count(0):
@@ -132,11 +134,11 @@ def _mul_mod(a, b, high_powers):
         conv = [0] * (2 * d - 1)
         for i, x in terms:
             conv[i:i + d] = [c + x * y for c, y in zip(conv[i:i + d], b)]
-    out = conv[:d]
-    for k, c in enumerate(conv[d:]):
+    while len(conv) > d:
+        c = conv.pop()
         if c:
-            out = [x + c * y for x, y in zip(out, high_powers[k])]
-    return out
+            conv[-d:] = [x - c * y for x, y in zip(conv[-d:], modulus)]
+    return conv
 
 
 def _reduced(field, num, den) -> "AlgNum":
@@ -209,23 +211,7 @@ class NumberField:
         self._exact_root = None
         self._generation = 0
         self._bounds_cache = None
-        self._high_powers = self._power_table()
         self.refine_interval(Fraction(1, 2 ** 20))
-
-    def _power_table(self):
-        # integer coords of alpha^d .. alpha^(2d-2) in the power basis
-        d = self.degree
-        reduction = [-c for c in self._ints[:-1]]
-        table = []
-        cur = list(reduction)
-        table.append(tuple(cur))
-        for _ in range(d - 2):
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                cur = [a + top * b for a, b in zip(cur, reduction)]
-            table.append(tuple(cur))
-        return table
 
     def _power_bounds(self):
         """Integer bounds (lo_k, hi_k) of D^(d-1) alpha^k for each k < d.
@@ -436,7 +422,7 @@ class AlgNum:
         if o is None:
             return NotImplemented
         field = self.field
-        num = _mul_mod(self.num, o.num, field._high_powers)
+        num = _mul_mod(self.num, o.num, field._ints)
         den = self.den * o.den
         return AlgNum(field, tuple(num), 1) if den == 1 else _reduced(field, num, den)
 
@@ -451,12 +437,12 @@ class AlgNum:
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero field element")
         field = self.field
-        d, num, high_powers = field.degree, self.num, field._high_powers
+        d, num, modulus = field.degree, self.num, field._ints
         units = [[0] * j + [1] + [0] * (d - 1 - j) for j in range(d)]
         c0, *rest = _integer_dependency(
-            chain(units[:1], (_mul_mod(num, u, high_powers) for u in units)))
+            chain(units[:1], (_mul_mod(num, u, modulus) for u in units)))
         if c0 == 0:
-            raise ReducibleModulusError(Poly(primitive_gcd(field._ints, num)).monic())
+            raise ReducibleModulusError(Poly(primitive_gcd(modulus, num)).monic())
         scale = -self.den if c0 > 0 else self.den
         return _reduced(field, [scale * c for c in rest] + [0] * (d - len(rest)),
                         abs(c0))
@@ -621,8 +607,8 @@ class AlgNum:
         algebraic integer and so are its powers; their first integer
         dependency sum c_i gamma^i = 0 gives gamma's minimal polynomial, and
         that of self is it at den*x, made monic: c_i*den^i / (c_k*den^k)."""
-        den, d, high_powers = self.den, self.field.degree, self.field._high_powers
-        powers = accumulate(repeat(self.num, d), lambda p, g: _mul_mod(p, g, high_powers),
+        den, d, modulus = self.den, self.field.degree, self.field._ints
+        powers = accumulate(repeat(self.num, d), lambda p, g: _mul_mod(p, g, modulus),
                             initial=[1] + [0] * (d - 1))
         combo = _integer_dependency(powers)
         k = len(combo) - 1

@@ -226,17 +226,16 @@ class IET:
         return cls._from_tiling(field, (zero, total), (zero,), (0,), bool(circle))
 
     @classmethod
-    def rotation(cls, field: NumberField, total, c, circle=True) -> "IET":
-        """x -> x + c (mod total)."""
+    def rotation(cls, field: NumberField, total, c) -> "IET":
+        """x -> x + c (mod total), a circle map."""
         total = _coerce(field, total)
         c = _coerce(field, c)
         if c.sign() == 0:
-            return cls.identity(field, total, circle)
+            return cls.identity(field, total, True)
         if c.sign() < 0 or not c < total:
             raise DomainError("rotation constant outside [0, total)")
         cut = total - c     # 0 < c < total: both pieces have positive length
-        return cls._from_tiling(field, (field.zero(), cut, total), (c, -cut), (1, 0),
-                                bool(circle))
+        return cls._from_tiling(field, (field.zero(), cut, total), (c, -cut), (1, 0), True)
 
     @classmethod
     def _from_tiling(cls, field, breaks, translations, ranks, circle) -> "IET":

@@ -427,9 +427,7 @@ def _negated_pseudo_remainder(a, b):
         r = [lead * x for x in r]
         for j, y in enumerate(b[:-1], len(r) - db):
             r[j] -= c * y
-    while r and r[-1] == 0:
-        r.pop()
-    return _primitive([-x for x in r])
+    return _primitive([-x for x in _mtrim(r)])
 
 
 def primitive_gcd(a, b):

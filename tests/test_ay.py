@@ -98,6 +98,8 @@ def test_unnormalized_lift_is_rotated_involution():
 def test_stretch_minpoly():
     assert ay_stretch_minpoly(3) == Poly([-1, -1, -1, 1])
     assert ay_stretch_minpoly(2) == Poly([-1, -1, 1])
+    with pytest.raises(InputError, match="g >= 2"):
+        ay_stretch_minpoly(1)
     for g in range(3, 9):
         field = ay_alpha(g)
         lam = field.gen().inverse()

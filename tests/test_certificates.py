@@ -129,8 +129,6 @@ def test_vanishing_call_counts(monkeypatch, capsys):
     monkeypatch.setattr(AlgNum, "inverse", counting("inverse", AlgNum.inverse))
     monkeypatch.setattr(field.NumberField, "__init__",
                         counting("field", field.NumberField.__init__))
-    monkeypatch.setattr(field.NumberField, "_power_table",
-                        counting("field", field.NumberField._power_table))
     monkeypatch.setattr(polys, "poly_xgcd", counting("poly_xgcd", polys.poly_xgcd))
     min_poly = AlgNum.min_poly
 
@@ -182,6 +180,8 @@ def test_reciprocal_mod2_examples():
     assert reciprocal_mod2(Poly([1, 1]))
     with pytest.raises(PolynomialError):
         reciprocal_mod2(Poly([2, 1, 1]))                   # even constant
+    with pytest.raises(PolynomialError, match="integer coefficients"):
+        reciprocal_mod2(Poly([1, Fraction(1, 2), 1]))
 
 
 def test_completion_examples():
@@ -294,6 +294,8 @@ else:
 def test_completion_preconditions():
     with pytest.raises(PolynomialError):
         gf2_completion_exists(0b10, 1)       # constant term 0
+    with pytest.raises(InputError, match="nonnegative"):
+        gf2_completion_exists(0b1011, -1)
     with pytest.raises(PolynomialError):
         gf2_completion_bruteforce(0, 1)
     with pytest.raises(InputError):

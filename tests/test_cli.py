@@ -98,8 +98,12 @@ def _ay3_with(key, value):
     # exponent notation is outside the grammar; this one once hung the parser
     (_ay3_with("total", "1e999999999,0,0"), "bad rational '1e999999999'"),
     (_ay3_with("modulus", "-1,1,1,1e0"), "bad rational '1e0'"),
+    (json.dumps([AY3_FILE]), "IET file must contain a JSON object"),
+    (_ay3_with("perm", [str(k) for k in AY3_FILE["perm"]]),
+     "'perm' must be a list of integers"),
 ], ids=["invalid-json", "modulus-list", "root-interval-int", "total-int",
-        "lengths-entry-int", "total-exponent", "modulus-exponent"])
+        "lengths-entry-int", "total-exponent", "modulus-exponent", "json-array",
+        "perm-strings"])
 def test_malformed_iet_file_exits_2(text, message, tmp_path, capsys):
     path = tmp_path / "bad.iet"
     path.write_text(text, encoding="utf-8")
@@ -107,6 +111,14 @@ def test_malformed_iet_file_exits_2(text, message, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {message}")
+
+
+def test_missing_iet_file_exits_2(tmp_path, capsys):
+    """A path that does not exist is one `cannot read` line and exit 2."""
+    path = tmp_path / "absent.iet"
+    code, out, err = run(capsys, ["saf", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ")
 
 
 @pytest.mark.parametrize("data, line", [

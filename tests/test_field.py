@@ -6,10 +6,12 @@ import pytest
 
 from ietsaf import (
     AlgNum,
+    FieldMismatchError,
     InputError,
     NumberField,
     Poly,
     ReducibleModulusError,
+    ay_alpha,
     count_real_roots,
     eval_at,
     is_squarefree,
@@ -167,6 +169,21 @@ def test_field_equality_same_root():
     g1 = NumberField(Poly([-2, 0, 1]), 0, 2)
     g2 = NumberField(Poly([-2, 0, 1]), -2, 0)
     assert g1 != g2
+
+
+def test_fields_differ_by_modulus_and_their_elements_do_not_mix():
+    """x^2 - 2 and x^3 - 2x both have the root sqrt(2) in their isolating
+    intervals, but the power bases differ: the fields are unequal on the
+    modulus alone.  Elements of unequal fields compare unequal, and their
+    sum raises."""
+    quad = NumberField(Poly([-2, 0, 1]), 1, 2)
+    cubic = NumberField(Poly([0, -2, 0, 1]), 1, 2)
+    assert quad != cubic and not quad == cubic
+    other_root = NumberField(Poly([-2, 0, 1]), -2, -1)
+    for a, b in ((quad.gen(), cubic.gen()), (quad.gen(), other_root.gen())):
+        assert a != b and not a == b
+        with pytest.raises(FieldMismatchError):
+            a + b
 
 
 def test_degree_one_field():
@@ -598,8 +615,8 @@ else:
                             (dense, dense)):
             a, b = data.draw(left), data.draw(right)
             expected = mul_mod_by_division(a, b, field._ints)
-            assert _mul_mod(tuple(a), tuple(b), field._high_powers) == expected
-            assert _mul_mod(list(b), list(a), field._high_powers) == expected
+            assert _mul_mod(tuple(a), tuple(b), field._ints) == expected
+            assert _mul_mod(list(b), list(a), field._ints) == expected
 
     @field_settings
     @given(fields(), st.integers(1, 3), st.integers(1, 2 ** 70), st.integers(0, 3))
@@ -697,7 +714,7 @@ else:
             gamma = [int(c * den) for c in a.coords]
             powers = [[1] + [0] * (field.degree - 1)]
             for _ in range(field.degree):
-                powers.append(_mul_mod(powers[-1], gamma, field._high_powers))
+                powers.append(_mul_mod(powers[-1], gamma, field._ints))
             combo = _integer_dependency(powers)
             assert math.gcd(*combo) == 1 and abs(combo[-1]) == 1
 
@@ -718,6 +735,25 @@ else:
         with pytest.raises(ReducibleModulusError) as info:
             field.element(x).inverse()
         assert info.value.factor == expected.factor
+
+
+@pytest.mark.parametrize("g", [40, 120])
+def test_mul_mod_at_high_degree_matches_division(g):
+    """`_mul_mod` over the AY alpha field of degree g, where a product folds
+    up to g - 1 terms above the basis: sparse*dense, dense*sparse and
+    dense*dense against dense long division and against `Poly` arithmetic."""
+    field = ay_alpha(g)
+    m = field._ints
+    rng = random.Random(g)
+    dense = [[rng.randint(-2 ** 40, 2 ** 40) for _ in range(g)] for _ in range(2)]
+    alpha, top = ([0] * k + [1] + [0] * (g - 1 - k) for k in (1, g - 1))
+    two_terms = [0] * g
+    two_terms[3], two_terms[g - 2] = -7, 2 ** 50
+    for x, y in [(s, dense[0]) for s in (alpha, top, two_terms)] + [tuple(dense)]:
+        expected = mul_mod_by_division(x, y, m)
+        assert _mul_mod(x, y, m) == _mul_mod(tuple(y), tuple(x), m) == expected
+        product = (Poly(x) * Poly(y)) % field.modulus
+        assert [product[i] for i in range(g)] == expected
 
 
 try:

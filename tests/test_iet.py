@@ -51,6 +51,7 @@ def test_identity_and_rotation_translations(k3):
     theta = k3.gen()
     rot = IET.rotation(k3, 1, theta)
     assert rot.translations() == (theta, theta - 1)
+    assert IET.rotation(k3, 1, 0).circle is True
 
 
 def test_constructor_errors(k3):
@@ -264,6 +265,30 @@ def test_wedge_algebra(k3):
     assert w + WedgeClass.zero(k3) == w
     with pytest.raises(InputError):
         WedgeClass(k3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+
+
+def test_wedge_constructor(k3):
+    """The public constructor reads rationals into `Fraction` rows and
+    takes exactly d rows of d entries."""
+    w = WedgeClass(k3, [[0, 2, 0], ["-2", 0, Fraction(1, 3)], [0, Fraction(-1, 3), 0]])
+    assert w.rows == ((0, 2, 0), (-2, 0, Fraction(1, 3)), (0, Fraction(-1, 3), 0))
+    assert all(type(c) is Fraction for row in w.rows for c in row)
+    assert w == WedgeClass(k3, w.rows) and not w.is_zero()
+    for rows in ([[0, 1], [-1, 0]], [[0, 0, 0], [0, 0], [0, 0, 0]],
+                 [[0, 0, 0]] * 4):
+        with pytest.raises(InputError, match="d x d"):
+            WedgeClass(k3, rows)
+
+
+def test_values_and_classes_from_another_field_are_rejected(k3):
+    trib = NumberField(Poly([-1, -1, -1, 1]), 1, 2)
+    half = trib.from_rational(Fraction(1, 2))
+    with pytest.raises(FieldMismatchError):
+        IET(k3, 1, [Fraction(1, 2), half], [1, 0])
+    with pytest.raises(FieldMismatchError):
+        IET(k3, trib.one(), [Fraction(1, 2), Fraction(1, 2)], [1, 0])
+    with pytest.raises(FieldMismatchError):
+        IET.rotation(k3, 1, k3.gen()).saf() + WedgeClass.zero(trib)
 
 
 def test_saf_homomorphism_random(k3):
