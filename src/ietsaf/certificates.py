@@ -115,12 +115,15 @@ class CertVerdict:
 
 def _validate_stretch(m: Poly, interval=None):
     """`monic_squarefree_chain`, then, on that Sturm chain: m(0) != 0 and a
-    real root > 1 (in `interval` when given).  Returns `certify_irreducible(m)`."""
+    real root > 1 (in `interval` when given, with lo < hi).  Returns
+    `certify_irreducible(m)`."""
     chain = monic_squarefree_chain(m, MINPOLY)
     if m.constant() == 0:
         raise InputError("minimal polynomial must have nonzero constant term")
     if interval is not None:
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
+        if lo >= hi:
+            raise InputError("supplied interval is empty: lo must be below hi")
         if lo < 1:
             raise InputError("supplied interval must lie in [1, oo)")
         if (any(sign_at(chain[0], x.numerator, x.denominator) == 0 for x in (lo, hi))
