@@ -20,7 +20,6 @@ from .certificates import (
     gf2_completion_bruteforce,
     gf2_completion_exists,
     nonlift_certificate,
-    reciprocal_mod2,
     vanishing_by_field_degree,
     vanishing_by_reciprocity,
     vanishing_verdicts,
@@ -35,8 +34,8 @@ from .errors import (
     PolynomialError,
     ReducibleModulusError,
 )
-from .field import AlgNum, NumberField, eval_at
-from .iet import IET, WedgeClass, cyclic_discontinuities, rotation_conjugacy
+from .field import AlgNum, NumberField
+from .iet import IET, WedgeClass, rotation_conjugacy
 from .ietfile import dumps_iet, dumps_report, loads_iet, read_iet
 from .polys import (
     Poly,
@@ -75,10 +74,8 @@ __all__ = [
     "ay_stretch_minpoly",
     "certify_irreducible",
     "count_real_roots",
-    "cyclic_discontinuities",
     "dumps_iet",
     "dumps_report",
-    "eval_at",
     "gf2_completion_bruteforce",
     "gf2_completion_exists",
     "is_reciprocal",
@@ -88,7 +85,6 @@ __all__ = [
     "nonlift_certificate",
     "poly_xgcd",
     "read_iet",
-    "reciprocal_mod2",
     "reverse",
     "rotation_conjugacy",
     "vanishing_by_field_degree",

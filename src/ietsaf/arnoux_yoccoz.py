@@ -90,7 +90,8 @@ def ay_boundary_involution(g: int) -> IET:
 
 def ay_perturbed_involution(g: int) -> IET:
     """Negative control: the boundary involution with the cyclic positions
-    of one alpha^2 and one alpha^3 block exchanged.  Not self-similar."""
+    of one alpha^2 and one alpha^3 block exchanged.  Not self-similar.
+    No command builds it; it is the negative control of ROADMAP item 8(b)."""
     field, lengths, pairing = _paired_blocks(g)
     lengths[3], lengths[4] = lengths[4], lengths[3]
     pairing[2:6] = [4, 5, 2, 3]

@@ -149,7 +149,8 @@ def vanishing_by_reciprocity(m: Poly, interval=None) -> VanishingVerdict:
 
     lambda and 1/lambda are Galois conjugates exactly when m is
     reciprocal, and conjugacy is equivalent to a proper (index 2)
-    trace-field extension, hence to a nonzero invariant.
+    trace-field extension, hence to a nonzero invariant.  Commands use
+    `vanishing_verdicts`; this stays while `perfbench/layers.py` traces it.
     """
     return _by_reciprocity(m, _validate_stretch(m, interval))
 
@@ -161,7 +162,8 @@ def vanishing_by_field_degree(m: Poly, interval=None) -> VanishingVerdict:
     mod y^2 - x*y + 1 and chi is the characteristic polynomial of beta =
     lambda + 1/lambda on Q[y]/(m).  m is squarefree, so Q[y]/(m) is a
     product of fields and beta's minimal polynomial is the squarefree part
-    of chi (`trace_minpoly`); its degree is compared with deg m.
+    of chi (`trace_minpoly`); its degree is compared with deg m.  Commands
+    use `vanishing_verdicts`; this stays while `perfbench/layers.py` traces it.
     """
     return _by_field_degree(m, _validate_stretch(m, interval))
 
@@ -196,15 +198,6 @@ def _by_field_degree(m: Poly, prime) -> VanishingVerdict:
         index=index,
         notes=_notes(m, prime),
     )
-
-
-def reciprocal_mod2(p: Poly) -> bool:
-    """Whether the GF(2) reduction of p equals its own reversal."""
-    if not p.is_integral:
-        raise PolynomialError("mod-2 reciprocity needs integer coefficients")
-    if p.is_zero or int(p.constant()) % 2 == 0:
-        raise PolynomialError("mod-2 reciprocity needs an odd constant term")
-    return gf2.is_self_reciprocal(gf2.from_poly(p))
 
 
 def _check_completion_args(mbar: int, k: int) -> None:

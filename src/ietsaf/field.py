@@ -107,6 +107,7 @@ from .polys import (
     count_real_roots,
     monic_squarefree_chain,
     primitive_gcd,
+    scaled_value,
     sign_at,
 )
 
@@ -433,7 +434,8 @@ class AlgNum:
         num * sum c_(j+1) alpha^j = 0 of 1, num, num*alpha, ..., so 1/self =
         -den * sum c_(j+1) alpha^j / c_0.  c_0 = 0 exactly when num is a zero
         divisor; ReducibleModulusError then names the monic gcd of num and
-        the modulus, as `sign` does."""
+        the modulus, as `sign` does.  No command calls it: it stays for
+        ROADMAP items 8 and 12, and `perfbench/layers.py` traces it."""
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero field element")
         field = self.field
@@ -448,6 +450,7 @@ class AlgNum:
                         abs(c0))
 
     def __truediv__(self, other):
+        """Kept with `inverse` for ROADMAP item 8; no command divides."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -457,6 +460,7 @@ class AlgNum:
         return self.inverse() * other
 
     def __pow__(self, n: int):
+        """Kept with `inverse` for ROADMAP item 8; no command takes powers."""
         if n < 0:
             return self.inverse() ** (-n)
         result = self.field.one()
@@ -472,14 +476,6 @@ class AlgNum:
 
     def is_zero(self) -> bool:
         return not any(self.num)
-
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
-    def to_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise InputError(f"{self!r} is not rational")
-        return Fraction(self.num[0], self.den)
 
     def _enclosure(self):
         """(lo, hi), exactly D^(d-1) times the power form of num over [a/D, b/D].
@@ -582,7 +578,7 @@ class AlgNum:
         The power-form enclosure is den*D^(d-1) times an enclosure of the
         value, so it bisects until that is narrower than eps*den*D^(d-1),
         and returns the midpoint.  A rational root hit by bisection gives
-        the exact value.
+        the exact value, by integer Horner (`polys.scaled_value`).
         """
         eps = Fraction(eps)
         if eps <= 0:
@@ -591,7 +587,9 @@ class AlgNum:
         while True:
             root = field._exact_root
             if root is not None:
-                return Poly(self.num)(root) / self.den
+                q = root.denominator
+                return Fraction(scaled_value(self.num, root.numerator, q),
+                                self.den * q ** (field.degree - 1))
             lo, hi = self._enclosure()
             scale = self.den * field._D ** (field.degree - 1)
             if (hi - lo) * eps.denominator < eps.numerator * scale:
@@ -599,6 +597,8 @@ class AlgNum:
             field._bisect_once()
 
     def __float__(self) -> float:
+        """No command calls it (`--float` prints decimals from `approx`): it
+        stays as library API, which the tests compare with float oracles."""
         return float(self.approx(Fraction(1, 10 ** 20)))
 
     def min_poly(self) -> Poly:
@@ -606,7 +606,9 @@ class AlgNum:
         integer coordinates over a monic integer modulus, so it is an
         algebraic integer and so are its powers; their first integer
         dependency sum c_i gamma^i = 0 gives gamma's minimal polynomial, and
-        that of self is it at den*x, made monic: c_i*den^i / (c_k*den^k)."""
+        that of self is it at den*x, made monic: c_i*den^i / (c_k*den^k).
+        No command calls it: it stays for ROADMAP items 8(b) and 12, and
+        `perfbench/layers.py` traces it."""
         den, d, modulus = self.den, self.field.degree, self.field._ints
         powers = accumulate(repeat(self.num, d), lambda p, g: _mul_mod(p, g, modulus),
                             initial=[1] + [0] * (d - 1))
@@ -617,11 +619,3 @@ class AlgNum:
 
     def __repr__(self):
         return f"AlgNum([{', '.join(str(c) for c in self.coords)}])"
-
-
-def eval_at(p: Poly, a: AlgNum) -> AlgNum:
-    """Evaluate a rational polynomial at a field element (Horner)."""
-    acc = a.field.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * a + c
-    return acc

@@ -91,7 +91,8 @@ def factor(a: int) -> dict:
 
     Candidate divisors are tried in increasing integer order; the first
     hit is always irreducible because any proper factor of it would be a
-    smaller divisor that was already removed.
+    smaller divisor that was already removed.  No `src/` path calls it;
+    it stays while `perfbench/layers.py` traces it.
     """
     if a == 0:
         raise PolynomialError("cannot factor the zero polynomial")

@@ -8,8 +8,10 @@ whose endpoints are identified, which is what rotation-by-a-constant
 needs.
 
 The Sah-Arnoux-Fathi invariant of the map, sum of length wedge
-translation over Q, is returned as an exact antisymmetric rational
-matrix in the field's power basis (WedgeClass).  Vanishing of the
+translation over Q, is an exact antisymmetric rational matrix in the
+field's power basis (WedgeClass), kept as its upper triangle in ints
+over one den, as `AlgNum` keeps coordinates; `saf` sums each piece's
+integer wedge into it and builds no `Fraction`.  Vanishing of the
 invariant does not depend on the basis choice.
 
 On the circle a map is the cyclic word of its arcs: (gap from one
@@ -42,8 +44,7 @@ combinatorially the keys are ints: `compose` is one merge sweep of the
 inner map's images (in image order) against the outer map's pieces (in
 domain order), O(n + m), and a composite piece's image rank is (outer
 perm, inner perm).  `rotate(c)` is R_c o f, whose one cut is at L - c.
-Only `first_return` sorts its images by value.  `saf` builds its matrix
-antisymmetric, so it returns it through `WedgeClass._trusted`.
+Only `first_return` sorts its images by value.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DomainError, FieldMismatchError, InputError, IterationCapError
 from .field import AlgNum, NumberField
@@ -89,52 +90,59 @@ def _on_field(f: "IET", field: NumberField):
 
 
 class WedgeClass:
-    """Antisymmetric rational matrix representing an element of K wedge_Q K."""
+    """An element of K wedge_Q K: an antisymmetric rational matrix in the
+    power basis, kept as its upper triangle.
 
-    __slots__ = ("field", "rows")
+    The constructor trusts its arguments: `num`, the d(d-1)/2 entries
+    (i, j), i < j, row by row, as ints over one positive int `den`, with
+    gcd(den, *num) = 1.  That form is unique, so equality compares ints.
+    """
 
-    def __init__(self, field: NumberField, rows):
-        rows = tuple(tuple(Fraction(c) for c in row) for row in rows)
-        d = field.degree
-        if len(rows) != d or any(len(r) != d for r in rows):
-            raise InputError("wedge matrix must be d x d")
-        for i in range(d):
-            for j in range(d):
-                if rows[i][j] != -rows[j][i]:
-                    raise InputError("wedge matrix must be antisymmetric")
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num, den):
         self.field = field
-        self.rows = rows
+        self.num = num
+        self.den = den
 
     @classmethod
-    def _trusted(cls, field: NumberField, rows) -> "WedgeClass":
-        """The class of `rows`, a d x d antisymmetric tuple of `Fraction`
-        tuples; the builder for internal results, it checks nothing."""
-        out = object.__new__(cls)
-        out.field, out.rows = field, rows
-        return out
+    def _reduced(cls, field: NumberField, num, den) -> "WedgeClass":
+        """The class of num/den, divided through by gcd(den, *num)."""
+        g = gcd(den, *num)
+        return cls(field, tuple(x // g for x in num), den // g)
 
     @classmethod
     def zero(cls, field: NumberField) -> "WedgeClass":
         d = field.degree
-        return cls._trusted(field, ((Fraction(0),) * d,) * d)
+        return cls(field, (0,) * (d * (d - 1) // 2), 1)
+
+    @property
+    def rows(self):
+        """The d x d matrix as tuples of `Fraction`, for output and tests."""
+        d, den = self.field.degree, self.den
+        rows = [[Fraction(0)] * d for _ in range(d)]
+        upper = ((i, j) for i in range(d) for j in range(i + 1, d))
+        for (i, j), x in zip(upper, self.num):
+            rows[i][j], rows[j][i] = Fraction(x, den), Fraction(-x, den)
+        return tuple(map(tuple, rows))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for row in self.rows for c in row)
+        return not any(self.num)
 
     def __add__(self, other: "WedgeClass") -> "WedgeClass":
+        """No command adds classes; `+` and `-` stay for the homomorphism
+        SAF(f o g) = SAF(f) + SAF(g), SAF(f^-1) = -SAF(f) that tier-1 checks."""
         if not isinstance(other, WedgeClass):
             return NotImplemented
         if other.field is not self.field and other.field != self.field:
             raise FieldMismatchError("wedge classes over different fields")
-        return WedgeClass._trusted(
-            self.field,
-            tuple(tuple(a + b for a, b in zip(r1, r2))
-                  for r1, r2 in zip(self.rows, other.rows)),
-        )
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return WedgeClass._reduced(
+            self.field, [x * sa + y * sb for x, y in zip(self.num, other.num)], den)
 
     def __neg__(self) -> "WedgeClass":
-        return WedgeClass._trusted(self.field,
-                                   tuple(tuple(-c for c in row) for row in self.rows))
+        return WedgeClass(self.field, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other: "WedgeClass") -> "WedgeClass":
         return self + (-other)
@@ -142,10 +150,10 @@ class WedgeClass:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WedgeClass):
             return NotImplemented
-        return self.field == other.field and self.rows == other.rows
+        return self.field == other.field and (self.num, self.den) == (other.num, other.den)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"WedgeClass({self.rows})"
@@ -259,7 +267,8 @@ class IET:
     def from_pieces(cls, field: NumberField, total, pieces, circle=False) -> "IET":
         """Build from (start, end, translation) triples that tile [0, L)
         and whose images tile it too; validated through the constructor,
-        with perm the order of the image starts."""
+        with perm the order of the image starts.  No command calls it: the
+        tests rebuild trusted results with it, and `perfbench/layers.py` traces it."""
         pieces = sorted(((_coerce(field, u), _coerce(field, v), _coerce(field, t))
                          for u, v, t in pieces), key=lambda p: p[0])
         if not pieces:
@@ -280,6 +289,8 @@ class IET:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x) -> AlgNum:
+        """f(x) for x in [0, L).  No command calls it: it is the pointwise
+        definition the tests check compose, inverse and first_return by."""
         x = _coerce(self.field, x)
         if x.sign() < 0 or not x < self.total:
             raise DomainError("point outside [0, L)")
@@ -429,23 +440,25 @@ class IET:
     # -- the invariant ---------------------------------------------------------
 
     def saf(self) -> WedgeClass:
-        """Sum of length wedge translation, as an antisymmetric matrix."""
+        """Sum of length wedge translation: entry (i, j) of the triangle sums
+        v_i w_j - w_i v_j over the pieces, as ints over one common den."""
         d = self.field.degree
-        pairs = list(zip(self.lengths, self.translations()))
-        den = lcm(*(l.den * t.den for l, t in pairs))   # integer rows over den
-        rows = [[0] * d for _ in range(d)]
+        pairs = list(zip(self.lengths, self._translations))
+        den = lcm(*(l.den * t.den for l, t in pairs))
+        tri = [0] * (d * (d - 1) // 2)
         for l, t in pairs:
             v, w = l.num, t.num
             scale = den // (l.den * t.den)
+            start = -1          # entry (i, j) sits at start + j in row i
             for i in range(d):
-                if v[i] or w[i]:
+                vi, wi = v[i], w[i]
+                if vi or wi:
                     for j in range(i + 1, d):
-                        m = v[i] * w[j] - w[i] * v[j]
+                        m = vi * w[j] - wi * v[j]
                         if m:
-                            rows[i][j] += m * scale
-                            rows[j][i] -= m * scale
-        return WedgeClass._trusted(
-            self.field, tuple(tuple(Fraction(x, den) for x in row) for row in rows))
+                            tri[start + j] += m * scale
+                start += d - 2 - i
+        return WedgeClass._reduced(self.field, tri, den)
 
     def __repr__(self):
         kind = "circle" if self.circle else "interval"
@@ -470,16 +483,6 @@ def _word(arcs, total):
     """The cyclic word [(gap to the next arc start, translation)] of arcs."""
     ends = [s for s, _ in arcs[1:]] + [arcs[0][0] + total]
     return [(e - s, t) for (s, t), e in zip(arcs, ends)]
-
-
-def cyclic_discontinuities(f: IET):
-    """Positions where f is genuinely discontinuous as a circle map, sorted.
-
-    A chart breakpoint is spurious on the circle when the neighbouring
-    translations agree modulo the total length (the chart seam at 0 is
-    treated the same way).
-    """
-    return [start for start, _ in _arcs(f)]
 
 
 def rotation_conjugacy(f: IET, g: IET):

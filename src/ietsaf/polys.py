@@ -282,7 +282,8 @@ class Poly:
         return acc
 
     def eval_interval(self, lo: Fraction, hi: Fraction):
-        """Interval Horner: an enclosure of p([lo, hi])."""
+        """Interval Horner: an enclosure of p([lo, hi]).  No `src/` path
+        calls it; it stays while `perfbench/layers.py` traces it (ROADMAP item 3)."""
         if self.is_zero:
             return Fraction(0), Fraction(0)
         vlo = vhi = self.coeffs[-1]
@@ -325,8 +326,8 @@ class Poly:
 def poly_xgcd(p: Poly, q: Poly):
     """Extended gcd: (g, u, v) with u*p + v*q = g, g monic or zero.
 
-    No library path calls it: it is kept as public API and as the tests'
-    rational oracle for `AlgNum.inverse`."""
+    No library path calls it: it is the tests' rational oracle for
+    `AlgNum.inverse`, and stays while `perfbench/layers.py` traces it."""
     a, b = p, q
     ua, va = Poly([1]), Poly()
     ub, vb = Poly(), Poly([1])
@@ -367,7 +368,8 @@ def is_reciprocal(p: Poly) -> bool:
 
 
 def is_squarefree(p: Poly) -> bool:
-    """Whether p is nonzero with gcd(p, p') constant: the last Sturm entry."""
+    """Whether p is nonzero with gcd(p, p') constant: the last Sturm entry.
+    No `src/` path calls it; it stays while `perfbench/layers.py` traces it."""
     if p.is_zero:
         return False
     try:
@@ -388,16 +390,20 @@ def cauchy_root_bound(p: Poly) -> Fraction:
 # -- Sturm chains and real root isolation ------------------------------
 
 
-def sign_at(coeffs, num: int, den: int) -> int:
-    """Sign of the integer polynomial `coeffs` (constant first) at num/den.
-
-    Homogeneous Horner: the sign of den^deg * p(num/den), which is that
-    of p(num/den) since den > 0.
-    """
+def scaled_value(coeffs, num: int, den: int) -> int:
+    """den^deg * p(num/den) for the integer polynomial `coeffs` (constant
+    first), deg = len(coeffs) - 1: homogeneous Horner, on ints only."""
     acc, scale = 0, 1
     for c in reversed(coeffs):
         acc = acc * num + c * scale
         scale *= den
+    return acc
+
+
+def sign_at(coeffs, num: int, den: int) -> int:
+    """Sign of the integer polynomial `coeffs` (constant first) at num/den:
+    that of `scaled_value`, since den > 0."""
+    acc = scaled_value(coeffs, num, den)
     return (acc > 0) - (acc < 0)
 
 
@@ -510,7 +516,8 @@ def isolate_real_roots(p: Poly, lo: Fraction, hi: Fraction, chain=None):
     """Disjoint intervals (a, b], each holding exactly one root in (lo, hi].
 
     Requires p squarefree; intervals are returned in increasing order and
-    jointly cover all roots of p in (lo, hi].
+    jointly cover all roots of p in (lo, hi].  No command calls it: it
+    stays for ROADMAP item 8, and `perfbench/layers.py` traces it.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
@@ -733,7 +740,13 @@ def _coprime_minus_x(h, f, q) -> bool:
 
 
 def _irreducible_mod(a, q: int) -> bool:
-    """`is_irreducible_mod` on the integer coefficient list a."""
+    """Rabin irreducibility test for the integer coefficient list a
+    (constant first) reduced modulo the prime q.
+
+    One pass over h_k = x^(q^k) mod f for k = 1..d (the module docstring
+    has the order of its steps): gcd(h_k - x, f) = 1 at k = 1 and at each
+    k = d/r (r a prime factor of d), and h_d = x.
+    """
     f = _mtrim([c % q for c in a])
     d = len(f) - 1
     if d < len(a) - 1:
@@ -767,16 +780,6 @@ def _irreducible_mod(a, q: int) -> bool:
         if k in checks and not _coprime_minus_x(h, f, q):
             return False
     return h == [0, 1] + [0] * (d - 2)
-
-
-def is_irreducible_mod(p: Poly, q: int) -> bool:
-    """Rabin irreducibility test for p reduced modulo the prime q.
-
-    One pass over h_k = x^(q^k) mod f for k = 1..d (the module docstring
-    has the order of its steps): gcd(h_k - x, f) = 1 at k = 1 and at each
-    k = d/r (r a prime factor of d), and h_d = x.
-    """
-    return _irreducible_mod(_int_coeffs(p), q)
 
 
 def certify_irreducible(p: Poly):

@@ -131,8 +131,9 @@ def simulate(pieces, x):
 
 
 def cyclic_discontinuities_by_canonical(f):
-    """Reference for `cyclic_discontinuities`: walk the canonical pieces and
-    keep each breakpoint whose translation jump is not 0 or +-L."""
+    """Reference for the arc starts of `iet._arcs`, the points where f is
+    discontinuous as a circle map: walk the canonical pieces and keep each
+    breakpoint whose translation jump is not 0 or +-L."""
     pieces = f.canonical().pieces()
     total = f.total
     out = []
@@ -166,6 +167,28 @@ def rotation_conjugacy_by_compose(f, g):
         if rot.compose(g).compose(rot.inverse()) == f:
             return c
     return None
+
+
+def saf_by_fractions(f):
+    """Reference for `IET.saf`: the d x d matrix sum of l wedge t over the
+    pieces, (l wedge t)_ij = l_i t_j - t_i l_j on `Fraction` coordinates."""
+    d = f.field.degree
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    for l, t in zip(f.lengths, f.translations()):
+        lc, tc = l.coords, t.coords
+        for i in range(d):
+            for j in range(d):
+                rows[i][j] += lc[i] * tc[j] - tc[i] * lc[j]
+    return tuple(map(tuple, rows))
+
+
+def eval_at(p, a):
+    """p(a) for a rational polynomial p and a field element a, by Horner in
+    the field: the check that a `min_poly` result vanishes at its element."""
+    acc = a.field.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * a + c
+    return acc
 
 
 def min_poly_by_fractions(a):
@@ -390,7 +413,7 @@ def _mpowmod(base, e, f, m):
 
 
 def is_irreducible_mod_by_powering(p, q):
-    """Reference for `is_irreducible_mod`: Rabin's test with a fresh
+    """Reference for `_irreducible_mod`: Rabin's test with a fresh
     square-and-multiply x^(q^k) mod f on coefficient lists for each k."""
     coeffs = [c % q for c in _int_coeffs(p)]
     f = _mtrim(list(coeffs))

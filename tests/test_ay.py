@@ -13,12 +13,13 @@ from ietsaf import (
     ay_perturbed_involution,
     ay_self_similarity_witness,
     ay_stretch_minpoly,
-    eval_at,
     nonlift_certificate,
     vanishing_by_reciprocity,
 )
 from ietsaf.arnoux_yoccoz import _paired_blocks
 from ietsaf.certificates import OUTCOME_INCONCLUSIVE
+
+from helpers import eval_at
 
 HALF = Fraction(1, 2)
 

@@ -10,7 +10,6 @@ from ietsaf import (
     gf2_completion_bruteforce,
     gf2_completion_exists,
     nonlift_certificate,
-    reciprocal_mod2,
     vanishing_by_field_degree,
     vanishing_by_reciprocity,
     vanishing_verdicts,
@@ -172,16 +171,6 @@ def test_methods_agree_on_corpus():
         a = vanishing_by_reciprocity(m)
         b = vanishing_by_field_degree(m)
         assert a.vanishes == b.vanishes, str(m)
-
-
-def test_reciprocal_mod2_examples():
-    assert reciprocal_mod2(TRIB)
-    assert not reciprocal_mod2(Poly([-1, -1, 0, 1]))       # x^3 - x - 1
-    assert reciprocal_mod2(Poly([1, 1]))
-    with pytest.raises(PolynomialError):
-        reciprocal_mod2(Poly([2, 1, 1]))                   # even constant
-    with pytest.raises(PolynomialError, match="integer coefficients"):
-        reciprocal_mod2(Poly([1, Fraction(1, 2), 1]))
 
 
 def test_completion_examples():

@@ -583,7 +583,7 @@ def test_stretch_verdicts_match_golden(name, capsys):
     polynomial, the AY stretch polynomials g = 19, 21 and 22, which every
     trial prime misses, x^4 - 10x^2 + 1 and the reciprocal quartic
     x^4 - x^3 - x^2 - x + 1: recorded before the early rejections in
-    `is_irreducible_mod` and `trace_minpoly`."""
+    Rabin's test (`polys._irreducible_mod`) and `trace_minpoly`."""
     case = STRETCH_GOLDEN[name]
     code, out, err = run(capsys, case["argv"])
     assert (code, out) == (case["exit"], case["stdout"])

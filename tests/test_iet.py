@@ -20,20 +20,24 @@ from ietsaf import (
     ay_boundary_involution,
     ay_lift,
     ay_perturbed_involution,
-    cyclic_discontinuities,
     dumps_iet,
     loads_iet,
     rotation_conjugacy,
 )
 
+from ietsaf.iet import _arcs
+
 from helpers import (
     count_calls,
     cyclic_discontinuities_by_canonical,
     float_pieces,
+    random_cubic_field,
     random_iet,
     random_pair_involution,
     random_positive,
+    random_quartic_field_above_one,
     rotation_conjugacy_by_compose,
+    saf_by_fractions,
     simulate,
 )
 
@@ -263,21 +267,49 @@ def test_wedge_algebra(k3):
     w = IET.rotation(k3, 1, theta).saf()
     assert (w + (-w)).is_zero()
     assert w + WedgeClass.zero(k3) == w
-    with pytest.raises(InputError):
-        WedgeClass(k3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert w - w == WedgeClass.zero(k3)
 
 
 def test_wedge_constructor(k3):
-    """The public constructor reads rationals into `Fraction` rows and
-    takes exactly d rows of d entries."""
-    w = WedgeClass(k3, [[0, 2, 0], ["-2", 0, Fraction(1, 3)], [0, Fraction(-1, 3), 0]])
+    """The constructor takes the upper triangle (0,1), (0,2), (1,2) as
+    reduced ints over one den; `rows` is the antisymmetric `Fraction`
+    matrix it stands for, and sums come back reduced."""
+    w = WedgeClass(k3, (6, 0, 1), 3)
     assert w.rows == ((0, 2, 0), (-2, 0, Fraction(1, 3)), (0, Fraction(-1, 3), 0))
     assert all(type(c) is Fraction for row in w.rows for c in row)
-    assert w == WedgeClass(k3, w.rows) and not w.is_zero()
-    for rows in ([[0, 1], [-1, 0]], [[0, 0, 0], [0, 0], [0, 0, 0]],
-                 [[0, 0, 0]] * 4):
-        with pytest.raises(InputError, match="d x d"):
-            WedgeClass(k3, rows)
+    assert w == WedgeClass(k3, (6, 0, 1), 3) and not w.is_zero()
+    assert hash(w) == hash(WedgeClass(k3, (6, 0, 1), 3))
+    assert w + w == WedgeClass(k3, (12, 0, 2), 3)
+    half = WedgeClass(k3, (1, 0, 0), 2)
+    assert half + half == WedgeClass(k3, (1, 0, 0), 1)
+    zero = w + (-w)
+    assert (zero.num, zero.den) == ((0, 0, 0), 1) and zero.is_zero()
+
+
+def test_saf_matches_the_fraction_oracle():
+    """`IET.saf` equals the sum of l wedge t on `Fraction` coordinates, on
+    random IETs whose lengths have denominators, compositions and AY lifts;
+    (num, den) is reduced and `rows` is antisymmetric with `Fraction`
+    entries."""
+    rng = random.Random(71)
+    fields = [random_cubic_field(rng) for _ in range(3)]
+    fields += [random_quartic_field_above_one(rng) for _ in range(2)]
+    maps = [ay_lift(6), ay_lift(7).compose(ay_lift(7))]
+    for field in fields:
+        for _ in range(4):
+            f = random_iet(field, rng, circle=rng.random() < 0.5)
+            maps += [f, f.inverse(), f.compose(f)]
+    assert any(l.den > 1 for f in maps for l in f.lengths)
+    for f in maps:
+        w, d = f.saf(), f.field.degree
+        assert w.rows == saf_by_fractions(f)
+        assert len(w.num) == d * (d - 1) // 2
+        assert w.den > 0 and math.gcd(w.den, *w.num) == 1
+        assert all(type(c) is Fraction for row in w.rows for c in row)
+        assert all(w.rows[i][j] == -w.rows[j][i] for i in range(d) for j in range(d))
+    line = NumberField(Poly([-2, 1]), 0, 3)      # degree 1: an empty triangle
+    w = IET(line, 1, [Fraction(1, 3), Fraction(2, 3)], [1, 0]).saf()
+    assert (w.num, w.den, w.rows) == ((), 1, ((0,),))
 
 
 def test_values_and_classes_from_another_field_are_rejected(k3):
@@ -392,11 +424,16 @@ def test_eval_matches_float_simulation(k3):
             assert abs(float(exact) - approx) < 1e-9 * max(1.0, abs(approx))
 
 
+def discontinuities(f):
+    """The points where circle map f is discontinuous: its arc starts."""
+    return [start for start, _ in _arcs(f)]
+
+
 def test_cyclic_discontinuities_of_rotation(k3):
     rot = IET.rotation(k3, 1, Fraction(1, 3))
-    assert cyclic_discontinuities(rot) == []
+    assert discontinuities(rot) == []
     theta = k3.gen()
-    assert cyclic_discontinuities(IET.rotation(k3, 1, theta)) == []
+    assert discontinuities(IET.rotation(k3, 1, theta)) == []
 
 
 def test_rotation_conjugacy_finds_offset(k3):
@@ -433,14 +470,14 @@ def test_rotation_conjugacy_negatives_agree_with_oracle(k3):
     four = IET(k3, 1, [eighth, quarter, eighth, 4 * eighth], [3, 2, 1, 0],
                circle=True)
     rot = IET.rotation(k3, 1, k3.gen())
-    assert [len(cyclic_discontinuities(f)) for f in (three, four, rot)] == [3, 4, 0]
+    assert [len(discontinuities(f)) for f in (three, four, rot)] == [3, 4, 0]
     # arc translations 0, 1/2, 0, 1/2 in both, arc lengths differ
     uneven = IET(k3, 1, [3 * eighth, eighth, 3 * eighth, eighth], [2, 1, 0, 3],
                  circle=True)
     even = IET(k3, 1, [quarter] * 4, [2, 1, 0, 3], circle=True)
     # the discontinuities of `three`, every translation moved by 1/5
     moved = three.rotate(Fraction(1, 5))
-    assert cyclic_discontinuities(moved) == cyclic_discontinuities(three)
+    assert discontinuities(moved) == discontinuities(three)
     for f, g in ((three, four), (four, three), (three, rot), (rot, three),
                  (uneven, even), (even, uneven), (moved, three)):
         assert rotation_conjugacy(f, g) is None
@@ -477,11 +514,11 @@ def test_chart_seam_spurious_and_genuine(k3):
     ], circle=True)
     ts = spurious.translations()
     assert ts[0] - ts[-1] == spurious.total
-    assert cyclic_discontinuities(spurious) == [q(1, 4), q(1, 2), q(3, 4)]
-    assert cyclic_discontinuities(genuine) == [q(0), q(1, 2), q(3, 4)]
+    assert discontinuities(spurious) == [q(1, 4), q(1, 2), q(3, 4)]
+    assert discontinuities(genuine) == [q(0), q(1, 2), q(3, 4)]
     maps = (spurious, genuine)
     for f in maps:
-        assert cyclic_discontinuities(f) == cyclic_discontinuities_by_canonical(f)
+        assert discontinuities(f) == cyclic_discontinuities_by_canonical(f)
         for g in maps:
             assert rotation_conjugacy(f, g) == rotation_conjugacy_by_compose(f, g)
     assert rotation_conjugacy(genuine, spurious) == q(1, 4)
@@ -622,7 +659,7 @@ else:
         c = data.draw(offsets(f))
         rot = IET.rotation(K3, 1, c)
         conj = rot.compose(f).compose(rot.inverse())
-        assert cyclic_discontinuities(conj) == cyclic_discontinuities_by_canonical(conj)
+        assert discontinuities(conj) == cyclic_discontinuities_by_canonical(conj)
         found = rotation_conjugacy(conj, f)
         assert found is not None
         assert found == rotation_conjugacy_by_compose(conj, f)

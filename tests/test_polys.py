@@ -23,8 +23,8 @@ from ietsaf import (
 from ietsaf.polys import (
     TRIAL_PRIMES,
     _PackedResidues,
+    _irreducible_mod,
     cauchy_root_bound,
-    is_irreducible_mod,
     parse_ratio,
     parse_rational,
     primitive_gcd,
@@ -220,10 +220,10 @@ def test_cauchy_bound_contains_roots():
 
 
 def test_irreducible_mod_small_primes():
-    assert is_irreducible_mod(Poly([1, 1, 1]), 2)          # x^2+x+1 mod 2
-    assert not is_irreducible_mod(Poly([1, 0, 1]), 2)      # (x+1)^2 mod 2
-    assert is_irreducible_mod(Poly([-1, -1, -1, 1]), 3)
-    assert not is_irreducible_mod(Poly([-1, -1, -1, 1]), 2)
+    assert _irreducible_mod([1, 1, 1], 2)          # x^2+x+1 mod 2
+    assert not _irreducible_mod([1, 0, 1], 2)      # (x+1)^2 mod 2
+    assert _irreducible_mod([-1, -1, -1, 1], 3)
+    assert not _irreducible_mod([-1, -1, -1, 1], 2)
 
 
 def test_certify_irreducible():
@@ -260,12 +260,12 @@ def test_irreducible_mod_on_wide_slots():
         coeffs = [rng.randint(-300, 300) for _ in range(rng.randint(2, 12))] + [1]
         assert _PackedResidues([c % 257 for c in coeffs], 257).size == 4
         expected = sympy.Poly(coeffs[::-1], x, modulus=257).is_irreducible
-        assert is_irreducible_mod(Poly(coeffs), 257) == expected
+        assert _irreducible_mod(coeffs, 257) == expected
         assert is_irreducible_mod_by_powering(Poly(coeffs), 257) == expected
         answers.add(expected)
     assert answers == {True, False}
     with pytest.raises(PolynomialError):
-        is_irreducible_mod(Poly([1, 0, 1]), 2 ** 61 - 1)   # no slot is wide enough
+        _irreducible_mod([1, 0, 1], 2 ** 61 - 1)   # no slot is wide enough
 
 
 AY22 = Poly([-1] * 22 + [1])     # every trial prime misses it
@@ -288,11 +288,11 @@ def test_root_mod_q_answers_before_the_frobenius_table(monkeypatch):
     """AY22 has a root mod 3: the k = 1 gcd on plain lists says so, and no
     packed ring is built (x^3 mod f is a monomial)."""
     built = _count_calls(monkeypatch, "_PackedResidues")
-    assert not is_irreducible_mod(AY22, 3)
+    assert not _irreducible_mod([-1] * 22 + [1], 3)
     assert built == []
     assert is_irreducible_mod_by_powering(AY22, 3) is False
     # with q > 2d - 2, x^q mod f is a packed power: the ring, but no table
-    assert not is_irreducible_mod(Poly([-2, 0, 1]), 7)        # 3^2 = 2 mod 7
+    assert not _irreducible_mod([-2, 0, 1], 7)     # 3^2 = 2 mod 7
     assert len(built) == 1 and not hasattr(built[0], "frobenius_rows")
 
 
@@ -310,7 +310,7 @@ def test_certify_irreducible_agrees_with_sympy_on_ay_polynomials():
 def test_wide_slot_refusal_comes_before_a_root():
     # x^2 - 1 has the root 1 mod every prime; the slot width is still refused
     with pytest.raises(PolynomialError, match="too large"):
-        is_irreducible_mod(Poly([-1, 0, 1]), 2 ** 61 - 1)
+        _irreducible_mod([-1, 0, 1], 2 ** 61 - 1)
 
 
 def test_trace_minpoly_skips_the_integer_gcd_when_chi_is_squarefree_mod_3(monkeypatch):
@@ -573,7 +573,7 @@ else:
         coeffs = [int(c) for c in p.coeffs]
         x = sympy.symbols("x")
         for q in TRIAL_PRIMES:
-            fast = is_irreducible_mod(p, q)
+            fast = _irreducible_mod(coeffs, q)
             assert fast == is_irreducible_mod_by_powering(p, q), (str(p), q)
             if coeffs[-1] % q:
                 assert fast == sympy.Poly(coeffs[::-1], x, modulus=q).is_irreducible
