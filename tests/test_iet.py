@@ -24,7 +24,6 @@ from ietsaf import (
     loads_iet,
     rotation_conjugacy,
 )
-
 from ietsaf.iet import _arcs
 
 from helpers import (
