@@ -61,8 +61,11 @@ def algnum_decimal(value: AlgNum) -> str:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -121,6 +121,29 @@ def test_missing_iet_file_exits_2(tmp_path, capsys):
     assert err.startswith(f"error: cannot read {path}: ")
 
 
+@pytest.mark.parametrize("name", ["ay", "ay-check", "induce", "lift", "compose", "invert"])
+def test_unwritable_out_path_exits_2(name, ay3, tmp_path, capsys):
+    """An --out path that cannot be opened for writing, in a missing
+    directory or naming a directory, is one `cannot write` line and exit 2,
+    not a traceback."""
+    for target in (tmp_path / "missing" / "x.iet", tmp_path):
+        argv = {
+            "ay": ["ay", "--genus", "3"],
+            "ay-check": ["ay", "--genus", "3", "--check"],
+            "induce": ["induce", "--iet", ay3, "--sub", "-1/2,2,0"],
+            "lift": ["lift", "--iet", ay3],
+            "compose": ["compose", "--iet", ay3, "--iet2", ay3],
+            "invert": ["invert", "--iet", ay3],
+        }[name] + ["--out", str(target)]
+        code, out, err = run(capsys, argv)
+        lines = [text for text in err.splitlines() if not text.startswith("elapsed:")]
+        assert code == 2 and "Traceback" not in err
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {target}: ")
+        # `ay --check` prints its report before it writes the lift file, so
+        # the report is already on stdout when the write fails
+        assert out.endswith("all checks pass: True\n") if name == "ay-check" else out == ""
+
+
 @pytest.mark.parametrize("data, line", [
     (b"\xff{}\n", "error: invalid IET file: not UTF-8 text\n"),
     (b"[" + b"9" * 5000 + b"]\n", "error: invalid IET file: integer too long\n"),
