@@ -122,7 +122,6 @@ class AYSystem:
     involution squares to the identity is reported, not raised."""
 
     field: NumberField
-    boundary_involution: IET
     lift: IET
     stretch_minpoly: Poly
     is_involution: bool
@@ -131,5 +130,5 @@ class AYSystem:
     def build(cls, g: int) -> "AYSystem":
         involution = ay_boundary_involution(g)
         field = involution.field
-        return cls(field, involution, ay_lift(g, involution), ay_stretch_minpoly(g),
+        return cls(field, ay_lift(g, involution), ay_stretch_minpoly(g),
                    involution.compose(involution) == IET.identity(field, involution.total))

@@ -34,6 +34,7 @@ from .certificates import (
 from .errors import InputError, IterationCapError
 from .field import AlgNum
 from .ietfile import (
+    coords_to_string,
     dumps_iet,
     dumps_report,
     parse_coords,
@@ -182,7 +183,7 @@ def cmd_ay(args) -> int:
             "stretch_minpoly": system.stretch_minpoly.to_string(),
             "checks": checks,
             "self_similarity_offset": None if witness is None else
-                ",".join(str(c) for c in witness.coords),
+                coords_to_string(witness),
             "all_pass": all(checks.values()),
         }))
     else:

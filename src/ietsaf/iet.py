@@ -25,11 +25,12 @@ map's field object.  Every later comparison is then between elements of
 one field object and is decided by their exact integer enclosures
 (`AlgNum._compare`).
 
-An IET stores one form: field, perm, circle flag, the breakpoints
-0 = a_0 < ... < a_n = L and the n translations; L, the lengths and n
-are read off them.  Inputs are validated once, at the boundary, by the
-one validating constructor: it keeps the partial sums it checks the
-total with as the breakpoints and derives the translations from them
+An IET stores one form, read as attributes: `field`, `perm`, `circle`,
+the breakpoints `breaks` (0 = a_0 < ... < a_n = L) and the n
+`translations`; the derived data `total` (L), `lengths` and `n` are
+properties read off them.  Inputs are validated once, at the boundary,
+by the one validating constructor: it keeps the partial sums it checks
+the total with as the breakpoints and derives the translations from them
 and perm.  `from_pieces` checks that its pieces start at 0 and meet end
 to end, then builds through the constructor with perm the order of the
 image starts: the images tile [0, L) exactly when the derived
@@ -38,8 +39,8 @@ scale, first_return, canonical, the move onto another field object, and
 `identity` and `rotation` once they have checked their arguments) are
 built on a trusted path, `IET._from_tiling`, from the breakpoints and
 translations of pieces that tile [0, L) with images that tile it too,
-plus one sort key per piece that orders the images; it derives perm
-from the keys and re-checks nothing.  Where the image order is known
+plus one sort key per piece that orders the images; it derives perm from
+the keys and re-checks nothing.  Where the image order is known
 combinatorially the keys are ints: `compose` is one merge sweep of the
 inner map's images (in image order) against the outer map's pieces (in
 domain order), O(n + m), and a composite piece's image rank is (outer
@@ -85,7 +86,7 @@ def _on_field(f: "IET", field: NumberField):
     def move(xs):
         return tuple(AlgNum(field, x.num, x.den) for x in xs)
 
-    return IET._from_tiling(field, move(f._breaks), move(f._translations),
+    return IET._from_tiling(field, move(f.breaks), move(f.translations),
                             f.perm, f.circle)
 
 
@@ -110,11 +111,6 @@ class WedgeClass:
         """The class of num/den, divided through by gcd(den, *num)."""
         g = gcd(den, *num)
         return cls(field, tuple(x // g for x in num), den // g)
-
-    @classmethod
-    def zero(cls, field: NumberField) -> "WedgeClass":
-        d = field.degree
-        return cls(field, (0,) * (d * (d - 1) // 2), 1)
 
     @property
     def rows(self):
@@ -160,9 +156,11 @@ class WedgeClass:
 
 
 class IET:
-    """Exchange of n subintervals of [0, L), with optional circle semantics."""
+    """Exchange of n subintervals of [0, L), with optional circle semantics.
+    Stored data are the attributes `field`, `perm`, `circle`, `breaks` and
+    `translations`; `n`, `total` and `lengths` are derived properties."""
 
-    __slots__ = ("field", "perm", "circle", "_breaks", "_translations")
+    __slots__ = ("field", "perm", "circle", "breaks", "translations")
 
     def __init__(self, field: NumberField, total, lengths, perm, circle=False):
         total = _coerce(field, total)
@@ -190,38 +188,27 @@ class IET:
         self.field = field
         self.perm = perm
         self.circle = bool(circle)
-        self._breaks = tuple(breaks)
-        self._translations = tuple(translations)
+        self.breaks = tuple(breaks)
+        self.translations = tuple(translations)
 
     # -- derived data ----------------------------------------------------
 
     @property
     def n(self) -> int:
-        return len(self._translations)
+        return len(self.translations)
 
     @property
     def total(self) -> AlgNum:
-        return self._breaks[-1]
+        return self.breaks[-1]
 
     @property
     def lengths(self):
         """Subinterval lengths: the gaps between consecutive breakpoints."""
-        breaks = self._breaks
-        return tuple(breaks[i + 1] - breaks[i] for i in range(self.n))
-
-    def breaks(self):
-        """Partition endpoints a_0 = 0 < a_1 < ... < a_n = L."""
-        return self._breaks
-
-    def translations(self):
-        """Per-interval translations, derived from lengths and perm."""
-        return self._translations
+        return tuple(v - u for u, v in zip(self.breaks, self.breaks[1:]))
 
     def pieces(self):
         """List of (start, end, translation) triples in domain order."""
-        breaks = self.breaks()
-        ts = self.translations()
-        return [(breaks[i], breaks[i + 1], ts[i]) for i in range(self.n)]
+        return list(zip(self.breaks, self.breaks[1:], self.translations))
 
     # -- constructors ------------------------------------------------------
 
@@ -260,7 +247,7 @@ class IET:
             perm[i] = slot
         out = object.__new__(cls)
         out.field, out.perm, out.circle = field, tuple(perm), circle
-        out._breaks, out._translations = tuple(breaks), tuple(translations)
+        out.breaks, out.translations = tuple(breaks), tuple(translations)
         return out
 
     @classmethod
@@ -282,7 +269,7 @@ class IET:
         perm = sorted(range(len(pieces)), key=order.__getitem__)   # order inverted
         out = cls(field, total, [v - u for u, v, _ in pieces], perm, circle)
         # the derived translations lay the images end to end in image order
-        if out._translations != tuple(t for _, _, t in pieces):
+        if out.translations != tuple(t for _, _, t in pieces):
             raise InputError("image intervals do not tile [0, L)")
         return out
 
@@ -294,7 +281,7 @@ class IET:
         x = _coerce(self.field, x)
         if x.sign() < 0 or not x < self.total:
             raise DomainError("point outside [0, L)")
-        return x + self._translations[bisect_right(self._breaks, x, 1, self.n) - 1]
+        return x + self.translations[bisect_right(self.breaks, x, 1, self.n) - 1]
 
     # -- algebra of maps ------------------------------------------------------
 
@@ -312,8 +299,8 @@ class IET:
             raise FieldMismatchError("composition of IETs over different fields")
         if other.total != self.total:
             raise DomainError("composition of IETs with different totals")
-        inner_breaks, inner_ts = other.breaks(), other.translations()
-        outer_ends, outer_ts = self.breaks()[1:], self.translations()
+        inner_breaks, inner_ts = other.breaks, other.translations
+        outer_ends, outer_ts = self.breaks[1:], self.translations
         slot_piece = [0] * other.n
         for i, k in enumerate(other.perm):
             slot_piece[k] = i
@@ -340,7 +327,7 @@ class IET:
         """The inverse map: the images in image order, translated back."""
         n = self.n
         starts, ts, inv = [None] * n, [None] * n, [0] * n
-        for i, (u, t, k) in enumerate(zip(self._breaks, self._translations, self.perm)):
+        for i, (u, t, k) in enumerate(zip(self.breaks, self.translations, self.perm)):
             starts[k], ts[k], inv[k] = u + t, -t, i
         return IET._from_tiling(self.field, starts + [self.total], ts, inv, self.circle)
 
@@ -355,15 +342,11 @@ class IET:
         s = _coerce(self.field, s)
         if s.sign() <= 0:
             raise DomainError("scale factor must be positive")
-        return IET._from_tiling(self.field, [x * s for x in self._breaks],
-                                [t * s for t in self._translations], self.perm, self.circle)
+        return IET._from_tiling(self.field, [x * s for x in self.breaks],
+                                [t * s for t in self.translations], self.perm, self.circle)
 
     def first_return(self, b) -> "IET":
-        """The induced first-return map on [0, b)."""
-        return self._first_return_with_times(b)[0]
-
-    def _first_return_with_times(self, b):
-        """First-return map plus the return time of each induced piece.
+        """The induced first-return map on [0, b).
 
         Subintervals of [0, b) are pushed forward through the map; a piece
         splits whenever its orbit straddles a discontinuity or the point b.
@@ -374,12 +357,12 @@ class IET:
         if b.sign() <= 0 or self.total < b:
             raise DomainError("return interval must satisfy 0 < b <= L")
         zero = self.field.zero()
-        breaks, ts, n = self.breaks(), self.translations(), self.n
-        work = deque([(zero, b, zero, 0)])  # (x_lo, x_hi, translation so far, steps)
+        breaks, ts, n = self.breaks, self.translations, self.n
+        work = deque([(zero, b, zero)])  # (x_lo, x_hi, translation so far)
         done = []
         cap = budget = FIRST_RETURN_CAP
         while work:
-            lo, hi, trans, steps = work.popleft()
+            lo, hi, trans = work.popleft()
             budget -= 1
             if budget < 0:
                 raise IterationCapError(
@@ -397,26 +380,25 @@ class IET:
                 xe = hi if last else cp - trans
                 ntrans = trans + ts[j]
                 if not xs + ntrans < b:
-                    work.append((xs, xe, ntrans, steps + 1))
+                    work.append((xs, xe, ntrans))
                 else:
-                    done.append((xs, ntrans, steps + 1))
+                    done.append((xs, ntrans))
                     if b < xe + ntrans:         # the rest lands past b
-                        work.append((b - ntrans, xe, ntrans, steps + 1))
+                        work.append((b - ntrans, xe, ntrans))
                 if last:
                     break
                 j, xs = j + 1, xe
         done.sort(key=lambda p: p[0])
-        starts, ts, times = zip(*done)
-        iet = IET._from_tiling(self.field, starts + (b,), ts,
-                               [u + t for u, t in zip(starts, ts)], self.circle)
-        return iet, list(times)
+        starts, ts = zip(*done)
+        return IET._from_tiling(self.field, starts + (b,), ts,
+                                [u + t for u, t in done], self.circle)
 
     # -- canonical form and equality --------------------------------------------
 
     def canonical(self) -> "IET":
         """Merge adjacent intervals with equal translations."""
         starts, ts, ranks = [], [], []
-        for u, t, k in zip(self._breaks, self._translations, self.perm):
+        for u, t, k in zip(self.breaks, self.translations, self.perm):
             if not ts or ts[-1] != t:
                 starts.append(u)
                 ts.append(t)
@@ -443,7 +425,7 @@ class IET:
         """Sum of length wedge translation: entry (i, j) of the triangle sums
         v_i w_j - w_i v_j over the pieces, as ints over one common den."""
         d = self.field.degree
-        pairs = list(zip(self.lengths, self._translations))
+        pairs = list(zip(self.lengths, self.translations))
         den = lcm(*(l.den * t.den for l, t in pairs))
         tri = [0] * (d * (d - 1) // 2)
         for l, t in pairs:
@@ -474,9 +456,8 @@ def _arcs(f: IET):
     sides differ; the seam point 0 compares the last piece with the first.
     """
     total = f.total
-    ts = [t if t.sign() >= 0 else t + total for t in f.translations()]
-    breaks = f.breaks()
-    return [(breaks[i], ts[i]) for i in range(f.n) if ts[i] != ts[i - 1]]
+    ts = [t if t.sign() >= 0 else t + total for t in f.translations]
+    return [(f.breaks[i], ts[i]) for i in range(f.n) if ts[i] != ts[i - 1]]
 
 
 def _word(arcs, total):

@@ -18,7 +18,9 @@ and puts them over one lcm, and `coords_to_string` writes each
 numerator over the element's denominator, reduced by one gcd, so no
 `Fraction` is built either way.  Emission is canonical (fixed key
 order, reduced fractions), so parse followed by emit reproduces a
-canonical input byte for byte.
+canonical input byte for byte.  Each output form has one writer: all
+JSON, IET files and command reports alike, goes through `dumps_report`,
+and all coordinate text through `coords_to_string`.
 
 Each command builds one field object per distinct field text: the
 readers take an optional dict, local to the command, from the
@@ -70,20 +72,21 @@ def coords_to_string(value: AlgNum) -> str:
     return ",".join(out)
 
 
-def iet_to_dict(iet: IET) -> dict:
+def dumps_report(report: dict) -> str:
+    """Canonical JSON: the one writer of reports and IET files."""
+    return json.dumps(report, indent=2) + "\n"
+
+
+def dumps_iet(iet: IET) -> str:
     lo, hi = iet.field.interval
-    return {
+    return dumps_report({
         "modulus": iet.field.modulus.to_string(),
         "root_interval": f"{lo},{hi}",
         "total": coords_to_string(iet.total),
         "lengths": [coords_to_string(l) for l in iet.lengths],
         "perm": [k + 1 for k in iet.perm],
         "circle": iet.circle,
-    }
-
-
-def dumps_iet(iet: IET) -> str:
-    return json.dumps(iet_to_dict(iet), indent=2) + "\n"
+    })
 
 
 def iet_from_dict(data: dict, fields=None) -> IET:
@@ -143,8 +146,3 @@ def read_iet(path: str, fields=None) -> IET:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError:      # raised by read(): loads_iet reads str
         raise ParseError("invalid IET file: not UTF-8 text") from None
-
-
-def dumps_report(report: dict) -> str:
-    """Canonical JSON for machine-readable reports."""
-    return json.dumps(report, indent=2) + "\n"

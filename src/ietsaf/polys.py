@@ -567,7 +567,7 @@ def trace_minpoly(m: Poly) -> Poly:
     square) the gcd comes from `primitive_gcd` and the quotient is exact
     over Z.
     """
-    a = _int_coeffs(m)
+    a = [c.numerator for c in m.coeffs]
     n = len(a)
     A, B = [0] * n, [0] * n
     prev, cur = [-1] + [0] * (n - 1), [0] * n      # U_(k-1), U_k
@@ -598,12 +598,6 @@ def trace_minpoly(m: Poly) -> Poly:
 
 
 # -- reduction mod p and irreducibility certification -------------------
-
-
-def _int_coeffs(p: Poly):
-    if not p.is_integral:
-        raise PolynomialError("integer coefficients required")
-    return [int(c) for c in p.coeffs]
 
 
 def _mtrim(a):
@@ -791,7 +785,7 @@ def certify_irreducible(p: Poly):
     """
     if not (p.is_monic and p.is_integral and p.degree >= 1):
         raise PolynomialError("irreducibility certification needs a monic integer polynomial")
-    a = _int_coeffs(p)
+    a = [c.numerator for c in p.coeffs]
     for q in TRIAL_PRIMES:
         if _irreducible_mod(a, q):
             return q

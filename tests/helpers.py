@@ -8,7 +8,7 @@ from ietsaf import (IET, NumberField, Poly, certify_irreducible, count_real_root
 from ietsaf.errors import (IterationCapError, NonSquarefreeError, PolynomialError,
                            ReducibleModulusError)
 from ietsaf.field import SIGN_BISECTION_CAP, SIGN_GCD_CHECK_AFTER
-from ietsaf.polys import _int_coeffs, _mgcd, _mmod, _mtrim, _prime_factors, cauchy_root_bound
+from ietsaf.polys import _mgcd, _mmod, _mtrim, _prime_factors, cauchy_root_bound
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -130,6 +130,18 @@ def simulate(pieces, x):
     raise AssertionError(f"{x} not in any piece")
 
 
+def return_by_iteration(f, b, x, cap=10_000):
+    """Reference for `IET.first_return` at one point x of [0, b): apply f
+    (`IET.__call__`) until the orbit re-enters [0, b).  Returns (the
+    return time, the point it returns to)."""
+    y = f(x)
+    for n in range(1, cap):
+        if y < b:
+            return n, y
+        y = f(y)
+    raise AssertionError(f"{x} does not return to [0, b) within {cap} steps")
+
+
 def cyclic_discontinuities_by_canonical(f):
     """Reference for the arc starts of `iet._arcs`, the points where f is
     discontinuous as a circle map: walk the canonical pieces and keep each
@@ -174,7 +186,7 @@ def saf_by_fractions(f):
     pieces, (l wedge t)_ij = l_i t_j - t_i l_j on `Fraction` coordinates."""
     d = f.field.degree
     rows = [[Fraction(0)] * d for _ in range(d)]
-    for l, t in zip(f.lengths, f.translations()):
+    for l, t in zip(f.lengths, f.translations):
         lc, tc = l.coords, t.coords
         for i in range(d):
             for j in range(d):
@@ -415,7 +427,9 @@ def _mpowmod(base, e, f, m):
 def is_irreducible_mod_by_powering(p, q):
     """Reference for `_irreducible_mod`: Rabin's test with a fresh
     square-and-multiply x^(q^k) mod f on coefficient lists for each k."""
-    coeffs = [c % q for c in _int_coeffs(p)]
+    if not p.is_integral:
+        raise PolynomialError("integer coefficients required")
+    coeffs = [int(c) % q for c in p.coeffs]
     f = _mtrim(list(coeffs))
     d = len(f) - 1
     if d < p.degree:

@@ -47,7 +47,7 @@ def test_loaded_breaks_and_translations_do_no_arithmetic(monkeypatch):
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
                  "__rmul__", "__neg__"):
         monkeypatch.setattr(AlgNum, name, refuse)
-    assert len(f.breaks()) == f.n + 1 and len(f.translations()) == f.n
+    assert len(f.breaks) == f.n + 1 and len(f.translations) == f.n
     assert len(f.pieces()) == f.n
 
 
