@@ -18,9 +18,9 @@ and puts them over one lcm, and `coords_to_string` writes each
 numerator over the element's denominator, reduced by one gcd, so no
 `Fraction` is built either way.  Emission is canonical (fixed key
 order, reduced fractions), so parse followed by emit reproduces a
-canonical input byte for byte.  Each output form has one writer: all
-JSON, IET files and command reports alike, goes through `dumps_report`,
-and all coordinate text through `coords_to_string`.
+canonical input byte for byte.  Each output form has one writer:
+`dumps_report` writes all JSON, IET files and command reports alike,
+and `coords_to_string` all coordinate text.
 
 Each command builds one field object per distinct field text: the
 readers take an optional dict, local to the command, from the

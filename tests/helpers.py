@@ -130,16 +130,16 @@ def simulate(pieces, x):
     raise AssertionError(f"{x} not in any piece")
 
 
-def return_by_iteration(f, b, x, cap=10_000):
+def return_by_iteration(f, b, x):
     """Reference for `IET.first_return` at one point x of [0, b): apply f
     (`IET.__call__`) until the orbit re-enters [0, b).  Returns (the
     return time, the point it returns to)."""
     y = f(x)
-    for n in range(1, cap):
+    for n in range(1, 10_000):
         if y < b:
             return n, y
         y = f(y)
-    raise AssertionError(f"{x} does not return to [0, b) within {cap} steps")
+    raise AssertionError(f"{x} does not return to [0, b) within 10,000 steps")
 
 
 def cyclic_discontinuities_by_canonical(f):
