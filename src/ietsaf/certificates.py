@@ -19,17 +19,22 @@ chi / gcd(chi, chi') (`polys.trace_minpoly`, O(d^2) integer steps).  It
 reads neither the reversal of m nor `is_reciprocal`.
 
 The two must agree on every input; the test suite enforces this.  Every
-entry point validates m once, with the check `NumberField` makes of its
-modulus: `polys.monic_squarefree_chain` (monic, integral, degree >= 1,
-squarefree by one Sturm chain, which it returns); the command line
-passes it the parsed polynomial as it is.  Both criteria go through
-`_validate_stretch`, which counts the roots above 1 on that chain and
-certifies irreducibility once.  The reciprocity criterion is only sound
-for irreducible m, so both verdicts carry a note when that certificate
-is missing.  `vanishing_verdicts` runs both criteria on one validation.
-`ay --check` runs the nonlift checks on that same validation through
-`_nonlift`, so it certifies m once; `nonlift --oracle` reruns them with
-the brute-force completion on the validation of `nonlift_certificate`.
+entry point validates m once; the command line passes it the parsed
+polynomial as it is.  `polys.check_monic_integral` comes first, with the
+errors `NumberField` gives its modulus.  `_validate_stretch` then serves
+both criteria: with no interval supplied, m(0) != 0 and m(1) < 0, it
+certifies irreducibility first and builds the Sturm chain only on a
+miss, since irreducible over Q implies squarefree and m(1) < 0 puts a
+root in (1, B), B the Cauchy bound.  Every other m gets the chain first.
+Either way m is certified once, and an invalid m gets the error line of
+chain-first validation.  The reciprocity criterion is only sound for
+irreducible m, so both verdicts carry a note when that certificate is
+missing.  `vanishing_verdicts` runs both criteria on one validation, and
+`nonlift_certificate` takes the same certify-first step.  `ay --check`
+runs the nonlift checks on the validation of its vanishing verdicts
+through `_nonlift`, so it certifies m once; `nonlift --oracle` reruns
+them with the brute-force completion on the validation of
+`nonlift_certificate`.
 
 The nonlift certificate decides whether lambda could be the stretch
 factor of a map lifted from a nonorientable surface of genus g+1: such a
@@ -56,6 +61,7 @@ from .polys import (
     Poly,
     cauchy_root_bound,
     certify_irreducible,
+    check_monic_integral,
     count_real_roots,
     is_reciprocal,
     monic_squarefree_chain,
@@ -114,9 +120,19 @@ class CertVerdict:
 
 
 def _validate_stretch(m: Poly, interval=None):
-    """`monic_squarefree_chain`, then, on that Sturm chain: m(0) != 0 and a
-    real root > 1 (in `interval` when given, with lo < hi).  Returns
-    `certify_irreducible(m)`."""
+    """Check m as the minimal polynomial of a stretch factor lambda > 1:
+    `check_monic_integral`, squarefree, m(0) != 0 and a real root > 1 (in
+    `interval` when given, with lo < hi).  Returns `certify_irreducible(m)`.
+
+    Without an interval, m(0) != 0 and m(1) < 0 send m to `_certify`: a
+    monic m with m(1) < 0 has a root in (1, B), B its Cauchy bound, since
+    m(B) > 0.  Every other m gets the Sturm chain first and the checks on
+    it in the order written, which decides its error line.
+    """
+    check_monic_integral(m, MINPOLY)
+    if (interval is None and m.constant() != 0
+            and sign_at([c.numerator for c in m.coeffs], 1, 1) < 0):
+        return _certify(m)
     chain = monic_squarefree_chain(m, MINPOLY)
     if m.constant() == 0:
         raise InputError("minimal polynomial must have nonzero constant term")
@@ -132,6 +148,16 @@ def _validate_stretch(m: Poly, interval=None):
     elif count_real_roots(m, Fraction(1), cauchy_root_bound(m), chain) == 0:
         raise InputError(f"no real root > 1 for {m}")
     return certify_irreducible(m)
+
+
+def _certify(m: Poly):
+    """`certify_irreducible(m)` for an m past `check_monic_integral`, with m
+    proved squarefree: by a hit, since an irreducible polynomial over Q is
+    squarefree, else by the Sturm chain."""
+    prime = certify_irreducible(m)
+    if prime is None:
+        monic_squarefree_chain(m, MINPOLY)
+    return prime
 
 
 def _notes(m: Poly, prime) -> tuple:
@@ -257,15 +283,14 @@ def nonlift_certificate(m: Poly, g: int) -> CertVerdict:
     constant term of the degree-g polynomial); and existence of a GF(2)
     completion of m mod 2 to a self-reciprocal product of degree g.  The
     first failure certifies exclusion; success returns the completion
-    witness.
+    witness.  Validation comes first: `check_monic_integral`, `_certify`,
+    then g >= 1.
     """
-    monic_squarefree_chain(m, MINPOLY)
+    check_monic_integral(m, MINPOLY)
+    prime = _certify(m)
     if g < 1:
         raise InputError("genus must be >= 1")
-    notes = ()
-    if certify_irreducible(m) is None:
-        notes = (NOTE_UNVERIFIED,)
-    return _nonlift(m, g, notes)
+    return _nonlift(m, g, () if prime is not None else (NOTE_UNVERIFIED,))
 
 
 def _nonlift(m: Poly, g: int, notes=(), completion=gf2_completion_exists) -> CertVerdict:

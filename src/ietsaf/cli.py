@@ -10,6 +10,7 @@ stdout is byte-identical across reruns.  Exit codes: 0 = computed
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import re
 import sys
@@ -20,6 +21,7 @@ from fractions import Fraction
 from . import __version__, gf2
 from .arnoux_yoccoz import (
     AYSystem,
+    _require_genus,
     ay_lift,
     ay_self_similarity_witness,
     ay_stretch_minpoly,
@@ -60,13 +62,25 @@ def algnum_decimal(value: AlgNum) -> str:
         return str(Decimal(approx.numerator) / Decimal(approx.denominator))
 
 
+def _open_out(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
+def _write(handle, text: str) -> None:
+    """Write `text` to a file `_open_out` opened, and close it."""
+    try:
+        with handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {handle.name}: {exc}") from None
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc}") from None
+        _write(_open_out(args.out), text)
     else:
         sys.stdout.write(text)
 
@@ -151,11 +165,21 @@ def cmd_nonlift(args) -> int:
 
 
 def cmd_ay(args) -> int:
-    # ay_boundary_involution rejects a genus below 3
-    if not args.check:
-        lift = ay_lift(args.genus)
-        _emit(args, dumps_iet(lift))
-        return 0
+    _require_genus(args.genus)
+    # --out is opened before the work, so that a path that cannot be
+    # written fails fast and leaves stdout empty
+    out = _open_out(args.out) if args.out else None
+    with out or contextlib.nullcontext():
+        lift = _ay_check(args) if args.check else ay_lift(args.genus)
+        if out is not None:
+            _write(out, dumps_iet(lift))
+        elif not args.check:
+            sys.stdout.write(dumps_iet(lift))
+    return 0
+
+
+def _ay_check(args):
+    """Print the report of `ay --check` and return the lift."""
     system = AYSystem.build(args.genus)
     lift = system.lift
     checks = {}
@@ -173,7 +197,7 @@ def cmd_ay(args) -> int:
     checks["certificate_inconclusive"] = cert.outcome == OUTCOME_INCONCLUSIVE
     lo, hi = system.field.interval
     # --float refines the field, with or without --json, so the lift file
-    # written below records the narrower root interval
+    # written after the report records the narrower root interval
     approx = f", alpha ~ {algnum_decimal(system.field.gen())}" if args.float else ""
     if args.json:
         sys.stdout.write(dumps_report({
@@ -193,9 +217,7 @@ def cmd_ay(args) -> int:
         print(f"all checks pass: {all(checks.values())}")
         for note in dict.fromkeys(by_rec.notes + by_deg.notes):
             print(f"note: {note}")
-    if args.out:
-        _emit(args, dumps_iet(lift))
-    return 0
+    return lift
 
 
 def cmd_induce(args) -> int:

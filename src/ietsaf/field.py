@@ -41,12 +41,12 @@ the difference's own enclosure would then exclude 0 too
 (subdistributivity), so the interval moves as if the difference's sign
 were taken.  `approx` bisects until the same enclosure is narrow enough.
 
-The constructor checks its modulus with `polys.monic_squarefree_chain`,
-the check the stretch-factor criteria make of a minimal polynomial:
-monic with integer coefficients, degree >= 1, and squarefree by the
-last entry of its integer Sturm chain.  It keeps that chain, and reads
-the modulus as ints off entry 0, since a monic integer polynomial is its
-own primitive integer multiple.  It checks that neither endpoint is a
+The constructor checks its modulus with `polys.monic_squarefree_chain`:
+monic with integer coefficients and degree >= 1 (`check_monic_integral`,
+which writes the same errors for a minimal polynomial), and squarefree
+by the last entry of its integer Sturm chain.  It keeps that chain, and
+reads the modulus as ints off entry 0, since a monic integer polynomial
+is its own primitive integer multiple.  It checks that neither endpoint is a
 root with `sign_at`, keeping the sign at the lower one for bisection,
 counts the roots between them with the chain, and refines the interval
 to width 2^-20 with the same integer bisection loop that signs use.

@@ -27,8 +27,9 @@ its content.  Each entry is therefore a positive multiple of the
 classical entry (Euclid's remainders over the rationals, signs
 flipped), and every count of sign variations is the classical one.  The
 last entry is gcd(p, p') up to a unit, so the same Euclid run decides
-squarefreeness.  `monic_squarefree_chain` is the one input check of a
-field modulus and of a minimal polynomial, and returns that chain.
+squarefreeness.  `check_monic_integral` writes the input errors of a
+polynomial that is not monic, not integral or constant;
+`monic_squarefree_chain` adds the squarefree check and returns the chain.
 
 Irreducibility is certified by Rabin's test modulo the trial primes
 2..13 (`certify_irreducible`: the first prime modulo which p is
@@ -474,14 +475,20 @@ def sturm_chain(p: Poly):
     return chain
 
 
-def monic_squarefree_chain(p: Poly, noun: str):
-    """The Sturm chain of p, after checking that p is monic with integer
-    coefficients, of degree >= 1 and squarefree; `noun` names p in the
-    InputError.  Entry 0 is then p's own coefficients as ints."""
+def check_monic_integral(p: Poly, noun: str) -> None:
+    """InputError unless p is monic with integer coefficients and of
+    degree >= 1; `noun` names p in the message."""
     if not (p.is_monic and p.is_integral):
         raise InputError(f"{noun} must be monic with integer coefficients")
     if p.degree < 1:
         raise InputError(f"{noun} must have degree >= 1")
+
+
+def monic_squarefree_chain(p: Poly, noun: str):
+    """The Sturm chain of p, after `check_monic_integral` and a check that
+    p is squarefree; `noun` names p in the InputError.  Entry 0 is then p's
+    own coefficients as ints."""
+    check_monic_integral(p, noun)
     try:
         return sturm_chain(p)
     except NonSquarefreeError:
@@ -781,7 +788,8 @@ def certify_irreducible(p: Poly):
 
     Irreducibility modulo any prime implies irreducibility over Q for a
     monic integer polynomial, so a hit is a sound certificate; a miss
-    proves nothing.
+    proves nothing.  A hit also proves p squarefree: an irreducible
+    polynomial over Q is coprime to its nonzero derivative.
     """
     if not (p.is_monic and p.is_integral and p.degree >= 1):
         raise PolynomialError("irreducibility certification needs a monic integer polynomial")

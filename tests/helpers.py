@@ -5,10 +5,12 @@ from fractions import Fraction
 
 from ietsaf import (IET, NumberField, Poly, certify_irreducible, count_real_roots, gf2,
                     is_squarefree, isolate_real_roots)
-from ietsaf.errors import (IterationCapError, NonSquarefreeError, PolynomialError,
-                           ReducibleModulusError)
+from ietsaf.certificates import NOTE_UNVERIFIED, _by_field_degree, _by_reciprocity, _nonlift
+from ietsaf.errors import (InputError, IterationCapError, NonSquarefreeError,
+                           PolynomialError, ReducibleModulusError)
 from ietsaf.field import SIGN_BISECTION_CAP, SIGN_GCD_CHECK_AFTER
-from ietsaf.polys import _mgcd, _mmod, _mtrim, _prime_factors, cauchy_root_bound
+from ietsaf.polys import (_mgcd, _mmod, _mtrim, _prime_factors, cauchy_root_bound,
+                          monic_squarefree_chain)
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -309,6 +311,29 @@ def sturm_chain_by_fractions(p):
             f"{chain[-1].monic()}"
         )
     return chain
+
+
+def vanishing_verdicts_chain_first(m):
+    """Reference for `vanishing_verdicts` without an interval: validation
+    with the Sturm chain first, then m(0) != 0 and a root > 1 counted on
+    the chain, then one certificate; the criteria run on that."""
+    chain = monic_squarefree_chain(m, "minimal polynomial")
+    if m.constant() == 0:
+        raise InputError("minimal polynomial must have nonzero constant term")
+    if count_real_roots(m, Fraction(1), cauchy_root_bound(m), chain) == 0:
+        raise InputError(f"no real root > 1 for {m}")
+    prime = certify_irreducible(m)
+    return _by_reciprocity(m, prime), _by_field_degree(m, prime)
+
+
+def nonlift_certificate_chain_first(m, g):
+    """Reference for `nonlift_certificate`: the Sturm chain first, then the
+    genus, then one certificate; the checks past validation run on that."""
+    monic_squarefree_chain(m, "minimal polynomial")
+    if g < 1:
+        raise InputError("genus must be >= 1")
+    notes = () if certify_irreducible(m) is not None else (NOTE_UNVERIFIED,)
+    return _nonlift(m, g, notes)
 
 
 def count_real_roots_by_fractions(p, lo, hi):

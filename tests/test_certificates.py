@@ -27,8 +27,10 @@ from ietsaf.certificates import (
 
 from helpers import (
     gf2_completion_by_factoring,
+    nonlift_certificate_chain_first,
     random_cubic_field,
     random_quartic_field_above_one,
+    vanishing_verdicts_chain_first,
 )
 
 TRIB = Poly([-1, -1, -1, 1])      # x^3 - x^2 - x - 1
@@ -108,10 +110,12 @@ def test_commands_run_no_rational_euclid(argv, monkeypatch, capsys):
 
 
 def test_vanishing_call_counts(monkeypatch, capsys):
-    """One `vanishing` run: no separate squarefree test and one Sturm chain
-    for both criteria.  The field-degree criterion reads the trace-field
-    polynomial off the integers of m: no `NumberField` is built, and
-    neither `AlgNum.inverse`, `AlgNum.min_poly` nor `poly_xgcd` runs."""
+    """One `vanishing` run: no separate squarefree test and no Sturm chain,
+    since a trial prime certifies m, which proves it squarefree, and
+    m(1) < 0 proves a root above 1.  The field-degree criterion reads the
+    trace-field polynomial off the integers of m: no `NumberField` is
+    built, and neither `AlgNum.inverse`, `AlgNum.min_poly` nor `poly_xgcd`
+    runs."""
     counts = {"is_squarefree": 0, "sturm_chain": 0, "mul": 0, "mul_in_min_poly": 0,
               "field": 0, "inverse": 0, "min_poly": 0, "poly_xgcd": 0}
 
@@ -142,7 +146,7 @@ def test_vanishing_call_counts(monkeypatch, capsys):
     assert cli.main(["vanishing", "--minpoly", "-3,-1,0,1"]) == 0
     assert "min poly of lambda+1/lambda: x^3 + 1/3*x^2 - 4*x - 13/3" in capsys.readouterr().out
     assert counts["is_squarefree"] == 0
-    assert counts["sturm_chain"] == 1
+    assert counts["sturm_chain"] == 0
     assert counts["mul_in_min_poly"] == 0
     assert counts["field"] == counts["inverse"] == counts["min_poly"] == 0
     assert counts["poly_xgcd"] == 0
@@ -246,7 +250,7 @@ def test_large_genus_witness_and_its_string():
         assert gf2.to_string(a) == reference
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 except ImportError:  # hypothesis is an optional test dependency
     given = None
@@ -255,6 +259,9 @@ except ImportError:  # hypothesis is an optional test dependency
 if given is None:
 
     def test_completion_properties():
+        pytest.skip("hypothesis is not installed")
+
+    def test_validation_order_properties():
         pytest.skip("hypothesis is not installed")
 
 else:
@@ -278,6 +285,41 @@ else:
         if fast is not None:
             assert gf2.degree(fast) == k and fast & 1
             assert gf2.is_self_reciprocal(gf2.mul(mbar, fast))
+
+    def _monic(low):
+        return Poly(list(low) + [1])
+
+    # monic integer polynomials of degree 1 to 8: random ones, s^2 * t with
+    # a repeated factor, and x * t with m(0) = 0; many have m(1) >= 0
+    minimal_polys = st.one_of(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=8).map(_monic),
+        st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=2),
+                  st.lists(st.integers(-3, 3), max_size=4)).map(
+            lambda t: _monic(t[0]) ** 2 * _monic(t[1])),
+        st.lists(st.integers(-6, 6), max_size=7).map(lambda low: _monic([0] + low)),
+    )
+
+    def _outcome(fn, *args):
+        try:
+            return fn(*args)
+        except InputError as exc:
+            return f"InputError: {exc}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(minimal_polys, st.integers(0, 10))
+    @example(Poly([1, 0, -10, 0, 1]), 4)       # reducible mod every prime, m(1) = -8
+    @example(Poly([-2, -3, 0, 1]), 3)          # (x+1)^2 (x-2): m(0) = -2, m(1) = -4
+    @example(Poly([-2, -3, 0, 1]), 0)
+    @example(Poly([0, -2, 0, 1]), 3)           # x (x^2 - 2): m(0) = 0, m(1) = -1
+    @example(Poly([-3, 1]), 1)                 # degree 1, root 3
+    @example(Poly([2, 1]), 1)                  # degree 1, root -2
+    def test_certify_first_matches_chain_first_validation(m, g):
+        """Certify-first validation returns the verdicts, notes included, or
+        raises the error text of validation with the Sturm chain first."""
+        assert (_outcome(vanishing_verdicts, m)
+                == _outcome(vanishing_verdicts_chain_first, m))
+        assert (_outcome(nonlift_certificate, m, g)
+                == _outcome(nonlift_certificate_chain_first, m, g))
 
 
 def test_completion_preconditions():

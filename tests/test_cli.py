@@ -139,9 +139,8 @@ def test_unwritable_out_path_exits_2(name, ay3, tmp_path, capsys):
         lines = [text for text in err.splitlines() if not text.startswith("elapsed:")]
         assert code == 2 and "Traceback" not in err
         assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {target}: ")
-        # `ay --check` prints its report before it writes the lift file, so
-        # the report is already on stdout when the write fails
-        assert out.endswith("all checks pass: True\n") if name == "ay-check" else out == ""
+        # `ay` opens --out before its work, so `ay --check` prints no report
+        assert out == ""
 
 
 @pytest.mark.parametrize("data, line", [
@@ -271,9 +270,8 @@ def test_ay_check_certifies_the_stretch_polynomial_once(monkeypatch, capsys):
     assert calls == [ietsaf.ay_stretch_minpoly(5)]
 
 
-def test_nonlift_oracle_validates_and_certifies_once(monkeypatch, capsys):
-    """The brute-force oracle reruns the checks past validation on the
-    validation of the certificate: one Sturm chain, one certificate."""
+def count_chains_and_certificates(monkeypatch):
+    """Live counts of `sturm_chain` and `certify_irreducible` calls."""
     counts = {"sturm_chain": 0, "certify": 0}
 
     def counting(name, fn):
@@ -287,10 +285,42 @@ def test_nonlift_oracle_validates_and_certifies_once(monkeypatch, capsys):
     certify = counting("certify", ietsaf.polys.certify_irreducible)
     for module in (ietsaf.polys, ietsaf.certificates):
         monkeypatch.setattr(module, "certify_irreducible", certify)
+    return counts
+
+
+def test_nonlift_oracle_validates_and_certifies_once(monkeypatch, capsys):
+    """The brute-force oracle reruns the checks past validation on the
+    validation of the certificate: one certificate, and no Sturm chain,
+    since the certificate proves m squarefree."""
+    counts = count_chains_and_certificates(monkeypatch)
     code, out, _ = run(capsys, ["nonlift", "--minpoly", "-1,-1,-1,-1,1",
                                 "--genus", "6", "--oracle"])
     assert code == 0 and "brute-force oracle agrees: True" in out
+    assert counts == {"sturm_chain": 0, "certify": 1}
+
+
+AY19 = ietsaf.ay_stretch_minpoly(19).to_string()
+
+
+@pytest.mark.parametrize("argv, uncertified", [
+    (["vanishing", f"--minpoly={AY19}"], True),
+    (["nonlift", f"--minpoly={AY19}", "--genus", "19"], True),
+    (["vanishing", "--minpoly=1,0,-10,0,1"], True),
+    (["nonlift", "--minpoly=1,0,-10,0,1", "--genus", "4"], True),
+    (["vanishing", "--minpoly=-1,-1,-1,1", "--interval=1,2"], False),
+], ids=["vanishing-ay19", "nonlift-ay19", "vanishing-quartic", "nonlift-quartic",
+        "vanishing-interval"])
+def test_sturm_chain_is_the_fallback_of_validation(argv, uncertified, monkeypatch, capsys):
+    """When no trial prime certifies m, validation falls back to one Sturm
+    chain for the squarefree check, with the one certificate already made:
+    the AY stretch polynomial at g = 19, and x^4 - 10x^2 + 1, which is
+    reducible modulo every prime.  A supplied interval is checked on the
+    chain, as before."""
+    counts = count_chains_and_certificates(monkeypatch)
+    code, out, _ = run(capsys, argv)
+    assert code == 0
     assert counts == {"sturm_chain": 1, "certify": 1}
+    assert ("note: irreducibility unverified mod trial primes\n" in out) == uncertified
 
 
 def test_ay_check_builds_one_identity(monkeypatch, capsys):
