@@ -283,13 +283,15 @@ def nonlift_certificate(m: Poly, g: int) -> CertVerdict:
     constant term of the degree-g polynomial); and existence of a GF(2)
     completion of m mod 2 to a self-reciprocal product of degree g.  The
     first failure certifies exclusion; success returns the completion
-    witness.  Validation comes first: `check_monic_integral`, `_certify`,
-    then g >= 1.
+    witness.  Validation comes first: `check_monic_integral`, then
+    `_certify`; a genus below 1 is rejected after the Sturm chain alone,
+    whose squarefree error comes first, with no certificate.
     """
     check_monic_integral(m, MINPOLY)
-    prime = _certify(m)
     if g < 1:
+        monic_squarefree_chain(m, MINPOLY)
         raise InputError("genus must be >= 1")
+    prime = _certify(m)
     return _nonlift(m, g, () if prime is not None else (NOTE_UNVERIFIED,))
 
 

@@ -42,11 +42,11 @@ the difference's own enclosure would then exclude 0 too
 were taken.  `approx` bisects until the same enclosure is narrow enough.
 
 The constructor checks its modulus with `polys.monic_squarefree_chain`:
-monic with integer coefficients and degree >= 1 (`check_monic_integral`,
-which writes the same errors for a minimal polynomial), and squarefree
-by the last entry of its integer Sturm chain.  It keeps that chain, and
-reads the modulus as ints off entry 0, since a monic integer polynomial
-is its own primitive integer multiple.  It checks that neither endpoint is a
+`check_monic_integral` (monic with integer coefficients, degree >= 1,
+with the errors a minimal polynomial gets too), then squarefree by the
+last entry of its integer Sturm chain.  It keeps that chain, and reads
+the modulus as ints off entry 0, since a monic integer polynomial is its
+own primitive integer multiple.  It checks that neither endpoint is a
 root with `sign_at`, keeping the sign at the lower one for bisection,
 counts the roots between them with the chain, and refines the interval
 to width 2^-20 with the same integer bisection loop that signs use.

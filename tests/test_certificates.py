@@ -312,6 +312,7 @@ else:
     @example(Poly([-2, -3, 0, 1]), 0)
     @example(Poly([0, -2, 0, 1]), 3)           # x (x^2 - 2): m(0) = 0, m(1) = -1
     @example(Poly([-3, 1]), 1)                 # degree 1, root 3
+    @example(Poly([-1, 1]), 1)                 # degree 1, m(1) = 0: no root > 1
     @example(Poly([2, 1]), 1)                  # degree 1, root -2
     def test_certify_first_matches_chain_first_validation(m, g):
         """Certify-first validation returns the verdicts, notes included, or

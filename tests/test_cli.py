@@ -299,6 +299,15 @@ def test_nonlift_oracle_validates_and_certifies_once(monkeypatch, capsys):
     assert counts == {"sturm_chain": 0, "certify": 1}
 
 
+def test_invalid_genus_is_rejected_before_certification(monkeypatch, capsys):
+    """A genus below 1 is rejected after the Sturm chain, whose squarefree
+    error comes first, and before any certificate."""
+    counts = count_chains_and_certificates(monkeypatch)
+    code, out, _ = run(capsys, ["nonlift", "--minpoly=-1,-1,-1,1", "--genus", "0"])
+    assert (code, out) == (2, "")
+    assert counts == {"sturm_chain": 1, "certify": 0}
+
+
 AY19 = ietsaf.ay_stretch_minpoly(19).to_string()
 
 
