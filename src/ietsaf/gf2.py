@@ -6,16 +6,23 @@ zero polynomial.  Multiplication is carry-less; the encoding makes
 comparisons, hashing, and enumeration of all polynomials of a given
 degree trivial.
 
-The library needs gcds only (the mod-2 completion in `certificates`).
-`factor`, by smallest-divisor trial division, is exponential in the
-degree of the largest factor; no library code calls it, and the tests
-use it as the oracle for the gcd-based completion.
+The library needs gcds only: the mod-2 completion in `certificates`,
+and the coprimality checks of Rabin's test at q = 2, which
+`polys._irreducible_mod2` runs on this encoding (so `polys` imports this
+module, and `Poly` is imported here for annotations only).  `factor`, by
+smallest-divisor trial division, is exponential in the degree of the
+largest factor; no library code calls it, and the tests use it as the
+oracle for the gcd-based completion.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .errors import PolynomialError
-from .polys import Poly
+
+if TYPE_CHECKING:
+    from .polys import Poly
 
 
 def degree(a: int) -> int:
@@ -36,12 +43,14 @@ def mul(a: int, b: int) -> int:
 def divmod_(a: int, b: int):
     if b == 0:
         raise PolynomialError("division by zero polynomial over GF(2)")
-    db = degree(b)
+    nb = b.bit_length()
     quo = 0
-    while degree(a) >= db:
-        shift = degree(a) - db
+    na = a.bit_length()
+    while na >= nb:
+        shift = na - nb
         quo ^= 1 << shift
         a ^= b << shift
+        na = a.bit_length()
     return quo, a
 
 
