@@ -33,28 +33,45 @@ polynomial that is not monic, not integral or constant;
 
 Irreducibility is certified by Rabin's test modulo the trial primes
 2..13 (`certify_irreducible`: the first prime modulo which p is
-irreducible, or None).  The test runs on packed residues: f is reduced
-mod q and made monic, and a residue mod (f, q) is one Python int whose
-fixed-width slots hold its coefficients (Kronecker substitution).  The
-slot width is the least of 16, 32 or 64 bits above d*(q-1)^2 + q - 1,
-the largest sum the kernel forms, so no slot ever carries; at q = 13,
-16-bit slots last up to degree 455.  A product is one bigint multiply,
-an unpack (`to_bytes` into an `array`), and a fold of the high slots
-through packed rows of x^d .. x^(2d-2) mod f.  The rows x^(iq) mod f of
-the Frobenius map are built once per (f, q), so h -> h^q is d small-int
+irreducible, or None).  Each prime takes its cheapest exact route, and
+every route decides exactly what Rabin's test decides.
+
+At q = 2 the test runs on the `gf2` int encoding (`_irreducible_mod2`).
+The k = 1 step, a root mod 2, is f(0) = 0 or f(1) = 0, read off the
+bits.  The rows x^(2i) mod f come from 2d shift/XOR steps, a square is
+the XOR of the rows at the set bits, and the coprimality checks are
+`gf2.gcd`.  No list and no packed ring is built.
+
+At odd q the test runs on packed residues: f is reduced mod q and made
+monic, and a residue mod (f, q) is one Python int whose fixed-width
+slots hold its coefficients (Kronecker substitution).  The slot width
+is the least of 16, 32 or 64 bits above d*(q-1)^2 + q - 1, the largest
+sum the kernel forms, so no slot ever carries; at q = 13, 16-bit slots
+last up to degree 455.  A product is one bigint multiply, an unpack
+(`to_bytes` into an `array`), and a fold of the high slots through
+packed rows of x^d .. x^(2d-2) mod f.  The rows x^(iq) mod f of the
+Frobenius map are built once per (f, q), so h -> h^q is d small-int
 times bigint multiply-adds and one unpack.
 
-Rabin's test is one pass over h_k = x^(q^k) mod f for k = 1..d.  It
-starts with k = 1 on plain lists: x^q mod f is a monomial or one `_mmod`
-when q <= 2d-2 (else a packed power), and gcd(x^q - x, f) != 1 means f
-has a root mod q, so f (d >= 2) is reducible and the test answers
-before the Frobenius rows 2..d-1 exist.  Most of the trial primes find
-such a root on the stretch polynomials they do not certify.  The rest
-of the pass is the Frobenius map from k = 2: gcd(h_k - x, f) = 1 at
-each k = d/r, r a prime factor of d, and h_d = x.  The k = 1 gcd is the
+Rabin's test is one pass over h_k = x^(q^k) mod f for k = 1..d.  At odd
+q it starts with k = 1 on plain lists: x^q mod f is a monomial or one
+`_mmod` when q <= 2d-2 (else a packed power), and gcd(x^q - x, f) != 1
+means f has a root mod q, so f (d >= 2) is reducible and the test
+answers before the Frobenius rows 2..d-1 exist.  Most of the trial
+primes find such a root on the stretch polynomials they do not certify.
+Next comes the discriminant-parity filter (`_parity_proves_reducible`):
+disc(f) = (-1)^(d(d-1)/2) Res(f, f') mod q by one Euclid on the same
+lists.  By Stickelberger's theorem as Swan states it (Pacific J. Math.
+12, 1962), a squarefree f with r irreducible factors mod an odd prime
+has Legendre symbol (disc/q) = (-1)^(d-r).  So f' = 0, disc = 0, or a
+symbol other than (-1)^(d-1) proves r > 1.  The filter only ever proves
+reducibility, so it turns no hit into a miss and no miss into a hit; it
+only ends some misses before the Frobenius table is built.  The rest of
+the pass is the Frobenius map from k = 2: gcd(h_k - x, f) = 1 at each
+k = d/r, r a prime factor of d, and h_d = x.  The k = 1 gcd is the
 first distinct-degree step; it changes no answer, since an irreducible
-f of degree >= 2 has no root.  A prime too wide for 64-bit slots is
-refused before any answer.
+f of degree >= 2 has no root.  An odd prime too wide for 64-bit slots
+is refused before any answer.
 """
 
 from __future__ import annotations
@@ -65,6 +82,7 @@ from array import array
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import gf2
 from .errors import InputError, NonSquarefreeError, ParseError, PolynomialError
 
 TRIAL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -740,13 +758,82 @@ def _coprime_minus_x(h, f, q) -> bool:
     return len(_mgcd(diff, f, q)) == 1
 
 
+def _mresultant(a, b, q):
+    """Res(a, b) mod the prime q by Euclid, for trimmed nonzero lists a, b.
+
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for
+    r = a mod b, and Res(a, c) = c^(deg a) for a constant c.
+    """
+    res = 1
+    while len(b) > 1:
+        r = _mmod(a, b, q)
+        if not r:
+            return 0
+        da, db = len(a) - 1, len(b) - 1
+        if da & db & 1:
+            res = -res
+        res = res * pow(b[-1], da - len(r) + 1, q) % q
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, q) % q
+
+
+def _parity_proves_reducible(f, q) -> bool:
+    """Whether the discriminant of the monic list f (degree d >= 2) proves
+    f reducible modulo the odd prime q.
+
+    disc(f) = (-1)^(d(d-1)/2) Res(f, f').  A squarefree f with r
+    irreducible factors mod q has (disc/q) = (-1)^(d-r) (Stickelberger, as
+    Swan states it), so r = 1 needs the symbol (-1)^(d-1).  f' = 0 (f is a
+    q-th power) and disc = 0 (f has a square factor) prove it too.
+    """
+    d = len(f) - 1
+    df = _mtrim([i * c % q for i, c in enumerate(f)][1:])
+    if not df:
+        return True
+    disc = _mresultant(f, df, q)
+    if d * (d - 1) // 2 % 2:
+        disc = -disc % q
+    return disc == 0 or pow(disc, (q - 1) // 2, q) != (1 if d % 2 else q - 1)
+
+
+def _irreducible_mod2(f: int) -> bool:
+    """Rabin's test for f of degree d >= 2 in the `gf2` encoding.
+
+    Row i is x^(2i) mod f, two shift/XOR steps after row i-1, so the
+    square of a residue h is the XOR of the rows at the set bits of h.
+    """
+    if not f & 1 or not bin(f).count("1") & 1:
+        return False    # f(0) = 0 or f(1) = 0: gcd(x^2 - x, f) != 1 at k = 1
+    d = f.bit_length() - 1
+    row, rows = 1, [1]
+    for _ in range(d - 1):
+        for _ in range(2):
+            row <<= 1
+            if row >> d:
+                row ^= f
+        rows.append(row)
+    checks = {d // r for r in _prime_factors(d)}
+    h = 0b10    # x
+    for k in range(1, d + 1):
+        square = 0
+        for bit, row in zip(bin(h)[:1:-1], rows):
+            if bit == "1":
+                square ^= row
+        h = square
+        if k in checks and gf2.gcd(f, h ^ 0b10) != 1:
+            return False
+    return h == 0b10
+
+
 def _irreducible_mod(a, q: int) -> bool:
     """Rabin irreducibility test for the integer coefficient list a
     (constant first) reduced modulo the prime q.
 
     One pass over h_k = x^(q^k) mod f for k = 1..d (the module docstring
-    has the order of its steps): gcd(h_k - x, f) = 1 at k = 1 and at each
-    k = d/r (r a prime factor of d), and h_d = x.
+    has the kernel of each prime and the order of the steps):
+    gcd(h_k - x, f) = 1 at k = 1 and at each k = d/r (r a prime factor
+    of d), and h_d = x.  At odd q the discriminant's parity may prove f
+    reducible between k = 1 and the Frobenius table.
     """
     f = _mtrim([c % q for c in a])
     d = len(f) - 1
@@ -756,6 +843,8 @@ def _irreducible_mod(a, q: int) -> bool:
         return False
     if d == 1:
         return True
+    if q == 2:
+        return _irreducible_mod2(int("".join(map(str, reversed(f))), 2))
     _slot_size(d, q)    # refuse a prime too wide for the slots before any answer
     inv_lead = pow(f[-1], -1, q)
     f = [c * inv_lead % q for c in f]
@@ -768,7 +857,7 @@ def _irreducible_mod(a, q: int) -> bool:
         ring = _PackedResidues(f, q)
         packed = ring.power(ring.x_to(1), q)
         x_q = ring.unpack(packed, d)
-    if not _coprime_minus_x(x_q, f, q):
+    if not _coprime_minus_x(x_q, f, q) or _parity_proves_reducible(f, q):
         return False
     if ring is None:
         ring = _PackedResidues(f, q)
@@ -789,7 +878,10 @@ def certify_irreducible(p: Poly):
     Irreducibility modulo any prime implies irreducibility over Q for a
     monic integer polynomial, so a hit is a sound certificate; a miss
     proves nothing.  A hit also proves p squarefree: an irreducible
-    polynomial over Q is coprime to its nonzero derivative.
+    polynomial over Q is coprime to its nonzero derivative.  The primes
+    are tried in order with `_irreducible_mod`, whose kernel depends on
+    the prime (module docstring), so the prime returned is the first
+    one at which Rabin's test holds.
     """
     if not (p.is_monic and p.is_integral and p.degree >= 1):
         raise PolynomialError("irreducibility certification needs a monic integer polynomial")

@@ -24,6 +24,7 @@ from ietsaf.polys import (
     TRIAL_PRIMES,
     _PackedResidues,
     _irreducible_mod,
+    _parity_proves_reducible,
     cauchy_root_bound,
     parse_ratio,
     parse_rational,
@@ -313,6 +314,112 @@ def test_wide_slot_refusal_comes_before_a_root():
         _irreducible_mod([-1, 0, 1], 2 ** 61 - 1)
 
 
+LEHMER = Poly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+AY19 = Poly([-1] * 19 + [1])
+
+
+def _int_coeffs(p):
+    return [int(c) for c in p.coeffs]
+
+
+def _factor_degrees(coeffs, q):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    factors = sympy.Poly(coeffs[::-1], x, modulus=q).factor_list()[1]
+    return sorted(f.degree() for f, e in factors for _ in range(e))
+
+
+def test_q_2_builds_no_packed_ring(monkeypatch):
+    """Hits, a root, and misses that Rabin's gcds or h_d decide, all on bits."""
+    built = _count_calls(monkeypatch, "_PackedResidues")
+    cases = [
+        [1, 1, 1],                  # x^2 + x + 1: a hit
+        [1, 1, 0, 0, 1],            # x^4 + x + 1: a hit
+        [1, 1, 0, 0, 0, 0, 0, 1],   # x^7 + x + 1: a hit of prime degree
+        [1, 0, 1, 0, 1],            # (x^2 + x + 1)^2: no root, gcd at k = 2
+        [1, 1, 0, 1, 1, 1, 1, 1],   # (x^2 + x + 1)(x^5 + x^2 + 1): h_7 != x
+        [-1, -1, -1, 1],            # x^3 + x^2 + x + 1 = (x + 1)^3: a root
+        _int_coeffs(AY22),
+        _int_coeffs(LEHMER),
+    ]
+    answers = [_irreducible_mod(a, 2) for a in cases]
+    assert built == []
+    monkeypatch.undo()
+    assert answers == [is_irreducible_mod_by_powering(Poly(a), 2) for a in cases]
+    assert answers[:5] == [True, True, True, False, False]
+
+
+def test_parity_filter_decides_lehmer_mod_3(monkeypatch):
+    """Lehmer's polynomial mod 3 has factors of degree 2 and 8 and no root:
+    d - r = 8 is even where an irreducible f of degree 10 needs odd, so the
+    filter answers and no Frobenius table is built."""
+    assert _factor_degrees(_int_coeffs(LEHMER), 3) == [2, 8]
+    built = _count_calls(monkeypatch, "_PackedResidues")
+    filtered = _count_calls(monkeypatch, "_parity_proves_reducible")
+    assert not _irreducible_mod(_int_coeffs(LEHMER), 3)
+    assert built == [] and filtered == [True]
+
+
+def test_rabin_pass_decides_where_the_parity_filter_is_silent(monkeypatch):
+    """AY g = 19 mod 5 has factors of degree 2, 2 and 15: r = 3 is odd like
+    r = 1, so the filter is silent and the Frobenius pass says reducible."""
+    assert _factor_degrees(_int_coeffs(AY19), 5) == [2, 2, 15]
+    built = _count_calls(monkeypatch, "_PackedResidues")
+    filtered = _count_calls(monkeypatch, "_parity_proves_reducible")
+    assert not _irreducible_mod(_int_coeffs(AY19), 5)
+    assert filtered == [False]
+    assert len(built) == 1 and hasattr(built[0], "frobenius_rows")
+    monkeypatch.undo()
+    assert is_irreducible_mod_by_powering(AY19, 5) is False
+
+
+def test_parity_filter_decides_a_vanishing_derivative(monkeypatch):
+    """x^6 + x^3 + 2 = (x^2 + x + 2)^3 mod 3 has no root and f' = 0 mod 3:
+    the filter answers before any resultant."""
+    a = [2, 0, 0, 1, 0, 0, 1]
+    assert _factor_degrees(a, 3) == [2, 2, 2]
+    built = _count_calls(monkeypatch, "_PackedResidues")
+    filtered = _count_calls(monkeypatch, "_parity_proves_reducible")
+    resultants = _count_calls(monkeypatch, "_mresultant")
+    assert not _irreducible_mod(a, 3)
+    assert filtered == [True] and resultants == [] and built == []
+
+
+def test_parity_filter_decides_a_square_factor(monkeypatch):
+    """(x^2 + 1)^2 mod 3: no root, f' = x^3 + x is not 0, and disc = 0."""
+    a = [1, 0, 2, 0, 1]
+    built = _count_calls(monkeypatch, "_PackedResidues")
+    resultants = _count_calls(monkeypatch, "_mresultant")
+    filtered = _count_calls(monkeypatch, "_parity_proves_reducible")
+    assert not _irreducible_mod(a, 3)
+    assert resultants == [0] and filtered == [True] and built == []
+
+
+def test_vanishing_leading_coefficient_answers_before_the_filter(monkeypatch):
+    filtered = _count_calls(monkeypatch, "_parity_proves_reducible")
+    assert not _irreducible_mod([1, 1, 3], 3)         # 3x^2 + x + 1 mod 3
+    assert not _irreducible_mod([2, 1, 1, 0, 0, 5], 5)
+    assert filtered == []
+
+
+def test_parity_filter_never_rejects_an_irreducible_polynomial():
+    """The filter alone, on random monic f mod odd q: it only ever reports
+    an f that sympy calls reducible, and it does report some."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(29)
+    reported = irreducible = 0
+    for _ in range(400):
+        q = rng.choice((3, 5, 7, 11, 13, 257))
+        f = [rng.randrange(q) for _ in range(rng.randint(2, 14))] + [1]
+        is_irreducible = sympy.Poly(f[::-1], x, modulus=q).is_irreducible
+        irreducible += is_irreducible
+        if _parity_proves_reducible(f, q):
+            reported += 1
+            assert not is_irreducible, (f, q)
+    assert reported > 50 and irreducible > 20
+
+
 def test_trace_minpoly_skips_the_integer_gcd_when_chi_is_squarefree_mod_3(monkeypatch):
     calls = _count_calls(monkeypatch, "primitive_gcd")
     mu = trace_minpoly(AY22)
@@ -572,13 +679,29 @@ else:
         sympy = pytest.importorskip("sympy")
         coeffs = [int(c) for c in p.coeffs]
         x = sympy.symbols("x")
-        for q in TRIAL_PRIMES:
+        for q in TRIAL_PRIMES + (257,):
             fast = _irreducible_mod(coeffs, q)
             assert fast == is_irreducible_mod_by_powering(p, q), (str(p), q)
             if coeffs[-1] % q:
                 assert fast == sympy.Poly(coeffs[::-1], x, modulus=q).is_irreducible
             else:
                 assert not fast
+
+    halves = st.lists(st.integers(-9, 9), min_size=1, max_size=15).map(
+        lambda c: Poly(c + [1]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=30).map(lambda c: Poly(c + [1])),
+        st.tuples(halves, halves).map(lambda t: t[0] * t[1]),
+    ))
+    @example(LEHMER)
+    @example(AY19)
+    @example(Poly([-1] * 7 + [1]))      # first certified at q = 7
+    def test_certify_irreducible_returns_the_first_certifying_prime(p):
+        expected = next(
+            (q for q in TRIAL_PRIMES if is_irreducible_mod_by_powering(p, q)), None)
+        assert certify_irreducible(p) == expected
 
     units = st.sampled_from([1, -1, 2, -2, 3, -3])
 
