@@ -22,19 +22,20 @@ The two must agree on every input; the test suite enforces this.  Every
 entry point validates m once; the command line passes it the parsed
 polynomial as it is.  `polys.check_monic_integral` comes first, with the
 errors `NumberField` gives its modulus.  `_validate_stretch` then serves
-both criteria: with no interval supplied, m(0) != 0 and m(1) < 0, it
-certifies irreducibility first and builds the Sturm chain only on a
-miss, since irreducible over Q implies squarefree and m(1) < 0 puts a
-root in (1, B), B the Cauchy bound.  Every other m gets the chain first.
-Either way m is certified once, and an invalid m gets the error line of
-chain-first validation.  The reciprocity criterion is only sound for
-irreducible m, so both verdicts carry a note when that certificate is
-missing.  `vanishing_verdicts` runs both criteria on one validation, and
-`nonlift_certificate` takes the same certify-first step.  `ay --check`
-runs the nonlift checks on the validation of its vanishing verdicts
-through `_nonlift`, so it certifies m once; `nonlift --oracle` reruns
-them with the brute-force completion on the validation of
-`nonlift_certificate`.
+both criteria in one order: one certificate of irreducibility, the
+Sturm chain on a miss for the squarefree check, m(0) != 0, then a real
+root above 1.  An irreducible polynomial over Q is squarefree, so only
+a miss can raise the squarefree error, at the point where it always
+came; every error line is that of validation with the chain first.
+With no interval and m(1) < 0 a root lies in (1, B), B the Cauchy
+bound; else the roots are counted on the chain, built after a hit.  The
+reciprocity criterion is only sound for irreducible m, so both verdicts
+carry a note when that certificate is missing.  `vanishing_verdicts`
+runs both criteria on one validation, and `nonlift_certificate` takes
+the same first step.  `ay --check` runs the nonlift checks on the
+validation of its vanishing verdicts through `_nonlift`, so it
+certifies m once; `nonlift --oracle` reruns them with the brute-force
+completion on the validation of `nonlift_certificate`.
 
 The nonlift certificate decides whether lambda could be the stretch
 factor of a map lifted from a nonorientable surface of genus g+1: such a
@@ -124,18 +125,19 @@ def _validate_stretch(m: Poly, interval=None):
     `check_monic_integral`, squarefree, m(0) != 0 and a real root > 1 (in
     `interval` when given, with lo < hi).  Returns `certify_irreducible(m)`.
 
-    Without an interval, m(0) != 0 and m(1) < 0 send m to `_certify`: a
-    monic m with m(1) < 0 has a root in (1, B), B its Cauchy bound, since
-    m(B) > 0.  Every other m gets the Sturm chain first and the checks on
-    it in the order written, which decides its error line.
+    `_certify` comes first and proves m squarefree.  Without an interval,
+    m(1) < 0 ends the checks: a monic m then has a root in (1, B), B its
+    Cauchy bound, since m(B) > 0.  Otherwise the roots are counted on the
+    Sturm chain, built here if the certificate hit.  The checks run in the
+    order written, which decides the error line.
     """
     check_monic_integral(m, MINPOLY)
-    if (interval is None and m.constant() != 0
-            and sign_at([c.numerator for c in m.coeffs], 1, 1) < 0):
-        return _certify(m)
-    chain = monic_squarefree_chain(m, MINPOLY)
+    prime, chain = _certify(m)
     if m.constant() == 0:
         raise InputError("minimal polynomial must have nonzero constant term")
+    if interval is None and sign_at([c.numerator for c in m.coeffs], 1, 1) < 0:
+        return prime
+    chain = chain or monic_squarefree_chain(m, MINPOLY)
     if interval is not None:
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         if lo >= hi:
@@ -147,17 +149,16 @@ def _validate_stretch(m: Poly, interval=None):
             raise InputError("supplied interval does not isolate one root > 1")
     elif count_real_roots(m, Fraction(1), cauchy_root_bound(m), chain) == 0:
         raise InputError(f"no real root > 1 for {m}")
-    return certify_irreducible(m)
+    return prime
 
 
 def _certify(m: Poly):
-    """`certify_irreducible(m)` for an m past `check_monic_integral`, with m
-    proved squarefree: by a hit, since an irreducible polynomial over Q is
-    squarefree, else by the Sturm chain."""
+    """(`certify_irreducible(m)`, Sturm chain or None) for an m past
+    `check_monic_integral`, with m proved squarefree: by a hit, since an
+    irreducible polynomial over Q is squarefree, else by the chain, which
+    only a miss builds."""
     prime = certify_irreducible(m)
-    if prime is None:
-        monic_squarefree_chain(m, MINPOLY)
-    return prime
+    return prime, None if prime is not None else monic_squarefree_chain(m, MINPOLY)
 
 
 def _notes(m: Poly, prime) -> tuple:
@@ -178,7 +179,7 @@ def vanishing_by_reciprocity(m: Poly, interval=None) -> VanishingVerdict:
     trace-field extension, hence to a nonzero invariant.  Commands use
     `vanishing_verdicts`; this stays while `perfbench/layers.py` traces it.
     """
-    return _by_reciprocity(m, _validate_stretch(m, interval))
+    return _by_reciprocity(m, _notes(m, _validate_stretch(m, interval)))
 
 
 def vanishing_by_field_degree(m: Poly, interval=None) -> VanishingVerdict:
@@ -191,25 +192,26 @@ def vanishing_by_field_degree(m: Poly, interval=None) -> VanishingVerdict:
     of chi (`trace_minpoly`); its degree is compared with deg m.  Commands
     use `vanishing_verdicts`; this stays while `perfbench/layers.py` traces it.
     """
-    return _by_field_degree(m, _validate_stretch(m, interval))
+    return _by_field_degree(m, _notes(m, _validate_stretch(m, interval)))
 
 
 def vanishing_verdicts(m: Poly, interval=None):
-    """(reciprocity verdict, field-degree verdict) on one validation of m."""
-    prime = _validate_stretch(m, interval)
-    return _by_reciprocity(m, prime), _by_field_degree(m, prime)
+    """(reciprocity verdict, field-degree verdict) on one validation of m;
+    both carry the same notes."""
+    notes = _notes(m, _validate_stretch(m, interval))
+    return _by_reciprocity(m, notes), _by_field_degree(m, notes)
 
 
-def _by_reciprocity(m: Poly, prime) -> VanishingVerdict:
+def _by_reciprocity(m: Poly, notes) -> VanishingVerdict:
     return VanishingVerdict(
         vanishes=not is_reciprocal(m),
         method="reciprocity",
         detail=reverse(m),
-        notes=_notes(m, prime),
+        notes=notes,
     )
 
 
-def _by_field_degree(m: Poly, prime) -> VanishingVerdict:
+def _by_field_degree(m: Poly, notes) -> VanishingVerdict:
     beta_min = trace_minpoly(m)
     if m.degree % beta_min.degree:
         raise PolynomialError(
@@ -222,7 +224,7 @@ def _by_field_degree(m: Poly, prime) -> VanishingVerdict:
         method="field-degree",
         detail=beta_min,
         index=index,
-        notes=_notes(m, prime),
+        notes=notes,
     )
 
 
@@ -291,7 +293,7 @@ def nonlift_certificate(m: Poly, g: int) -> CertVerdict:
     if g < 1:
         monic_squarefree_chain(m, MINPOLY)
         raise InputError("genus must be >= 1")
-    prime = _certify(m)
+    prime = _certify(m)[0]
     return _nonlift(m, g, () if prime is not None else (NOTE_UNVERIFIED,))
 
 

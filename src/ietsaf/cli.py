@@ -128,7 +128,7 @@ def cmd_vanishing(args) -> int:
           f"(trace-field index {by_deg.index}, min poly of lambda+1/lambda: "
           f"{by_deg.detail})")
     print(f"methods agree: {agree}")
-    for note in dict.fromkeys(by_rec.notes + by_deg.notes):  # each note once
+    for note in by_rec.notes:    # both verdicts carry the same notes
         print(f"note: {note}")
     return 0
 
@@ -215,7 +215,7 @@ def _ay_check(args):
         for name, value in checks.items():
             print(f"check {name}: {'pass' if value else 'FAIL'}")
         print(f"all checks pass: {all(checks.values())}")
-        for note in dict.fromkeys(by_rec.notes + by_deg.notes):
+        for note in by_rec.notes:
             print(f"note: {note}")
     return lift
 

@@ -54,11 +54,11 @@ Frobenius map are built once per (f, q), so h -> h^q is d small-int
 times bigint multiply-adds and one unpack.
 
 Rabin's test is one pass over h_k = x^(q^k) mod f for k = 1..d.  At odd
-q it starts with k = 1 on plain lists: x^q mod f is a monomial or one
-`_mmod` when q <= 2d-2 (else a packed power), and gcd(x^q - x, f) != 1
-means f has a root mod q, so f (d >= 2) is reducible and the test
-answers before the Frobenius rows 2..d-1 exist.  Most of the trial
-primes find such a root on the stretch polynomials they do not certify.
+q it starts with k = 1 on plain lists: x^q mod f is one `_mmod` of the
+monomial, a list of q + 1 entries, and gcd(x^q - x, f) != 1 means f has
+a root mod q, so f (d >= 2) is reducible and the test answers before
+any packed ring exists.  Most of the trial primes find such a root on
+the stretch polynomials they do not certify.
 Next comes the discriminant-parity filter (`_parity_proves_reducible`):
 disc(f) = (-1)^(d(d-1)/2) Res(f, f') mod q by one Euclid on the same
 lists.  By Stickelberger's theorem as Swan states it (Pacific J. Math.
@@ -67,7 +67,8 @@ has Legendre symbol (disc/q) = (-1)^(d-r).  So f' = 0, disc = 0, or a
 symbol other than (-1)^(d-1) proves r > 1.  The filter only ever proves
 reducibility, so it turns no hit into a miss and no miss into a hit; it
 only ends some misses before the Frobenius table is built.  The rest of
-the pass is the Frobenius map from k = 2: gcd(h_k - x, f) = 1 at each
+the pass builds the packed ring and its Frobenius rows from x^q mod f
+and runs the Frobenius map from k = 2: gcd(h_k - x, f) = 1 at each
 k = d/r, r a prime factor of d, and h_d = x.  The k = 1 gcd is the
 first distinct-degree step; it changes no answer, since an irreducible
 f of degree >= 2 has no root.  An odd prime too wide for 64-bit slots
@@ -678,7 +679,8 @@ class _PackedResidues:
     Coefficient i of a residue sits in slot i of one Python int (the
     module docstring has the slot width and the product).  The rows
     x^d .. x^(2d-2) mod f are built with the ring; the Frobenius rows
-    x^(iq) mod f are built once, from x^q, by `frobenius_table`: a row with
+    x^(iq) mod f are built once, from the packed x^q mod f that Rabin's
+    k = 1 step computed on plain lists, by `frobenius_table`: a row with
     iq <= 2d-2 is a monomial or a row of the reduction table, and each
     later one is the row before it times x^q.
     """
@@ -732,15 +734,6 @@ class _PackedResidues:
             if ck:
                 acc += ck * row
         return self.pack(self.unpack(acc, d))
-
-    def power(self, base: int, e: int) -> int:
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
 
     def frobenius(self, h):
         """h^q for a reduced coefficient list h: d multiply-adds, one unpack."""
@@ -848,21 +841,13 @@ def _irreducible_mod(a, q: int) -> bool:
     _slot_size(d, q)    # refuse a prime too wide for the slots before any answer
     inv_lead = pow(f[-1], -1, q)
     f = [c * inv_lead % q for c in f]
-    # k = 1 on plain lists: a root mod q answers before the Frobenius table
-    if q <= 2 * d - 2:
-        ring = None
-        x_q = _mmod([0] * q + [1], f, q)
-        x_q += [0] * (d - len(x_q))
-    else:
-        ring = _PackedResidues(f, q)
-        packed = ring.power(ring.x_to(1), q)
-        x_q = ring.unpack(packed, d)
+    # k = 1 on plain lists: a root mod q answers before any packed ring
+    x_q = _mmod([0] * q + [1], f, q)
+    x_q += [0] * (d - len(x_q))
     if not _coprime_minus_x(x_q, f, q) or _parity_proves_reducible(f, q):
         return False
-    if ring is None:
-        ring = _PackedResidues(f, q)
-        packed = ring.pack(x_q)
-    ring.frobenius_table(packed)
+    ring = _PackedResidues(f, q)
+    ring.frobenius_table(ring.pack(x_q))
     checks = {d // r for r in _prime_factors(d)}
     h = x_q
     for k in range(2, d + 1):

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 from ietsaf import (IET, NumberField, Poly, certify_irreducible, count_real_roots, gf2,
                     is_squarefree, isolate_real_roots)
-from ietsaf.certificates import NOTE_UNVERIFIED, _by_field_degree, _by_reciprocity, _nonlift
+from ietsaf.certificates import (NOTE_UNVERIFIED, _by_field_degree, _by_reciprocity, _nonlift,
+                                 _notes)
 from ietsaf.errors import (InputError, IterationCapError, NonSquarefreeError,
                            PolynomialError, ReducibleModulusError)
 from ietsaf.field import SIGN_BISECTION_CAP, SIGN_GCD_CHECK_AFTER
@@ -313,17 +314,26 @@ def sturm_chain_by_fractions(p):
     return chain
 
 
-def vanishing_verdicts_chain_first(m):
-    """Reference for `vanishing_verdicts` without an interval: validation
-    with the Sturm chain first, then m(0) != 0 and a root > 1 counted on
-    the chain, then one certificate; the criteria run on that."""
+def vanishing_verdicts_chain_first(m, interval=None):
+    """Reference for `vanishing_verdicts`: validation with the Sturm chain
+    first, then m(0) != 0, then the supplied interval or a root > 1 checked
+    on the chain, then one certificate; the criteria run on that."""
     chain = monic_squarefree_chain(m, "minimal polynomial")
     if m.constant() == 0:
         raise InputError("minimal polynomial must have nonzero constant term")
-    if count_real_roots(m, Fraction(1), cauchy_root_bound(m), chain) == 0:
+    if interval is not None:
+        lo, hi = Fraction(interval[0]), Fraction(interval[1])
+        if lo >= hi:
+            raise InputError("supplied interval is empty: lo must be below hi")
+        if lo < 1:
+            raise InputError("supplied interval must lie in [1, oo)")
+        if m(lo) == 0 or m(hi) == 0 or count_real_roots(m, lo, hi, chain) != 1:
+            raise InputError("supplied interval does not isolate one root > 1")
+    elif count_real_roots(m, Fraction(1), cauchy_root_bound(m), chain) == 0:
         raise InputError(f"no real root > 1 for {m}")
     prime = certify_irreducible(m)
-    return _by_reciprocity(m, prime), _by_field_degree(m, prime)
+    notes = _notes(m, prime)
+    return _by_reciprocity(m, notes), _by_field_degree(m, notes)
 
 
 def nonlift_certificate_chain_first(m, g):

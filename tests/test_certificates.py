@@ -305,20 +305,31 @@ else:
         except InputError as exc:
             return f"InputError: {exc}"
 
+    # no interval, or one with ends in [-1, 5] on a grid of thirds
+    ends = st.fractions(-1, 5, max_denominator=3)
+    intervals = st.one_of(st.none(), st.tuples(ends, ends))
+
     @settings(max_examples=300, deadline=None)
-    @given(minimal_polys, st.integers(0, 10))
-    @example(Poly([1, 0, -10, 0, 1]), 4)       # reducible mod every prime, m(1) = -8
-    @example(Poly([-2, -3, 0, 1]), 3)          # (x+1)^2 (x-2): m(0) = -2, m(1) = -4
-    @example(Poly([-2, -3, 0, 1]), 0)
-    @example(Poly([0, -2, 0, 1]), 3)           # x (x^2 - 2): m(0) = 0, m(1) = -1
-    @example(Poly([-3, 1]), 1)                 # degree 1, root 3
-    @example(Poly([-1, 1]), 1)                 # degree 1, m(1) = 0: no root > 1
-    @example(Poly([2, 1]), 1)                  # degree 1, root -2
-    def test_certify_first_matches_chain_first_validation(m, g):
+    @given(minimal_polys, st.integers(0, 10), intervals)
+    @example(Poly([1, 0, -10, 0, 1]), 4, None)   # reducible mod every prime, m(1) = -8
+    @example(Poly([-2, -3, 0, 1]), 3, None)      # (x+1)^2 (x-2): m(0) = -2, m(1) = -4
+    @example(Poly([-2, -3, 0, 1]), 0, (2, 3))    # the squarefree error before the interval
+    @example(Poly([0, -2, 0, 1]), 3, None)       # x (x^2 - 2): m(0) = 0, m(1) = -1
+    @example(Poly([-3, 1]), 1, None)             # degree 1, root 3
+    @example(Poly([-1, 1]), 1, None)             # degree 1, m(1) = 0: no root > 1
+    @example(Poly([2, 1]), 1, None)              # degree 1, root -2
+    @example(TRIB, 3, (1, 2))                    # a hit at q = 3; isolates the root 1.84
+    @example(TRIB, 3, (2, 1))                    # empty
+    @example(TRIB, 3, (0, 2))                    # lo < 1
+    @example(Poly([-2, 1]), 1, (1, 2))           # a hit; hi is the root 2
+    @example(Poly([-4, 0, 1]), 2, (2, 3))        # a miss; lo is the root 2
+    @example(TRIB, 3, (2, 3))                    # no root in (2, 3]
+    @example(Poly([5, -5, 1]), 2, (1, 4))        # a hit; two roots, 1.38 and 3.62
+    def test_certify_first_matches_chain_first_validation(m, g, interval):
         """Certify-first validation returns the verdicts, notes included, or
         raises the error text of validation with the Sturm chain first."""
-        assert (_outcome(vanishing_verdicts, m)
-                == _outcome(vanishing_verdicts_chain_first, m))
+        assert (_outcome(vanishing_verdicts, m, interval)
+                == _outcome(vanishing_verdicts_chain_first, m, interval))
         assert (_outcome(nonlift_certificate, m, g)
                 == _outcome(nonlift_certificate_chain_first, m, g))
 

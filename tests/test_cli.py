@@ -320,11 +320,11 @@ AY19 = ietsaf.ay_stretch_minpoly(19).to_string()
 ], ids=["vanishing-ay19", "nonlift-ay19", "vanishing-quartic", "nonlift-quartic",
         "vanishing-interval"])
 def test_sturm_chain_is_the_fallback_of_validation(argv, uncertified, monkeypatch, capsys):
-    """When no trial prime certifies m, validation falls back to one Sturm
-    chain for the squarefree check, with the one certificate already made:
-    the AY stretch polynomial at g = 19, and x^4 - 10x^2 + 1, which is
-    reducible modulo every prime.  A supplied interval is checked on the
-    chain, as before."""
+    """Validation certifies m once and builds at most one Sturm chain.
+    When no trial prime certifies m, the chain is the squarefree check: the
+    AY stretch polynomial at g = 19, and x^4 - 10x^2 + 1, which is
+    reducible modulo every prime.  After a hit, a supplied interval is
+    checked on a chain built for it."""
     counts = count_chains_and_certificates(monkeypatch)
     code, out, _ = run(capsys, argv)
     assert code == 0
