@@ -317,14 +317,17 @@ AY19 = ietsaf.ay_stretch_minpoly(19).to_string()
     (["vanishing", "--minpoly=1,0,-10,0,1"], True),
     (["nonlift", "--minpoly=1,0,-10,0,1", "--genus", "4"], True),
     (["vanishing", "--minpoly=-1,-1,-1,1", "--interval=1,2"], False),
+    (["vanishing", f"--minpoly={AY19}", "--interval=1,2"], True),
+    (["vanishing", "--minpoly=1,0,-10,0,1", "--interval=3,4"], True),
 ], ids=["vanishing-ay19", "nonlift-ay19", "vanishing-quartic", "nonlift-quartic",
-        "vanishing-interval"])
+        "vanishing-interval", "vanishing-ay19-interval", "vanishing-quartic-interval"])
 def test_sturm_chain_is_the_fallback_of_validation(argv, uncertified, monkeypatch, capsys):
     """Validation certifies m once and builds at most one Sturm chain.
     When no trial prime certifies m, the chain is the squarefree check: the
     AY stretch polynomial at g = 19, and x^4 - 10x^2 + 1, which is
     reducible modulo every prime.  After a hit, a supplied interval is
-    checked on a chain built for it."""
+    checked on a chain built for it; after a miss, on the chain of the
+    squarefree check."""
     counts = count_chains_and_certificates(monkeypatch)
     code, out, _ = run(capsys, argv)
     assert code == 0
