@@ -19,23 +19,22 @@ chi / gcd(chi, chi') (`polys.trace_minpoly`, O(d^2) integer steps).  It
 reads neither the reversal of m nor `is_reciprocal`.
 
 The two must agree on every input; the test suite enforces this.  Every
-entry point validates m once; the command line passes it the parsed
-polynomial as it is.  `polys.check_monic_integral` comes first, with the
-errors `NumberField` gives its modulus.  `_validate_stretch` then serves
-both criteria in one order: one certificate of irreducibility, the
-Sturm chain on a miss for the squarefree check, m(0) != 0, then a real
-root above 1.  An irreducible polynomial over Q is squarefree, so only
-a miss can raise the squarefree error, at the point where it always
-came; every error line is that of validation with the chain first.
-With no interval and m(1) < 0 a root lies in (1, B), B the Cauchy
-bound; else the roots are counted on the chain, built after a hit.  The
-reciprocity criterion is only sound for irreducible m, so both verdicts
-carry a note when that certificate is missing.  `vanishing_verdicts`
-runs both criteria on one validation, and `nonlift_certificate` takes
-the same first step.  `ay --check` runs the nonlift checks on the
-validation of its vanishing verdicts through `_nonlift`, so it
-certifies m once; `nonlift --oracle` reruns them with the brute-force
-completion on the validation of `nonlift_certificate`.
+entry point validates m once, into one frozen `_Stretch` record that the
+criteria, the nonlift checks and the command line read.  Validation
+starts with `polys.check_monic_integral`, with the errors `NumberField`
+gives its modulus, then tries one certificate of irreducibility and
+builds the Sturm chain on a miss for the squarefree check.  An
+irreducible polynomial over Q is squarefree, so only a miss can raise
+the squarefree error, at the point where it always came; every error
+line is that of validation with the chain first.  The reciprocity
+criterion and the nonlift certificate are only sound for irreducible m,
+so the record carries a note when that certificate is missing, and
+every verdict and report on it shows the record's notes.
+`_validate_stretch` builds the record of both criteria and of
+`ay --check`, and notes a degree-1 m as degenerate.
+`nonlift_certificate` builds its own after its genus check, with the
+irreducibility note alone; its verdict keeps the record, so that
+`nonlift --oracle` reruns the checks past validation on it.
 
 The nonlift certificate decides whether lambda could be the stretch
 factor of a map lifted from a nonorientable surface of genus g+1: such a
@@ -77,7 +76,18 @@ REASON_DEGREE = "DegreeExceedsGenus"
 REASON_CONSTANT = "ConstantNotUnit"
 REASON_COMPLETION = "NoMod2Completion"
 NOTE_UNVERIFIED = "irreducibility unverified mod trial primes"
+NOTE_DEGENERATE = ("degenerate input: rational stretch factor; "
+                   "pseudo-Anosov stretch factors are irrational")
 MINPOLY = "minimal polynomial"      # the noun of the input-check messages
+
+
+@dataclass(frozen=True)
+class _Stretch:
+    """m validated as the minimal polynomial of a stretch factor."""
+
+    m: Poly
+    coeffs: tuple                  # m's integer coefficients, constant first
+    notes: tuple                   # what the verdicts on m leave uncertified
 
 
 @dataclass(frozen=True)
@@ -105,10 +115,14 @@ class CertVerdict:
     """Outcome of the nonorientable-lift exclusion certificate."""
 
     outcome: str                   # OUTCOME_NOT_LIFT or OUTCOME_INCONCLUSIVE
+    stretch: _Stretch              # the validated m the checks ran on
     reason: str | None = None      # set when certified
     variant: str | None = None     # "direct" (completion of m mod 2), set when inconclusive
     witness: int | None = None     # GF(2) completion, set when inconclusive
-    notes: tuple = ()
+
+    @property
+    def notes(self) -> tuple:
+        return self.stretch.notes
 
     def to_dict(self) -> dict:
         return {
@@ -120,23 +134,32 @@ class CertVerdict:
         }
 
 
-def _validate_stretch(m: Poly, interval=None):
-    """Check m as the minimal polynomial of a stretch factor lambda > 1:
+def _validate_stretch(m: Poly, interval=None) -> _Stretch:
+    """Validate m as the minimal polynomial of a stretch factor lambda > 1:
     `check_monic_integral`, squarefree, m(0) != 0 and a real root > 1 (in
-    `interval` when given, with lo < hi).  Returns `certify_irreducible(m)`.
+    `interval` when given, with lo < hi).  The checks run in the order
+    written, which decides the error line.
 
-    `_certify` comes first and proves m squarefree.  Without an interval,
-    m(1) < 0 ends the checks: a monic m then has a root in (1, B), B its
-    Cauchy bound, since m(B) > 0.  Otherwise the roots are counted on the
-    Sturm chain, built here if the certificate hit.  The checks run in the
-    order written, which decides the error line.
+    One certificate of irreducibility comes first.  A hit proves m
+    squarefree; a miss builds the Sturm chain, which proves it and puts
+    the irreducibility note on the record.  Without an interval, m(1) < 0
+    ends the checks: a monic m then has a root in (1, B), B its Cauchy
+    bound, since m(B) > 0.  Otherwise the roots are counted on the chain
+    of the miss, or on one built here after a hit.  Degree 1 adds the
+    degenerate-input note.
     """
     check_monic_integral(m, MINPOLY)
-    prime, chain = _certify(m)
-    if m.constant() == 0:
+    notes = (NOTE_DEGENERATE,) if m.degree == 1 else ()
+    chain = None
+    if certify_irreducible(m) is None:
+        chain = monic_squarefree_chain(m, MINPOLY)
+        notes += (NOTE_UNVERIFIED,)
+    coeffs = tuple(c.numerator for c in m.coeffs)
+    if coeffs[0] == 0:
         raise InputError("minimal polynomial must have nonzero constant term")
-    if interval is None and sign_at([c.numerator for c in m.coeffs], 1, 1) < 0:
-        return prime
+    stretch = _Stretch(m, coeffs, notes)
+    if interval is None and sign_at(coeffs, 1, 1) < 0:
+        return stretch
     chain = chain or monic_squarefree_chain(m, MINPOLY)
     if interval is not None:
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
@@ -144,31 +167,12 @@ def _validate_stretch(m: Poly, interval=None):
             raise InputError("supplied interval is empty: lo must be below hi")
         if lo < 1:
             raise InputError("supplied interval must lie in [1, oo)")
-        if (any(sign_at(chain[0], x.numerator, x.denominator) == 0 for x in (lo, hi))
+        if (any(sign_at(coeffs, x.numerator, x.denominator) == 0 for x in (lo, hi))
                 or count_real_roots(m, lo, hi, chain) != 1):
             raise InputError("supplied interval does not isolate one root > 1")
     elif count_real_roots(m, Fraction(1), cauchy_root_bound(m), chain) == 0:
         raise InputError(f"no real root > 1 for {m}")
-    return prime
-
-
-def _certify(m: Poly):
-    """(`certify_irreducible(m)`, Sturm chain or None) for an m past
-    `check_monic_integral`, with m proved squarefree: by a hit, since an
-    irreducible polynomial over Q is squarefree, else by the chain, which
-    only a miss builds."""
-    prime = certify_irreducible(m)
-    return prime, None if prime is not None else monic_squarefree_chain(m, MINPOLY)
-
-
-def _notes(m: Poly, prime) -> tuple:
-    notes = ()
-    if m.degree == 1:
-        notes = ("degenerate input: rational stretch factor; "
-                 "pseudo-Anosov stretch factors are irrational",)
-    if prime is None:
-        notes += (NOTE_UNVERIFIED,)
-    return notes
+    return stretch
 
 
 def vanishing_by_reciprocity(m: Poly, interval=None) -> VanishingVerdict:
@@ -179,7 +183,7 @@ def vanishing_by_reciprocity(m: Poly, interval=None) -> VanishingVerdict:
     trace-field extension, hence to a nonzero invariant.  Commands use
     `vanishing_verdicts`; this stays while `perfbench/layers.py` traces it.
     """
-    return _by_reciprocity(m, _notes(m, _validate_stretch(m, interval)))
+    return _by_reciprocity(_validate_stretch(m, interval))
 
 
 def vanishing_by_field_degree(m: Poly, interval=None) -> VanishingVerdict:
@@ -192,26 +196,27 @@ def vanishing_by_field_degree(m: Poly, interval=None) -> VanishingVerdict:
     of chi (`trace_minpoly`); its degree is compared with deg m.  Commands
     use `vanishing_verdicts`; this stays while `perfbench/layers.py` traces it.
     """
-    return _by_field_degree(m, _notes(m, _validate_stretch(m, interval)))
+    return _by_field_degree(_validate_stretch(m, interval))
 
 
 def vanishing_verdicts(m: Poly, interval=None):
     """(reciprocity verdict, field-degree verdict) on one validation of m;
-    both carry the same notes."""
-    notes = _notes(m, _validate_stretch(m, interval))
-    return _by_reciprocity(m, notes), _by_field_degree(m, notes)
+    both carry the record's notes."""
+    stretch = _validate_stretch(m, interval)
+    return _by_reciprocity(stretch), _by_field_degree(stretch)
 
 
-def _by_reciprocity(m: Poly, notes) -> VanishingVerdict:
+def _by_reciprocity(stretch: _Stretch) -> VanishingVerdict:
     return VanishingVerdict(
-        vanishes=not is_reciprocal(m),
+        vanishes=not is_reciprocal(stretch.m),
         method="reciprocity",
-        detail=reverse(m),
-        notes=notes,
+        detail=reverse(stretch.m),
+        notes=stretch.notes,
     )
 
 
-def _by_field_degree(m: Poly, notes) -> VanishingVerdict:
+def _by_field_degree(stretch: _Stretch) -> VanishingVerdict:
+    m = stretch.m
     beta_min = trace_minpoly(m)
     if m.degree % beta_min.degree:
         raise PolynomialError(
@@ -224,7 +229,7 @@ def _by_field_degree(m: Poly, notes) -> VanishingVerdict:
         method="field-degree",
         detail=beta_min,
         index=index,
-        notes=notes,
+        notes=stretch.notes,
     )
 
 
@@ -285,28 +290,32 @@ def nonlift_certificate(m: Poly, g: int) -> CertVerdict:
     constant term of the degree-g polynomial); and existence of a GF(2)
     completion of m mod 2 to a self-reciprocal product of degree g.  The
     first failure certifies exclusion; success returns the completion
-    witness.  Validation comes first: `check_monic_integral`, then
-    `_certify`; a genus below 1 is rejected after the Sturm chain alone,
-    whose squarefree error comes first, with no certificate.
+    witness.  Validation comes first: `check_monic_integral`; a genus
+    below 1 is rejected after the Sturm chain alone, whose squarefree
+    error comes first, with no certificate; then one certificate, and the
+    chain on a miss, which puts the irreducibility note on the record.
     """
     check_monic_integral(m, MINPOLY)
     if g < 1:
         monic_squarefree_chain(m, MINPOLY)
         raise InputError("genus must be >= 1")
-    prime = _certify(m)[0]
-    return _nonlift(m, g, () if prime is not None else (NOTE_UNVERIFIED,))
+    notes = ()
+    if certify_irreducible(m) is None:
+        monic_squarefree_chain(m, MINPOLY)
+        notes = (NOTE_UNVERIFIED,)
+    return _nonlift(_Stretch(m, tuple(c.numerator for c in m.coeffs), notes), g)
 
 
-def _nonlift(m: Poly, g: int, notes=(), completion=gf2_completion_exists) -> CertVerdict:
-    """The checks of `nonlift_certificate` past validation, for an m its
-    caller has validated; `notes` go on the verdict as they are."""
-    d = m.degree
+def _nonlift(stretch: _Stretch, g: int, completion=gf2_completion_exists) -> CertVerdict:
+    """The checks of `nonlift_certificate` past validation, on the
+    integer coefficients of a validated record."""
+    coeffs = stretch.coeffs
+    d = len(coeffs) - 1
     if d > g:
-        return CertVerdict(OUTCOME_NOT_LIFT, reason=REASON_DEGREE, notes=notes)
-    if abs(m.constant()) != 1:
-        return CertVerdict(OUTCOME_NOT_LIFT, reason=REASON_CONSTANT, notes=notes)
-    witness = completion(gf2.from_poly(m), g - d)
+        return CertVerdict(OUTCOME_NOT_LIFT, stretch, reason=REASON_DEGREE)
+    if abs(coeffs[0]) != 1:
+        return CertVerdict(OUTCOME_NOT_LIFT, stretch, reason=REASON_CONSTANT)
+    witness = completion(sum((c & 1) << i for i, c in enumerate(coeffs)), g - d)
     if witness is None:
-        return CertVerdict(OUTCOME_NOT_LIFT, reason=REASON_COMPLETION, notes=notes)
-    return CertVerdict(OUTCOME_INCONCLUSIVE, variant="direct", witness=witness,
-                       notes=notes)
+        return CertVerdict(OUTCOME_NOT_LIFT, stretch, reason=REASON_COMPLETION)
+    return CertVerdict(OUTCOME_INCONCLUSIVE, stretch, variant="direct", witness=witness)

@@ -28,7 +28,10 @@ from .arnoux_yoccoz import (
 )
 from .certificates import (
     OUTCOME_INCONCLUSIVE,
+    _by_field_degree,
+    _by_reciprocity,
     _nonlift,
+    _validate_stretch,
     gf2_completion_bruteforce,
     nonlift_certificate,
     vanishing_verdicts,
@@ -137,8 +140,8 @@ def cmd_nonlift(args) -> int:
     m = Poly.from_string(args.minpoly)
     verdict = nonlift_certificate(m, args.genus)
     if args.oracle:
-        # m is validated and certified: the oracle reruns the checks past that
-        slow = _nonlift(m, args.genus, verdict.notes, gf2_completion_bruteforce)
+        # the oracle reruns the checks past validation on the verdict's record
+        slow = _nonlift(verdict.stretch, args.genus, gf2_completion_bruteforce)
         agree = slow.outcome == verdict.outcome
     if args.json:
         report = {
@@ -187,13 +190,12 @@ def _ay_check(args):
     checks["saf_vanishes"] = lift.saf().is_zero()
     witness = ay_self_similarity_witness(lift)
     checks["self_similar"] = witness is not None
-    by_rec, by_deg = vanishing_verdicts(system.stretch_minpoly)
+    stretch = _validate_stretch(system.stretch_minpoly)
+    by_rec, by_deg = _by_reciprocity(stretch), _by_field_degree(stretch)
     checks["criterion_vanishes"] = by_rec.vanishes
     checks["vanishing_methods_agree"] = by_deg.vanishes == by_rec.vanishes
     checks["saf_matches_criterion"] = by_rec.vanishes == checks["saf_vanishes"]
-    # vanishing_verdicts has validated and certified m; its notes carry
-    # the irreducibility note, so the nonlift verdict needs none
-    cert = _nonlift(system.stretch_minpoly, args.genus)
+    cert = _nonlift(stretch, args.genus)
     checks["certificate_inconclusive"] = cert.outcome == OUTCOME_INCONCLUSIVE
     lo, hi = system.field.interval
     # --float refines the field, with or without --json, so the lift file
@@ -209,13 +211,14 @@ def _ay_check(args):
             "self_similarity_offset": None if witness is None else
                 coords_to_string(witness),
             "all_pass": all(checks.values()),
+            "notes": list(stretch.notes),
         }))
     else:
         print(f"genus {args.genus}: alpha in ({lo}, {hi}){approx}")
         for name, value in checks.items():
             print(f"check {name}: {'pass' if value else 'FAIL'}")
         print(f"all checks pass: {all(checks.values())}")
-        for note in by_rec.notes:
+        for note in stretch.notes:
             print(f"note: {note}")
     return lift
 

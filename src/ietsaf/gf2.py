@@ -7,9 +7,10 @@ comparisons, hashing, and enumeration of all polynomials of a given
 degree trivial.
 
 The library needs gcds only: the mod-2 completion in `certificates`,
-and the coprimality checks of Rabin's test at q = 2, which
-`polys._irreducible_mod2` runs on this encoding (so `polys` imports this
-module, and `Poly` is imported here for annotations only).  `factor`, by
+which reduces m's integer coefficients to this encoding itself, and the
+coprimality checks of Rabin's test at q = 2, which
+`polys._irreducible_mod2` runs on it.  The module reads no `Poly`, so
+`polys` imports it and nothing here imports `polys`.  `factor`, by
 smallest-divisor trial division, is exponential in the degree of the
 largest factor; no library code calls it, and the tests use it as the
 oracle for the gcd-based completion.
@@ -17,12 +18,7 @@ oracle for the gcd-based completion.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .errors import PolynomialError
-
-if TYPE_CHECKING:
-    from .polys import Poly
 
 
 def degree(a: int) -> int:
@@ -73,17 +69,6 @@ def reverse(a: int) -> int:
 
 def is_self_reciprocal(a: int) -> bool:
     return a != 0 and a == reverse(a)
-
-
-def from_poly(p: Poly) -> int:
-    """Reduce an integer polynomial mod 2."""
-    if not p.is_integral:
-        raise PolynomialError("mod-2 reduction needs integer coefficients")
-    out = 0
-    for i, c in enumerate(p.coeffs):
-        if int(c) & 1:
-            out |= 1 << i
-    return out
 
 
 def to_string(a: int) -> str:

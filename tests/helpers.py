@@ -5,8 +5,7 @@ from fractions import Fraction
 
 from ietsaf import (IET, NumberField, Poly, certify_irreducible, count_real_roots, gf2,
                     is_squarefree, isolate_real_roots)
-from ietsaf.certificates import (NOTE_UNVERIFIED, _by_field_degree, _by_reciprocity, _nonlift,
-                                 _notes)
+from ietsaf.certificates import _by_field_degree, _by_reciprocity, _nonlift, _Stretch
 from ietsaf.errors import (InputError, IterationCapError, NonSquarefreeError,
                            PolynomialError, ReducibleModulusError)
 from ietsaf.field import SIGN_BISECTION_CAP, SIGN_GCD_CHECK_AFTER
@@ -314,10 +313,16 @@ def sturm_chain_by_fractions(p):
     return chain
 
 
+UNVERIFIED_NOTE = "irreducibility unverified mod trial primes"
+DEGENERATE_NOTE = ("degenerate input: rational stretch factor; "
+                   "pseudo-Anosov stretch factors are irrational")
+
+
 def vanishing_verdicts_chain_first(m, interval=None):
     """Reference for `vanishing_verdicts`: validation with the Sturm chain
     first, then m(0) != 0, then the supplied interval or a root > 1 checked
-    on the chain, then one certificate; the criteria run on that."""
+    on the chain, then one certificate; the criteria run on that.  Degree 1
+    is noted as degenerate, and a miss as unverified irreducibility."""
     chain = monic_squarefree_chain(m, "minimal polynomial")
     if m.constant() == 0:
         raise InputError("minimal polynomial must have nonzero constant term")
@@ -331,19 +336,22 @@ def vanishing_verdicts_chain_first(m, interval=None):
             raise InputError("supplied interval does not isolate one root > 1")
     elif count_real_roots(m, Fraction(1), cauchy_root_bound(m), chain) == 0:
         raise InputError(f"no real root > 1 for {m}")
-    prime = certify_irreducible(m)
-    notes = _notes(m, prime)
-    return _by_reciprocity(m, notes), _by_field_degree(m, notes)
+    notes = (DEGENERATE_NOTE,) if m.degree == 1 else ()
+    if certify_irreducible(m) is None:
+        notes += (UNVERIFIED_NOTE,)
+    stretch = _Stretch(m, tuple(int(c) for c in m.coeffs), notes)
+    return _by_reciprocity(stretch), _by_field_degree(stretch)
 
 
 def nonlift_certificate_chain_first(m, g):
     """Reference for `nonlift_certificate`: the Sturm chain first, then the
-    genus, then one certificate; the checks past validation run on that."""
+    genus, then one certificate; the checks past validation run on that.
+    A miss is noted as unverified irreducibility, and degree 1 is not noted."""
     monic_squarefree_chain(m, "minimal polynomial")
     if g < 1:
         raise InputError("genus must be >= 1")
-    notes = () if certify_irreducible(m) is not None else (NOTE_UNVERIFIED,)
-    return _nonlift(m, g, notes)
+    notes = () if certify_irreducible(m) is not None else (UNVERIFIED_NOTE,)
+    return _nonlift(_Stretch(m, tuple(int(c) for c in m.coeffs), notes), g)
 
 
 def count_real_roots_by_fractions(p, lo, hi):

@@ -231,8 +231,9 @@ def test_ay_genus_5_report(capsys):
 
 def test_ay_methods_agree_on_a_nonvanishing_verdict(monkeypatch, capsys):
     # both criteria say "does not vanish": they agree, the criterion fails
-    nonzero = SimpleNamespace(vanishes=False, notes=())
-    monkeypatch.setattr(cli, "vanishing_verdicts", lambda m: (nonzero, nonzero))
+    nonzero = SimpleNamespace(vanishes=False)
+    for reader in ("_by_reciprocity", "_by_field_degree"):
+        monkeypatch.setattr(cli, reader, lambda stretch: nonzero)
     code, out, _ = run(capsys, ["ay", "--genus", "3", "--check", "--json"])
     assert code == 0
     report = json.loads(out)
@@ -333,6 +334,47 @@ def test_sturm_chain_is_the_fallback_of_validation(argv, uncertified, monkeypatc
     assert code == 0
     assert counts == {"sturm_chain": 1, "certify": 1}
     assert ("note: irreducibility unverified mod trial primes\n" in out) == uncertified
+
+
+UNVERIFIED = "irreducibility unverified mod trial primes"
+DEGENERATE = ("degenerate input: rational stretch factor; "
+              "pseudo-Anosov stretch factors are irrational")
+AY5 = ietsaf.ay_stretch_minpoly(5).to_string()
+
+
+def json_notes(report):
+    """The notes of a `--json` report: each verdict's for `vanishing`, which
+    agree, the verdict's for `nonlift`, and the top-level ones for `ay`."""
+    if report["command"] == "vanishing":
+        assert report["field_degree"]["notes"] == report["reciprocity"]["notes"]
+        return report["reciprocity"]["notes"]
+    if report["command"] == "nonlift":
+        return report["verdict"]["notes"]
+    return report["notes"]
+
+
+@pytest.mark.parametrize("argv, notes", [
+    (["vanishing", f"--minpoly={AY19}"], [UNVERIFIED]),
+    (["nonlift", f"--minpoly={AY19}", "--genus", "19"], [UNVERIFIED]),
+    (["ay", "--genus", "19", "--check"], [UNVERIFIED]),
+    (["vanishing", f"--minpoly={AY5}"], []),
+    (["nonlift", f"--minpoly={AY5}", "--genus", "5"], []),
+    (["ay", "--genus", "5", "--check"], []),
+    (["vanishing", "--minpoly=-2,1"], [DEGENERATE]),
+], ids=["vanishing-ay19", "nonlift-ay19", "ay-19", "vanishing-ay5", "nonlift-ay5",
+        "ay-5", "vanishing-degenerate"])
+def test_every_note_is_in_the_text_and_the_json(argv, notes, capsys):
+    """The `note:` lines of the text form are the notes of the `--json`
+    form: the irreducibility note where no trial prime certifies the AY
+    stretch polynomial at g = 19, none at g = 5, and the degenerate-input
+    note on a rational stretch factor."""
+    code, text, _ = run(capsys, argv)
+    assert code == 0
+    code, out, _ = run(capsys, [*argv, "--json"])
+    assert code == 0
+    printed = [line.removeprefix("note: ") for line in text.splitlines()
+               if line.startswith("note: ")]
+    assert printed == json_notes(json.loads(out)) == notes
 
 
 def test_ay_check_builds_one_identity(monkeypatch, capsys):
@@ -550,7 +592,9 @@ def test_ay_check_json_matches_golden(genus, capsys):
     field and the trusted IET builder (g <= 14), before the exact integer
     enclosure (g = 19, 30, 40, where signs bisect), before the power-table
     enclosure (g = 60, 80) and before products were reduced by division by
-    the monic modulus (g = 120): intervals and offsets byte-identical."""
+    the monic modulus (g = 120): intervals and offsets byte-identical.  The
+    last key, `notes`, was added later: the irreducibility note at g = 19,
+    40, 80 and 120."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[str(genus)]
     code, out, _ = run(capsys, ["ay", "--genus", str(genus), "--check", "--json"])
     assert code == 0
