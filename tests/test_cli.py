@@ -15,7 +15,7 @@ from ietsaf import NumberField, Poly, ay_lift, cli, dumps_iet
 from ietsaf.arnoux_yoccoz import _paired_blocks
 from ietsaf.errors import IterationCapError
 
-from helpers import count_calls
+from helpers import DEGENERATE_NOTE, UNVERIFIED_NOTE, count_calls
 
 
 DATA = Path(__file__).parent / "data"
@@ -336,9 +336,6 @@ def test_sturm_chain_is_the_fallback_of_validation(argv, uncertified, monkeypatc
     assert ("note: irreducibility unverified mod trial primes\n" in out) == uncertified
 
 
-UNVERIFIED = "irreducibility unverified mod trial primes"
-DEGENERATE = ("degenerate input: rational stretch factor; "
-              "pseudo-Anosov stretch factors are irrational")
 AY5 = ietsaf.ay_stretch_minpoly(5).to_string()
 
 
@@ -354,13 +351,13 @@ def json_notes(report):
 
 
 @pytest.mark.parametrize("argv, notes", [
-    (["vanishing", f"--minpoly={AY19}"], [UNVERIFIED]),
-    (["nonlift", f"--minpoly={AY19}", "--genus", "19"], [UNVERIFIED]),
-    (["ay", "--genus", "19", "--check"], [UNVERIFIED]),
+    (["vanishing", f"--minpoly={AY19}"], [UNVERIFIED_NOTE]),
+    (["nonlift", f"--minpoly={AY19}", "--genus", "19"], [UNVERIFIED_NOTE]),
+    (["ay", "--genus", "19", "--check"], [UNVERIFIED_NOTE]),
     (["vanishing", f"--minpoly={AY5}"], []),
     (["nonlift", f"--minpoly={AY5}", "--genus", "5"], []),
     (["ay", "--genus", "5", "--check"], []),
-    (["vanishing", "--minpoly=-2,1"], [DEGENERATE]),
+    (["vanishing", "--minpoly=-2,1"], [DEGENERATE_NOTE]),
 ], ids=["vanishing-ay19", "nonlift-ay19", "ay-19", "vanishing-ay5", "nonlift-ay5",
         "ay-5", "vanishing-degenerate"])
 def test_every_note_is_in_the_text_and_the_json(argv, notes, capsys):
