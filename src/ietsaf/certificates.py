@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gf2
-from .errors import InputError, PolynomialError
+from .errors import InputError, IterationCapError, PolynomialError
 from .polys import (
     Poly,
     cauchy_root_bound,
@@ -79,14 +79,15 @@ NOTE_UNVERIFIED = "irreducibility unverified mod trial primes"
 NOTE_DEGENERATE = ("degenerate input: rational stretch factor; "
                    "pseudo-Anosov stretch factors are irrational")
 MINPOLY = "minimal polynomial"      # the noun of the input-check messages
+COMPLETION_DEGREE_CAP = 10 ** 7     # the largest g - d whose witness is padded
 
 
 @dataclass(frozen=True)
 class _Stretch:
-    """m validated as the minimal polynomial of a stretch factor."""
+    """m validated as the minimal polynomial of a stretch factor; its
+    `coeffs` are then ints, which the checks read as they are."""
 
     m: Poly
-    coeffs: tuple                  # m's integer coefficients, constant first
     notes: tuple                   # what the verdicts on m leave uncertified
 
 
@@ -154,11 +155,10 @@ def _validate_stretch(m: Poly, interval=None) -> _Stretch:
     if certify_irreducible(m) is None:
         chain = monic_squarefree_chain(m, MINPOLY)
         notes += (NOTE_UNVERIFIED,)
-    coeffs = tuple(c.numerator for c in m.coeffs)
-    if coeffs[0] == 0:
+    if m.coeffs[0] == 0:
         raise InputError("minimal polynomial must have nonzero constant term")
-    stretch = _Stretch(m, coeffs, notes)
-    if interval is None and sign_at(coeffs, 1, 1) < 0:
+    stretch = _Stretch(m, notes)
+    if interval is None and sign_at(m.coeffs, 1, 1) < 0:
         return stretch
     chain = chain or monic_squarefree_chain(m, MINPOLY)
     if interval is not None:
@@ -167,7 +167,7 @@ def _validate_stretch(m: Poly, interval=None) -> _Stretch:
             raise InputError("supplied interval is empty: lo must be below hi")
         if lo < 1:
             raise InputError("supplied interval must lie in [1, oo)")
-        if (any(sign_at(coeffs, x.numerator, x.denominator) == 0 for x in (lo, hi))
+        if (any(sign_at(m.coeffs, x.numerator, x.denominator) == 0 for x in (lo, hi))
                 or count_real_roots(m, lo, hi, chain) != 1):
             raise InputError("supplied interval does not isolate one root > 1")
     elif count_real_roots(m, Fraction(1), cauchy_root_bound(m), chain) == 0:
@@ -252,9 +252,11 @@ def gf2_completion_exists(mbar: int, k: int):
     the quotient holds exactly that deficit.  Leftover degree e is padded
     with (x+1)^e, which is its own reversal: the product of
     (x+1)^(2^j) = x^(2^j) + 1 over the set bits j of e, each one shift
-    and xor.
+    and xor.  A k above COMPLETION_DEGREE_CAP raises IterationCapError.
     """
     _check_completion_args(mbar, k)
+    if k > COMPLETION_DEGREE_CAP:
+        raise IterationCapError(f"completion degree {k} exceeds the cap {COMPLETION_DEGREE_CAP}")
     r = gf2.reverse(mbar)
     q = gf2.divmod_(r, gf2.gcd(mbar, r))[0]
     pad = k - gf2.degree(q)
@@ -303,13 +305,13 @@ def nonlift_certificate(m: Poly, g: int) -> CertVerdict:
     if certify_irreducible(m) is None:
         monic_squarefree_chain(m, MINPOLY)
         notes = (NOTE_UNVERIFIED,)
-    return _nonlift(_Stretch(m, tuple(c.numerator for c in m.coeffs), notes), g)
+    return _nonlift(_Stretch(m, notes), g)
 
 
 def _nonlift(stretch: _Stretch, g: int, completion=gf2_completion_exists) -> CertVerdict:
     """The checks of `nonlift_certificate` past validation, on the
     integer coefficients of a validated record."""
-    coeffs = stretch.coeffs
+    coeffs = stretch.m.coeffs
     d = len(coeffs) - 1
     if d > g:
         return CertVerdict(OUTCOME_NOT_LIFT, stretch, reason=REASON_DEGREE)

@@ -45,11 +45,11 @@ The constructor checks its modulus with `polys.monic_squarefree_chain`:
 `check_monic_integral` (monic with integer coefficients, degree >= 1,
 with the errors a minimal polynomial gets too), then squarefree by the
 last entry of its integer Sturm chain.  It keeps that chain, and reads
-the modulus as ints off entry 0, since a monic integer polynomial is its
-own primitive integer multiple.  It checks that neither endpoint is a
-root with `sign_at`, keeping the sign at the lower one for bisection,
-counts the roots between them with the chain, and refines the interval
-to width 2^-20 with the same integer bisection loop that signs use.
+the modulus's `coeffs` as they are: an integral `Poly` stores ints.  It
+checks that neither endpoint is a root with `sign_at`, keeping the sign
+at the lower one for bisection, counts the roots between them with the
+chain, and refines the interval to width 2^-20 with the same integer
+bisection loop that signs use.
 Two field objects are equal when they have the same modulus and the
 same distinguished root, and deciding that costs one Sturm count with
 the kept chain on the intersection of the two isolating intervals.  No
@@ -191,7 +191,7 @@ class NumberField:
         chain = monic_squarefree_chain(modulus, "field modulus")
         if lo >= hi:
             raise InputError("root interval is empty")
-        ints = chain[0]     # the modulus is its own primitive integer multiple
+        ints = modulus.coeffs
         sign_lo = sign_at(ints, lo.numerator, lo.denominator)
         if sign_lo == 0 or sign_at(ints, hi.numerator, hi.denominator) == 0:
             raise InputError("root count in interval != 1 (root at an endpoint)")
@@ -613,9 +613,7 @@ class AlgNum:
         powers = accumulate(repeat(self.num, d), lambda p, g: _mul_mod(p, g, modulus),
                             initial=[1] + [0] * (d - 1))
         combo = _integer_dependency(powers)
-        k = len(combo) - 1
-        lead = combo[k] * den ** k
-        return Poly([Fraction(c * den ** i, lead) for i, c in enumerate(combo)])
+        return Poly([c * den ** i for i, c in enumerate(combo)]).monic()
 
     def __repr__(self):
         return f"AlgNum([{', '.join(str(c) for c in self.coords)}])"

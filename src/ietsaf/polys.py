@@ -1,14 +1,16 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Polynomials are immutable with `fractions.Fraction` coefficients stored
-constant-first: ``Poly([-1, 0, 1])`` is ``x^2 - 1``.  The zero polynomial
+Polynomials are immutable with coefficients stored constant-first:
+``Poly([-1, 0, 1])`` is ``x^2 - 1``.  A coefficient is a plain int when
+it is integral and a reduced `fractions.Fraction` only when it is not
+(`_coeff`), so integer readers take `coeffs` as they are; coefficients
+are divided as `Fraction(c, lead)`, never by `/`.  The zero polynomial
 has an empty coefficient tuple and degree -1.  Text I/O uses the same
 constant-first convention, e.g. ``"-1,0,1"``.  Every rational in text,
-here and in IET files and command options, is read by `parse_ratio`: one
-match of ``[+-]digits[/digits]`` and nothing else, returned as the ints
-(n, d) it reads, with no `Fraction` built.  `parse_rational`, which
-`Poly.from_string` calls, makes a `Fraction` of those ints; IET
-coordinates stay on ints (`ietfile.parse_coords`).
+here and in IET files and command options, is read by `parse_ratio` as
+the ints (n, d) of one ``[+-]digits[/digits]`` and nothing else, and
+`parse_rational` puts them in the same normal form, so an integral entry
+builds no `Fraction`; IET coordinates stay on ints.
 
 Besides ring and Euclidean arithmetic the module provides the
 coefficient reversal ``x^n p(1/x)``, the reciprocity test (root multiset
@@ -129,21 +131,21 @@ def parse_ratio(text: str):
     return n, d
 
 
-def parse_rational(text: str) -> Fraction:
-    """`parse_ratio` as a reduced `Fraction`."""
-    return Fraction(*parse_ratio(text))
+def parse_rational(text: str):
+    """`parse_ratio` in normal form: the int n // d when d divides n."""
+    n, d = parse_ratio(text)
+    return n // d if n % d == 0 else Fraction(n, d)
 
 
-def _coeff(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise PolynomialError(f"bad polynomial coefficient {c!r}")
+def _coeff(c):
+    """The normal form of an int or `Fraction` coefficient: an int when integral."""
+    if not isinstance(c, (int, Fraction)):
+        raise PolynomialError(f"bad polynomial coefficient {c!r}")
+    return c.numerator if c.denominator == 1 else c
 
 
 class Poly:
-    """Univariate polynomial with exact rational coefficients."""
+    """Univariate polynomial with exact rational coefficients in normal form."""
 
     __slots__ = ("coeffs",)
 
@@ -176,13 +178,13 @@ class Poly:
         return not self.coeffs
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self):
         if self.is_zero:
             raise PolynomialError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def constant(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+    def constant(self):
+        return self.coeffs[0] if self.coeffs else 0
 
     @property
     def is_monic(self) -> bool:
@@ -192,10 +194,10 @@ class Poly:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
@@ -246,7 +248,7 @@ class Poly:
             return NotImplemented
         if self.is_zero or q.is_zero:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(q.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(q.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(q.coeffs):
@@ -275,9 +277,9 @@ class Poly:
         rem = list(self.coeffs)
         dq = q.degree
         lead = q.leading
-        quo = [Fraction(0)] * max(0, len(rem) - dq)
+        quo = [0] * max(0, len(rem) - dq)
         for i in range(len(rem) - dq - 1, -1, -1):
-            c = rem[i + dq] / lead
+            c = Fraction(rem[i + dq], lead)
             if c:
                 quo[i] = c
                 for j, b in enumerate(q.coeffs):
@@ -318,7 +320,7 @@ class Poly:
         lead = self.leading
         if lead == 1:
             return self
-        return Poly([c / lead for c in self.coeffs])
+        return Poly([Fraction(c, lead) for c in self.coeffs])
 
     # -- display -------------------------------------------------------
 
@@ -358,8 +360,8 @@ def poly_xgcd(p: Poly, q: Poly):
         va, vb = vb, va - quo * vb
     if a.is_zero:
         return a, ua, va
-    lead = a.leading
-    return a.monic(), Poly([c / lead for c in ua.coeffs]), Poly([c / lead for c in va.coeffs])
+    inverse = Fraction(1, a.leading)
+    return a.monic(), ua * inverse, va * inverse
 
 
 def reverse(p: Poly) -> Poly:
@@ -403,8 +405,7 @@ def cauchy_root_bound(p: Poly) -> Fraction:
     """1 + max |c_i| / |lead|: every real root lies in (-B, B)."""
     if p.is_zero or p.degree < 1:
         raise PolynomialError("root bound needs degree >= 1")
-    lead = abs(p.leading)
-    return 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
+    return 1 + Fraction(max(abs(c) for c in p.coeffs[:-1]), abs(p.leading))
 
 
 # -- Sturm chains and real root isolation ------------------------------
@@ -505,8 +506,7 @@ def check_monic_integral(p: Poly, noun: str) -> None:
 
 def monic_squarefree_chain(p: Poly, noun: str):
     """The Sturm chain of p, after `check_monic_integral` and a check that
-    p is squarefree; `noun` names p in the InputError.  Entry 0 is then p's
-    own coefficients as ints."""
+    p is squarefree; `noun` names p in the InputError."""
     check_monic_integral(p, noun)
     try:
         return sturm_chain(p)
@@ -593,11 +593,10 @@ def trace_minpoly(m: Poly) -> Poly:
     square) the gcd comes from `primitive_gcd` and the quotient is exact
     over Z.
     """
-    a = [c.numerator for c in m.coeffs]
-    n = len(a)
+    n = len(m.coeffs)
     A, B = [0] * n, [0] * n
     prev, cur = [-1] + [0] * (n - 1), [0] * n      # U_(k-1), U_k
-    for c in a:
+    for c in m.coeffs:
         if c:
             A = [x + c * u for x, u in zip(A, cur)]
             B = [x - c * u for x, u in zip(B, prev)]
@@ -619,8 +618,7 @@ def trace_minpoly(m: Poly) -> Poly:
                 for j, y in enumerate(g, i):
                     chi[j] -= c * y
             chi = quo
-    lead = chi[-1]
-    return Poly([Fraction(c, lead) for c in chi])
+    return Poly(chi).monic()
 
 
 # -- reduction mod p and irreducibility certification -------------------
@@ -870,8 +868,7 @@ def certify_irreducible(p: Poly):
     """
     if not (p.is_monic and p.is_integral and p.degree >= 1):
         raise PolynomialError("irreducibility certification needs a monic integer polynomial")
-    a = [c.numerator for c in p.coeffs]
     for q in TRIAL_PRIMES:
-        if _irreducible_mod(a, q):
+        if _irreducible_mod(p.coeffs, q):
             return q
     return None

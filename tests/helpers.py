@@ -339,7 +339,7 @@ def vanishing_verdicts_chain_first(m, interval=None):
     notes = (DEGENERATE_NOTE,) if m.degree == 1 else ()
     if certify_irreducible(m) is None:
         notes += (UNVERIFIED_NOTE,)
-    stretch = _Stretch(m, tuple(int(c) for c in m.coeffs), notes)
+    stretch = _Stretch(m, notes)
     return _by_reciprocity(stretch), _by_field_degree(stretch)
 
 
@@ -351,7 +351,7 @@ def nonlift_certificate_chain_first(m, g):
     if g < 1:
         raise InputError("genus must be >= 1")
     notes = () if certify_irreducible(m) is not None else (UNVERIFIED_NOTE,)
-    return _nonlift(_Stretch(m, tuple(int(c) for c in m.coeffs), notes), g)
+    return _nonlift(_Stretch(m, notes), g)
 
 
 def count_real_roots_by_fractions(p, lo, hi):

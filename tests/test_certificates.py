@@ -14,9 +14,11 @@ from ietsaf import (
     vanishing_by_reciprocity,
     vanishing_verdicts,
 )
-from ietsaf import cli, field, gf2, polys
+from ietsaf import certificates, cli, field, gf2, polys
+from ietsaf.errors import IterationCapError
 from ietsaf.field import AlgNum
 from ietsaf.certificates import (
+    COMPLETION_DEGREE_CAP,
     OUTCOME_INCONCLUSIVE,
     OUTCOME_NOT_LIFT,
     REASON_COMPLETION,
@@ -343,6 +345,23 @@ def test_completion_preconditions():
         gf2_completion_bruteforce(0, 1)
     with pytest.raises(InputError):
         gf2_completion_bruteforce(1, 25)
+
+
+def test_completion_degree_is_capped_before_any_padding(monkeypatch):
+    """A completion degree above the cap raises IterationCapError at once,
+    also at genus 10^20; the verdicts decided before the completion are
+    given at any genus."""
+    with pytest.raises(IterationCapError, match=f"exceeds the cap {COMPLETION_DEGREE_CAP}$"):
+        gf2_completion_exists(0b11, COMPLETION_DEGREE_CAP + 1)
+    with pytest.raises(IterationCapError):
+        nonlift_certificate(TRIB, 10 ** 20)
+    v = nonlift_certificate(Poly([-2, 0, 0, 1]), 10 ** 20)      # x^3 - 2
+    assert v.outcome == OUTCOME_NOT_LIFT and v.reason == REASON_CONSTANT
+    monkeypatch.setattr(certificates, "COMPLETION_DEGREE_CAP", 5)
+    assert gf2_completion_exists(0b11, 5) == gf2_completion_by_factoring(0b11, 5)
+    with pytest.raises(IterationCapError, match="completion degree 6 exceeds the cap 5"):
+        nonlift_certificate(TRIB, 9)
+    assert nonlift_certificate(TRIB, 2).reason == REASON_DEGREE
 
 
 def test_nonlift_spot_values():

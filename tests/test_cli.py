@@ -496,6 +496,49 @@ def test_interval_separated_negative_value(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("written, reduced", [
+    (["vanishing", "--minpoly=2/2,-3,1"], ["vanishing", "--minpoly=1,-3,1"]),
+    (["vanishing", "--minpoly=-4/2,-2,1", "--json"],
+     ["vanishing", "--minpoly=-2,-2,1", "--json"]),
+    (["vanishing", "--minpoly=1,-3,1", "--interval=4/2,6/2"],
+     ["vanishing", "--minpoly=1,-3,1", "--interval=2,3"]),
+    (["nonlift", "--minpoly=2/2,-3,1", "--genus", "4", "--oracle"],
+     ["nonlift", "--minpoly=1,-3,1", "--genus", "4", "--oracle"]),
+    (["nonlift", "--minpoly=-4/2,-2,1", "--genus", "4", "--json"],
+     ["nonlift", "--minpoly=-2,-2,1", "--genus", "4", "--json"]),
+], ids=["vanishing", "vanishing-json", "vanishing-interval", "nonlift", "nonlift-json"])
+def test_integral_entries_print_as_their_reduced_form(written, reduced, capsys):
+    """An integral entry written as n/d is the int n // d: stdout, the echo
+    of the polynomial included, is that of the reduced form.  (The JSON of
+    `vanishing` echoes `--interval` as written, so that case is text.)"""
+    code, out, _ = run(capsys, written)
+    assert code == 0
+    assert run(capsys, reduced)[:2] == (code, out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["vanishing", "--minpoly=-1,1/2"],
+    ["nonlift", "--minpoly=-1,-1,1/2", "--genus", "3"],
+])
+def test_a_leading_half_is_not_monic(argv, capsys):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == "error: minimal polynomial must be monic with integer coefficients"
+
+
+def test_nonlift_beyond_the_completion_cap_exits_3(capsys):
+    """A genus whose completion degree is above the cap gives one error
+    line and exit 3; a verdict decided before the completion is given."""
+    genus = str(10 ** 20)
+    code, out, err = run(capsys, ["nonlift", "--minpoly=-1,-1,-1,1", "--genus", genus])
+    assert (code, out) == (3, "")
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: completion degree {10 ** 20 - 3} exceeds the cap 10000000"]
+    code, out, _ = run(capsys, ["nonlift", "--minpoly=-2,-2,1", "--genus", genus])
+    assert code == 0
+    assert "outcome: CertifiedNotLift (ConstantNotUnit)" in out
+
+
 # -- compose across two files ------------------------------------------------------
 
 

@@ -34,6 +34,8 @@ from ietsaf.polys import (
     trace_minpoly,
 )
 
+from ietsaf.ietfile import parse_interval
+
 from helpers import (
     charpoly_by_fractions,
     count_real_roots_by_fractions,
@@ -485,6 +487,11 @@ def test_poly_string_round_trip():
 def test_parse_rational_accepts_only_signed_digits_over_digits():
     assert parse_rational(" +6/4 ") == Fraction(3, 2)
     assert parse_rational("-7") == -7
+    # an integral entry is a plain int, however it is written
+    for text, value in (("-7", -7), ("-4/2", -2), ("2/2", 1), ("0/5", 0)):
+        assert type(parse_rational(text)) is int and parse_rational(text) == value
+    lo, hi = parse_interval("1,3/2")
+    assert (lo, hi) == (1, Fraction(3, 2)) and type(lo) is int
     for text in ("1e3", "1e999999999", "0.5", ".5", "1 / 2", "1_000", "inf",
                  "nan", "", "1/", "/2", "1/0", "--1", "\u0661"):
         with pytest.raises(ParseError):
@@ -617,7 +624,7 @@ else:
         else:
             assert is_squarefree(p)
             head = Poly(chain[0])
-            ratio = head.leading / p.leading
+            ratio = Fraction(head.leading, p.leading)
             assert ratio > 0 and head == p * ratio
 
     small = st.integers(-40, 40)
@@ -655,7 +662,7 @@ else:
         assert is_squarefree(p)
         assert len(chain) == len(oracle)
         for q, r in zip(map(Poly, chain), oracle):
-            ratio = q.leading / r.leading
+            ratio = Fraction(q.leading, r.leading)
             assert ratio > 0 and q == r * ratio
         bound = math.ceil(cauchy_root_bound(p))
         ends = st.fractions(min_value=-bound, max_value=bound, max_denominator=8)
@@ -762,6 +769,31 @@ else:
                           [int(c) for c in q.coeffs] + [0] * pad_b)
         assert (Poly(g).monic() if g else Poly()) == poly_gcd(p, q)
         assert not g or (g[-1] != 0 and math.gcd(*g) == 1)
+
+    integers = st.lists(st.integers(-30, 30), max_size=7)
+
+    @settings(max_examples=150, deadline=None)
+    @given(integers, st.lists(st.integers(-6, 6), min_size=1, max_size=4),
+           st.sampled_from([1, -1, 2, -3, 6]), st.integers(-5, 5))
+    def test_integral_coefficients_have_one_normal_form(coeffs, low, lead, x):
+        """A polynomial built from ints and one built from the equal den-1
+        `Fraction`s are the same: plain int coefficients, equal, with one
+        hash and one text.  Division, gcds, derivatives, root bounds and
+        values on integral input stay exact and in normal form, never float."""
+        p, q = Poly(coeffs), Poly([Fraction(c) for c in coeffs])
+        assert p.coeffs == q.coeffs and all(type(c) is int for c in q.coeffs)
+        assert p == q and hash(p) == hash(q)
+        assert str(p) == str(q) and p.to_string() == q.to_string()
+        d = Poly(low + [lead])
+        quo, rem = divmod(p, d)
+        assert quo * d + rem == p and rem.degree < d.degree
+        g, u, v = poly_xgcd(p, d)
+        assert u * p + v * d == g
+        results = (quo, rem, g, u, v, d.monic(), p.derivative())
+        for c in (c for r in results for c in r.coeffs):
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        values = (p(x), p(Fraction(x, 2)), cauchy_root_bound(d))
+        assert all(isinstance(y, (int, Fraction)) for y in values)
 
     rationals = st.fractions(min_value=-60, max_value=60, max_denominator=15)
 
