@@ -516,16 +516,6 @@ def test_integral_entries_print_as_their_reduced_form(written, reduced, capsys):
     assert run(capsys, reduced)[:2] == (code, out)
 
 
-@pytest.mark.parametrize("argv", [
-    ["vanishing", "--minpoly=-1,1/2"],
-    ["nonlift", "--minpoly=-1,-1,1/2", "--genus", "3"],
-])
-def test_a_leading_half_is_not_monic(argv, capsys):
-    code, out, err = run(capsys, argv)
-    assert (code, out) == (2, "")
-    assert err.splitlines()[0] == "error: minimal polynomial must be monic with integer coefficients"
-
-
 def test_nonlift_beyond_the_completion_cap_exits_3(capsys):
     """A genus whose completion degree is above the cap gives one error
     line and exit 3; a verdict decided before the completion is given."""

@@ -20,6 +20,7 @@ from ietsaf import (
     poly_xgcd,
     reverse,
 )
+from ietsaf.ietfile import parse_interval
 from ietsaf.polys import (
     TRIAL_PRIMES,
     _PackedResidues,
@@ -33,8 +34,6 @@ from ietsaf.polys import (
     sturm_chain,
     trace_minpoly,
 )
-
-from ietsaf.ietfile import parse_interval
 
 from helpers import (
     charpoly_by_fractions,
