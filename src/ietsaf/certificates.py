@@ -15,8 +15,9 @@ and sum x, so Res_y(m, q) = A^2 + x*A*B + B^2; over the roots r of m it
 is prod (r^2 - x*r + 1) = m(0)*chi(x), chi the characteristic polynomial
 of beta on Q[y]/(m).  m is squarefree, so Q[y]/(m) is a product of
 fields and beta's minimal polynomial is the squarefree part
-chi / gcd(chi, chi') (`polys.trace_minpoly`, O(d^2) integer steps).  It
-reads neither the reversal of m nor `is_reciprocal`.
+chi / gcd(chi, chi') (`polys.trace_minpoly`: one Horner pass of integer
+updates at x = 2^k, and one integer square root when chi is a square).
+It reads neither the reversal of m nor `is_reciprocal`.
 
 The two must agree on every input; the test suite enforces this.  Every
 entry point validates m once, into one frozen `_Stretch` record that the

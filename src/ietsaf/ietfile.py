@@ -20,7 +20,9 @@ numerator over the element's denominator, reduced by one gcd, so no
 order, reduced fractions), so parse followed by emit reproduces a
 canonical input byte for byte.  Each output form has one writer:
 `dumps_report` writes all JSON, IET files and command reports alike,
-and `coords_to_string` all coordinate text.
+and `coords_to_string` all coordinate text.  `json.dumps` with an
+indent runs CPython's pure-Python encoder, so `dumps_report` writes its
+bytes itself, strings by the C `encode_basestring_ascii`.
 
 Each command builds one field object per distinct field text: the
 readers take an optional dict, local to the command, from the
@@ -32,6 +34,7 @@ the same field text share one field object and never compare fields.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 
 from .errors import ParseError
@@ -74,7 +77,32 @@ def coords_to_string(value: AlgNum) -> str:
 
 def dumps_report(report: dict) -> str:
     """Canonical JSON: the one writer of reports and IET files."""
-    return json.dumps(report, indent=2) + "\n"
+    return _json(report, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    """`json.dumps(value, indent=2)`, every line break written as `newline`.
+    A type other than str, int, bool, None, dict, list and tuple, a
+    subclass among them, or a key that is not a str goes to `json.dumps`."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    inner = newline + "  "
+    try:
+        if kind is dict:
+            items, ends = [_quote(k) + ": " + _json(v, inner) for k, v in value.items()], "{}"
+        elif kind is list or kind is tuple:
+            items, ends = [_json(v, inner) for v in value], "[]"
+        else:
+            raise TypeError
+    except TypeError:       # not a JSON container, or a key that is not a str
+        return json.dumps(value, indent=2).replace("\n", newline)
+    body = inner + ("," + inner).join(items) + newline if items else ""
+    return ends[0] + body + ends[1]
 
 
 def dumps_iet(iet: IET) -> str:

@@ -16,8 +16,8 @@ Besides ring and Euclidean arithmetic the module provides the
 coefficient reversal ``x^n p(1/x)``, the reciprocity test (root multiset
 closed under inversion), Sturm chains with real root counting and
 isolation, the minimal polynomial of y + 1/y modulo m from one resultant
-over Z (`trace_minpoly`), and best-effort irreducibility certification
-by reduction modulo small primes.
+over Z, packed at a power of two (`trace_minpoly`), and best-effort
+irreducibility certification by reduction modulo small primes.
 
 Sturm chains, root counts and isolation run on Python ints.  `sign_at`
 decides the sign of an integer polynomial at n/q by homogeneous Horner:
@@ -83,7 +83,7 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from . import gf2
 from .errors import InputError, NonSquarefreeError, ParseError, PolynomialError
@@ -576,37 +576,82 @@ def isolate_real_roots(p: Poly, lo: Fraction, hi: Fraction, chain=None):
 # -- the trace-field polynomial ------------------------------------------
 
 
+def _slot_width(bound: int) -> int:
+    """Bits per slot, a multiple of 8, for signed digits of size <= bound."""
+    return (bound.bit_length() + 8) & ~7
+
+
+def _unpack_signed(v: int, k: int, count: int):
+    """The `count` signed base-2^k digits of v, each in [-2^(k-1), 2^(k-1)),
+    k a multiple of 8; OverflowError when v has no such digits."""
+    size, half = k >> 3, 1 << (k - 1)
+    offset = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+    data = (v + offset).to_bytes(size * count, "little")
+    return [int.from_bytes(data[i:i + size], "little") - half
+            for i in range(0, len(data), size)]
+
+
+def _trace_resultant(coeffs):
+    """The d + 1 coefficients of m(0)*chi, constant first, for the
+    integer coefficients of m (`trace_minpoly` has how)."""
+    a = b = 0
+    for c in reversed(coeffs):
+        a, b = a + b, abs(c) + a
+    k = _slot_width(a * a + a * b + b * b)
+    A = B = 0
+    for c in reversed(coeffs):
+        A, B = (A << k) + B, c - A
+    return _unpack_signed(A * A + (A * B << k) + B * B, k, len(coeffs))
+
+
+def _square_root(chi):
+    """s with s^2 = chi and lc(s) > 0, for chi of degree 2e with lc(chi) > 0,
+    or None.  If chi = s^2, Mignotte's bound (Math. Comp. 28, 1974) and
+    M(s)^2 = M(chi) <= |chi|_2 give |s|_1^2 <= 4^e |chi|_2, so at the slot
+    width k below chi, s and s^2 fit their slots and s is the e + 1 signed
+    digits of isqrt(chi(2^k)).  A candidate is accepted only when its
+    square is chi(2^k), its digits are exact and |s|_1^2 fits a slot: then
+    s^2 = chi.  The bound decides only whether a square is found."""
+    e = (len(chi) - 1) // 2
+    k = _slot_width((isqrt(sum(c * c for c in chi)) + 1) << 2 * e)
+    value = 0
+    for c in reversed(chi):
+        value = (value << k) + c
+    root = isqrt(value)
+    if root * root != value:
+        return None
+    try:
+        s = _unpack_signed(root, k, e + 1)
+    except OverflowError:
+        return None
+    return None if sum(map(abs, s)) ** 2 >> (k - 1) else s
+
+
 def trace_minpoly(m: Poly) -> Poly:
     """Monic minimal polynomial of beta = y + 1/y in Q[y]/(m), for m monic,
     integral and squarefree with m(0) != 0 (the caller checks this).
 
-    Mod y^2 - x*y + 1 over Z[x], y^k = U_k*y - U_(k-1) with U_(k+1) =
-    x*U_k - U_(k-1), U_0 = 0, U_(-1) = -1, so m = A*y + B and the resultant
-    m(0)*chi = A^2 + x*A*B + B^2 (`certificates` has why), formed up to
-    x^d since the higher terms cancel.  The result is chi / gcd(chi, chi').
-
-    A modular filter skips the gcd over Z when it can: for an odd prime q
-    in SQUAREFREE_PRIMES (3, then 5) that does not divide lc(chi),
-    gcd(chi mod q, chi' mod q) = 1 proves chi squarefree over Q, since a
-    square factor of chi over Z would survive reduction mod q with its
-    degree.  Otherwise (reciprocal m always lands here, chi being a
-    square) the gcd comes from `primitive_gcd` and the quotient is exact
-    over Z.
+    Mod y^2 - x*y + 1 over Z[x], m = A*y + B and m(0)*chi = A^2 + x*A*B +
+    B^2 (`certificates` has why), of degree d, is formed at x = 2^k
+    (Kronecker substitution, Schoenhage, EUROCAM 1982).  Horner on m is
+    two integer updates per coefficient, A, B <- (A << k) + B, c - A; the
+    1-norms obey a, b <- a + b, |c| + a, and a^2 + a*b + b^2 bounds every
+    coefficient, so the value's d + 1 signed base-2^k digits are m(0)*chi.
+    The result is chi / gcd(chi, chi').  A value r + 1/r comes from at
+    most two roots r, so a square root of chi (reciprocal m) is squarefree
+    and is the result up to a unit (`_square_root`).  Otherwise a modular
+    filter skips the gcd over Z when it can: for q in SQUAREFREE_PRIMES
+    (3, then 5) not dividing lc(chi), gcd(chi mod q, chi' mod q) = 1 proves
+    chi squarefree over Q, since a square factor over Z would survive mod
+    q with its degree.  Failing both, the gcd is `primitive_gcd`'s and the
+    quotient is exact over Z.
     """
     n = len(m.coeffs)
-    A, B = [0] * n, [0] * n
-    prev, cur = [-1] + [0] * (n - 1), [0] * n      # U_(k-1), U_k
-    for c in m.coeffs:
-        if c:
-            A = [x + c * u for x, u in zip(A, cur)]
-            B = [x - c * u for x, u in zip(B, prev)]
-        prev, cur = cur, [u - p for u, p in zip([0] + cur[:-1], prev)]
-    chi = [0] * (n + 1)
-    for i, (ai, bi) in enumerate(zip(A, B)):
-        for j in range(n - i):
-            chi[i + j] += ai * A[j] + bi * B[j]
-            chi[i + j + 1] += ai * B[j]
-    chi = _primitive(chi[:n])     # drop x^(d+1), whose sum is incomplete
+    chi = _primitive(_trace_resultant(m.coeffs))
+    if chi[-1] < 0:
+        chi = [-c for c in chi]
+    if n % 2 and isqrt(chi[-1]) ** 2 == chi[-1] and (s := _square_root(chi)):
+        return Poly(s).monic()
     deriv = [i * c for i, c in enumerate(chi)][1:]
     if not any(chi[-1] % q and len(_mgcd([c % q for c in chi], [c % q for c in deriv], q)) == 1
                for q in SQUAREFREE_PRIMES):

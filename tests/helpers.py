@@ -231,6 +231,27 @@ def min_poly_by_fractions(a):
     raise PolynomialError("no dependency among d+1 powers")
 
 
+def trace_resultant_by_convolution(coeffs):
+    """m(0)*chi = A^2 + x*A*B + B^2 as d + 1 ints, constant first, for the
+    integer coefficients of m: m = A*y + B mod y^2 - x*y + 1 from
+    y^k = U_k*y - U_(k-1), U_(k+1) = x*U_k - U_(k-1), U_0 = 0,
+    U_(-1) = -1, then the product by a double loop over the coefficients."""
+    n = len(coeffs)
+    A, B = [0] * n, [0] * n
+    prev, cur = [-1] + [0] * (n - 1), [0] * n      # U_(k-1), U_k
+    for c in coeffs:
+        if c:
+            A = [x + c * u for x, u in zip(A, cur)]
+            B = [x - c * u for x, u in zip(B, prev)]
+        prev, cur = cur, [u - p for u, p in zip([0] + cur[:-1], prev)]
+    chi = [0] * (n + 1)
+    for i, (ai, bi) in enumerate(zip(A, B)):
+        for j in range(n - i):
+            chi[i + j] += ai * A[j] + bi * B[j]
+            chi[i + j + 1] += ai * B[j]
+    return chi[:n]      # drop x^(d+1), whose sum is incomplete
+
+
 def field_at_a_real_root(m):
     """`NumberField` on the largest real root of squarefree monic integer m,
     or None when m has no real root.  Rational roots of m are integers."""

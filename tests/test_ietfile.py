@@ -6,7 +6,7 @@ import pytest
 
 from ietsaf import (IET, AlgNum, InputError, NumberField, ParseError, Poly, ay_lift,
                     certificates, dumps_iet, loads_iet, polys)
-from ietsaf.ietfile import coords_to_string, parse_coords
+from ietsaf.ietfile import coords_to_string, dumps_report, parse_coords
 
 from helpers import random_cubic_field, random_iet
 
@@ -119,6 +119,9 @@ if given is None:
     def test_integer_coordinates_match_fractions():
         pytest.skip("hypothesis is not installed")
 
+    def test_dumps_report_matches_indented_json_dumps():
+        pytest.skip("hypothesis is not installed")
+
 else:
 
     @st.composite
@@ -158,3 +161,20 @@ else:
             min_size=field.degree, max_size=field.degree))
         x = field.element(coords)
         assert coords_to_string(x) == ",".join(str(c) for c in x.coords)
+
+    json_leaves = (st.none() | st.booleans() | st.integers()
+                   | st.integers(-10 ** 40, -10 ** 18) | st.text()
+                   | st.text(alphabet='"\\\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'))
+    json_trees = st.recursive(
+        json_leaves,
+        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                       | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+        max_leaves=25)
+
+    @given(st.dictionaries(st.text(max_size=6), json_trees, max_size=6))
+    @example({})
+    @example({"": [], "\"\\\x00\u00e9": {}, "n": -10 ** 40, "t": ((), [True, None])})
+    @example({"float": 1.5, "int keys": {1: [2.5, None], "k": "v"}})     # json.dumps writes these
+    def test_dumps_report_matches_indented_json_dumps(report):
+        """The writer gives the bytes of `json.dumps(report, indent=2)`."""
+        assert dumps_report(report) == json.dumps(report, indent=2) + "\n"

@@ -18,6 +18,7 @@ from ietsaf import (
     is_squarefree,
     isolate_real_roots,
     poly_xgcd,
+    ay_stretch_minpoly,
     reverse,
 )
 from ietsaf.ietfile import parse_interval
@@ -26,6 +27,7 @@ from ietsaf.polys import (
     _PackedResidues,
     _irreducible_mod,
     _parity_proves_reducible,
+    _trace_resultant,
     cauchy_root_bound,
     parse_ratio,
     parse_rational,
@@ -44,6 +46,7 @@ from helpers import (
     mulmod_by_lists,
     poly_gcd,
     sturm_chain_by_fractions,
+    trace_resultant_by_convolution,
 )
 
 
@@ -429,13 +432,32 @@ def test_trace_minpoly_skips_the_integer_gcd_when_chi_is_squarefree_mod_3(monkey
     assert mu.degree == 22 and mu == trace_minpoly_by_sympy(AY22)
 
 
-def test_trace_minpoly_of_a_reciprocal_m_takes_the_integer_gcd(monkeypatch):
+def test_trace_minpoly_of_a_reciprocal_m_takes_the_square_root(monkeypatch):
     m = Poly([1, -1, -1, -1, 1])    # chi is the square of beta's polynomial
+    roots = _count_calls(monkeypatch, "_square_root")
     calls = _count_calls(monkeypatch, "primitive_gcd")
     mu = trace_minpoly(m)
-    assert len(calls) == 1
+    assert roots == [[-3, -1, 1]] and calls == []
     monkeypatch.undo()
     assert mu == Poly([-3, -1, 1]) == trace_minpoly_by_sympy(m)
+
+
+def test_trace_minpoly_falls_back_when_chi_is_not_a_square(monkeypatch):
+    """m = x^4 - 2x^3 - 3x^2 + 4x - 1 = (x^2 - 3x + 1)(x^2 + x - 1): chi =
+    (x - 3)^2 (x^2 - 5) has a square leading coefficient and even degree
+    but is no square, and it is not squarefree mod 3 or mod 5, so the
+    rejected root is followed by exactly one integer gcd."""
+    sympy = pytest.importorskip("sympy")
+    m = Poly([-1, 4, -3, -2, 1])
+    x = sympy.symbols("x")
+    chi = resultant_by_sympy(m)
+    assert chi == sympy.Poly(-(x - 3) ** 2 * (x ** 2 - 5), x)
+    roots = _count_calls(monkeypatch, "_square_root")
+    calls = _count_calls(monkeypatch, "primitive_gcd")
+    mu = trace_minpoly(m)
+    assert roots == [None] and len(calls) == 1
+    monkeypatch.undo()
+    assert mu == Poly([15, -5, -3, 1]) == trace_minpoly_by_sympy(m)
 
 
 def test_trace_minpoly_falls_back_when_no_filter_prime_proves_squarefree(monkeypatch):
@@ -600,6 +622,9 @@ if given is None:
     def test_sturm_chain_properties():
         pytest.skip("hypothesis is not installed")
 
+    def test_trace_resultant_and_square_root_properties():
+        pytest.skip("hypothesis is not installed")
+
 else:
 
     factors = st.lists(st.integers(-4, 4), min_size=2, max_size=3).map(Poly)
@@ -755,6 +780,36 @@ else:
         if certify_irreducible(m) is not None:
             assert m.degree % mu.degree == 0
             assert chi == mu ** (m.degree // mu.degree)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-4, 4), max_size=8), st.integers(-4, 4))
+    @example([-1, -1, -1], -1)      # x^8 - x^7 - ... - x + 1
+    def test_trace_minpoly_of_a_palindromic_m_is_a_square_root(half, centre):
+        """A squarefree palindromic m of even degree with m(1) m(-1) != 0
+        has chi = s^2: the square root answers, with no integer gcd."""
+        m = reciprocal(1, half, centre)
+        assume(m(1) != 0 and m(-1) != 0 and is_squarefree(m))
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _count_calls(patch, "primitive_gcd")
+            mu = trace_minpoly(m)
+        assert calls == []
+        assert mu == trace_minpoly_by_sympy(m)
+
+    resultant_inputs = st.builds(
+        lambda constant, middle: [constant, *middle, 1],
+        st.integers(1, 10 ** 6).flatmap(lambda c: st.sampled_from([c, -c])),
+        st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=39))
+
+    @settings(max_examples=150, deadline=None)
+    @given(resultant_inputs)
+    @example(list(ay_stretch_minpoly(200).coeffs))
+    @example([-10 ** 6, 10 ** 6, -10 ** 6, 1])
+    @example([10 ** 6] * 40 + [1])
+    def test_packed_trace_resultant_matches_the_convolution(coeffs):
+        """One Horner pass at x = 2^k gives the coefficients of
+        A^2 + x*A*B + B^2 that the U_k recurrence and a double-loop
+        convolution give: every coefficient fits its slot."""
+        assert _trace_resultant(coeffs) == trace_resultant_by_convolution(coeffs)
 
     coefficients = st.lists(st.integers(-6, 6), max_size=5)
 
