@@ -81,9 +81,9 @@ def dumps_report(report: dict) -> str:
 
 
 def _json(value, newline: str) -> str:
-    """`json.dumps(value, indent=2)`, every line break written as `newline`.
-    A type other than str, int, bool, None, dict, list and tuple, a
-    subclass among them, or a key that is not a str goes to `json.dumps`."""
+    """`json.dumps(value, indent=2)`, each line break written as `newline`.
+    str, int, bool, None, dict, list and tuple are written here; any other
+    type, a subclass of these or a dict key that is not a str goes to it."""
     kind = type(value)
     if kind is str:
         return _quote(value)

@@ -605,13 +605,15 @@ def _trace_resultant(coeffs):
 
 
 def _square_root(chi):
-    """s with s^2 = chi and lc(s) > 0, for chi of degree 2e with lc(chi) > 0,
-    or None.  If chi = s^2, Mignotte's bound (Math. Comp. 28, 1974) and
-    M(s)^2 = M(chi) <= |chi|_2 give |s|_1^2 <= 4^e |chi|_2, so at the slot
-    width k below chi, s and s^2 fit their slots and s is the e + 1 signed
-    digits of isqrt(chi(2^k)).  A candidate is accepted only when its
-    square is chi(2^k), its digits are exact and |s|_1^2 fits a slot: then
-    s^2 = chi.  The bound decides only whether a square is found."""
+    """s with s^2 = chi and lc(s) > 0, or None, for chi of degree 2e.
+    lc(chi), chi(1) and chi(-1) must be integer squares.  If chi = s^2,
+    Mignotte's bound (Math. Comp. 28, 1974) and M(s)^2 = M(chi) <= |chi|_2
+    give |s|_1^2 <= 4^e |chi|_2, so at the width k below s is the signed
+    digits of isqrt(chi(2^k)).  A root is accepted only when its square is
+    chi(2^k), its digits are exact and |s|_1^2 fits a slot: s^2 = chi."""
+    for square in (chi[-1], sum(chi), sum(chi[::2]) - sum(chi[1::2])):
+        if square < 0 or isqrt(square) ** 2 != square:
+            return None
     e = (len(chi) - 1) // 2
     k = _slot_width((isqrt(sum(c * c for c in chi)) + 1) << 2 * e)
     value = 0
@@ -650,7 +652,7 @@ def trace_minpoly(m: Poly) -> Poly:
     chi = _primitive(_trace_resultant(m.coeffs))
     if chi[-1] < 0:
         chi = [-c for c in chi]
-    if n % 2 and isqrt(chi[-1]) ** 2 == chi[-1] and (s := _square_root(chi)):
+    if n % 2 and (s := _square_root(chi)):
         return Poly(s).monic()
     deriv = [i * c for i, c in enumerate(chi)][1:]
     if not any(chi[-1] % q and len(_mgcd([c % q for c in chi], [c % q for c in deriv], q)) == 1

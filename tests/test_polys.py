@@ -442,22 +442,26 @@ def test_trace_minpoly_of_a_reciprocal_m_takes_the_square_root(monkeypatch):
     assert mu == Poly([-3, -1, 1]) == trace_minpoly_by_sympy(m)
 
 
-def test_trace_minpoly_falls_back_when_chi_is_not_a_square(monkeypatch):
-    """m = x^4 - 2x^3 - 3x^2 + 4x - 1 = (x^2 - 3x + 1)(x^2 + x - 1): chi =
-    (x - 3)^2 (x^2 - 5) has a square leading coefficient and even degree
-    but is no square, and it is not squarefree mod 3 or mod 5, so the
-    rejected root is followed by exactly one integer gcd."""
+@pytest.mark.parametrize("coeffs, chi, mu", [
+    # (x^2 - 3x + 1)(x^2 + x - 1): chi(1) = -16 is no square
+    ([-1, 4, -3, -2, 1], "-(x - 3)**2 * (x**2 - 5)", [15, -5, -3, 1]),
+    # lc(chi), chi(1) and chi(-1) are squares; chi(2^k) is not
+    ([1, -1, 2, 1, 1], "x**4 - x**2 + 4", [4, 0, -1, 0, 1]),
+])
+def test_trace_minpoly_falls_back_when_chi_is_not_a_square(monkeypatch, coeffs, chi, mu):
+    """chi has even degree and a square leading coefficient but is no
+    square, and it is not squarefree mod 3 or mod 5, so the rejected root
+    is followed by exactly one integer gcd."""
     sympy = pytest.importorskip("sympy")
-    m = Poly([-1, 4, -3, -2, 1])
+    m = Poly(coeffs)
     x = sympy.symbols("x")
-    chi = resultant_by_sympy(m)
-    assert chi == sympy.Poly(-(x - 3) ** 2 * (x ** 2 - 5), x)
+    assert resultant_by_sympy(m) == sympy.Poly(sympy.sympify(chi), x)
     roots = _count_calls(monkeypatch, "_square_root")
     calls = _count_calls(monkeypatch, "primitive_gcd")
-    mu = trace_minpoly(m)
+    result = trace_minpoly(m)
     assert roots == [None] and len(calls) == 1
     monkeypatch.undo()
-    assert mu == Poly([15, -5, -3, 1]) == trace_minpoly_by_sympy(m)
+    assert result == Poly(mu) == trace_minpoly_by_sympy(m)
 
 
 def test_trace_minpoly_falls_back_when_no_filter_prime_proves_squarefree(monkeypatch):
