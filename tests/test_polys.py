@@ -12,13 +12,13 @@ from ietsaf import (
     ParseError,
     Poly,
     PolynomialError,
+    ay_stretch_minpoly,
     certify_irreducible,
     count_real_roots,
     is_reciprocal,
     is_squarefree,
     isolate_real_roots,
     poly_xgcd,
-    ay_stretch_minpoly,
     reverse,
 )
 from ietsaf.ietfile import parse_interval
