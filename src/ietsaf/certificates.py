@@ -81,6 +81,7 @@ NOTE_DEGENERATE = ("degenerate input: rational stretch factor; "
                    "pseudo-Anosov stretch factors are irrational")
 MINPOLY = "minimal polynomial"      # the noun of the input-check messages
 COMPLETION_DEGREE_CAP = 10 ** 7     # the largest g - d whose witness is padded
+BRUTEFORCE_DEGREE_CAP = 24          # the largest g - d the oracle searches
 
 
 @dataclass(frozen=True)
@@ -272,10 +273,11 @@ def gf2_completion_exists(mbar: int, k: int):
 def gf2_completion_bruteforce(mbar: int, k: int):
     """Exhaustive-search oracle with the same contract as
     gf2_completion_exists; the witness is the lexicographically first
-    (smallest integer encoding) candidate."""
+    (smallest integer encoding) candidate.  A k above BRUTEFORCE_DEGREE_CAP
+    raises IterationCapError."""
     _check_completion_args(mbar, k)
-    if k > 24:
-        raise InputError("brute-force completion limited to degree 24")
+    if k > BRUTEFORCE_DEGREE_CAP:
+        raise IterationCapError(f"completion degree {k} exceeds the cap {BRUTEFORCE_DEGREE_CAP}")
     if k == 0:
         return 1 if gf2.is_self_reciprocal(mbar) else None
     for middle in range(2 ** (k - 1)):

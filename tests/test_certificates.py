@@ -18,6 +18,7 @@ from ietsaf import certificates, cli, field, gf2, polys
 from ietsaf.errors import IterationCapError
 from ietsaf.field import AlgNum
 from ietsaf.certificates import (
+    BRUTEFORCE_DEGREE_CAP,
     COMPLETION_DEGREE_CAP,
     OUTCOME_INCONCLUSIVE,
     OUTCOME_NOT_LIFT,
@@ -343,8 +344,16 @@ def test_completion_preconditions():
         gf2_completion_exists(0b1011, -1)
     with pytest.raises(PolynomialError):
         gf2_completion_bruteforce(0, 1)
-    with pytest.raises(InputError):
+
+
+def test_bruteforce_degree_is_capped():
+    """Past BRUTEFORCE_DEGREE_CAP the oracle raises IterationCapError, the
+    work cap, not InputError; at the cap it still answers."""
+    assert BRUTEFORCE_DEGREE_CAP == 24
+    with pytest.raises(IterationCapError, match="^completion degree 25 exceeds the cap 24$"):
         gf2_completion_bruteforce(1, 25)
+    assert gf2_completion_bruteforce(1, 24) == 1 << 24 | 1          # x^24 + 1
+    assert gf2_completion_bruteforce(0b11, 24) == 1 << 24 | 1       # (x + 1)(x^24 + 1)
 
 
 def test_completion_degree_is_capped_before_any_padding(monkeypatch):

@@ -529,6 +529,17 @@ def test_nonlift_beyond_the_completion_cap_exits_3(capsys):
     assert "outcome: CertifiedNotLift (ConstantNotUnit)" in out
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_nonlift_oracle_beyond_its_cap_exits_3(json_flag, capsys):
+    """`--oracle` past the brute-force cap is a work cap, not bad input:
+    exit 3, empty stdout and one error line, with and without `--json`."""
+    argv = ["nonlift", "--minpoly=-1,-1,-1,1", "--genus", "30", "--oracle"] + json_flag
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: completion degree 27 exceeds the cap 24"]
+
+
 # -- compose across two files ------------------------------------------------------
 
 
