@@ -1,6 +1,7 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""A rational polynomial type for parsing, printing and comparison, and
+exact polynomial algorithms on integer coefficient lists.
 
-Polynomials are immutable with coefficients stored constant-first:
+`Poly` is immutable with coefficients stored constant-first:
 ``Poly([-1, 0, 1])`` is ``x^2 - 1``.  A coefficient is a plain int when
 it is integral and a reduced `fractions.Fraction` only when it is not
 (`_coeff`), so integer readers take `coeffs` as they are; coefficients
@@ -12,12 +13,16 @@ the ints (n, d) of one ``[+-]digits[/digits]`` and nothing else, and
 `parse_rational` puts them in the same normal form, so an integral entry
 builds no `Fraction`; IET coordinates stay on ints.
 
-Besides ring and Euclidean arithmetic the module provides the
-coefficient reversal ``x^n p(1/x)``, the reciprocity test (root multiset
-closed under inversion), Sturm chains with real root counting and
-isolation, the minimal polynomial of y + 1/y modulo m from one resultant
-over Z, packed at a power of two (`trace_minpoly`), and best-effort
-irreducibility certification by reduction modulo small primes.
+`Poly` has no ring operations: every algorithm here reads `coeffs` as
+a plain list, over Z, modulo a prime or packed in one int.  The module
+provides the coefficient reversal ``x^n p(1/x)``, the reciprocity test
+(root multiset closed under inversion), Sturm chains with real root
+counting and isolation, the minimal polynomial of y + 1/y modulo m from
+one resultant over Z, packed at a power of two (`trace_minpoly`), and
+best-effort irreducibility certification by reduction modulo small
+primes.  The one polynomial division over `Fraction` left is
+`poly_xgcd`, extended Euclid over Q on lists, which no library path
+calls.
 
 Sturm chains, root counts and isolation run on Python ints.  `sign_at`
 decides the sign of an integer polynomial at n/q by homogeneous Horner:
@@ -145,7 +150,9 @@ def _coeff(c):
 
 
 class Poly:
-    """Univariate polynomial with exact rational coefficients in normal form."""
+    """Univariate polynomial with exact rational coefficients in normal form:
+    parsing, printing, queries, equality and hashing, and `monic`.  It has
+    no arithmetic operators; the algorithms read `coeffs` as a list."""
 
     __slots__ = ("coeffs",)
 
@@ -194,11 +201,6 @@ class Poly:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def __getitem__(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
@@ -208,100 +210,6 @@ class Poly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    # -- ring arithmetic ----------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly([other])
-        return None
-
-    def __add__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(q.coeffs))
-        return Poly([self[i] + q[i] for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return self + (-q)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        if self.is_zero or q.is_zero:
-            return Poly()
-        out = [0] * (len(self.coeffs) + len(q.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(q.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise PolynomialError("negative polynomial power")
-        result, base = Poly([1]), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __divmod__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        if q.is_zero:
-            raise PolynomialError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dq = q.degree
-        lead = q.leading
-        quo = [0] * max(0, len(rem) - dq)
-        for i in range(len(rem) - dq - 1, -1, -1):
-            c = Fraction(rem[i + dq], lead)
-            if c:
-                quo[i] = c
-                for j, b in enumerate(q.coeffs):
-                    rem[i + j] -= c * b
-        return Poly(quo), Poly(rem[:dq])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    # -- calculus and evaluation ---------------------------------------
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def eval_interval(self, lo: Fraction, hi: Fraction):
         """Interval Horner: an enclosure of p([lo, hi]).  No `src/` path
@@ -348,20 +256,28 @@ class Poly:
 def poly_xgcd(p: Poly, q: Poly):
     """Extended gcd: (g, u, v) with u*p + v*q = g, g monic or zero.
 
-    No library path calls it: it is the tests' rational oracle for
-    `AlgNum.inverse`, and stays while `perfbench/layers.py` traces it."""
-    a, b = p, q
-    ua, va = Poly([1]), Poly()
-    ub, vb = Poly(), Poly([1])
-    while not b.is_zero:
-        quo, rem = divmod(a, b)
-        a, b = b, rem
-        ua, ub = ub, ua - quo * ub
-        va, vb = vb, va - quo * vb
-    if a.is_zero:
-        return a, ua, va
-    inverse = Fraction(1, a.leading)
-    return a.monic(), ua * inverse, va * inverse
+    Extended Euclid over Q on coefficient lists: a row is (remainder, u, v)
+    with u*p + v*q = remainder, and each division step subtracts c*x^k
+    times the lower row from the upper one, which cancels the upper
+    remainder's leading term; the rows swap when the upper one falls below
+    the lower in degree.  No library path calls it: it is the tests'
+    rational oracle for `AlgNum.inverse`, and stays while
+    `perfbench/layers.py` traces it."""
+    upper, lower = (list(p.coeffs), [1], []), (list(q.coeffs), [], [1])
+    while lower[0]:
+        k = len(upper[0]) - len(lower[0])
+        if k < 0:
+            upper, lower = lower, upper
+            continue
+        c = Fraction(upper[0][-1], lower[0][-1])
+        for row, sub in zip(upper, lower):
+            row.extend([0] * (len(sub) + k - len(row)))
+            for j, y in enumerate(sub, k):
+                row[j] -= c * y
+            _mtrim(row)
+    g = upper[0]
+    inverse = Fraction(1, g[-1]) if g else 1
+    return tuple(Poly([c * inverse for c in row]) for row in upper)
 
 
 def reverse(p: Poly) -> Poly:

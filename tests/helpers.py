@@ -13,22 +13,58 @@ from ietsaf.polys import (_mgcd, _mmod, _mtrim, _prime_factors, cauchy_root_boun
                           monic_squarefree_chain)
 
 
+def brute_mul(a, b):
+    """Product of two coefficient sequences (constant first) by a double
+    loop over their entries; [] when either is empty."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def divmod_by_fractions(a, b):
+    """(quotient, remainder) of the coefficient sequences a and b (constant
+    first, b nonzero with its last entry nonzero) by long division over
+    `Fraction`; the remainder is trimmed, so [] when b divides a."""
+    rem, db = list(a), len(b) - 1
+    quo = [0] * max(0, len(rem) - db)
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = Fraction(rem[i + db], b[-1])
+        for j, y in enumerate(b, i):
+            rem[j] -= c * y
+    return quo, _mtrim(rem[:db])
+
+
+def derivative(coeffs):
+    return [i * c for i, c in enumerate(coeffs)][1:]
+
+
+def value_at(coeffs, x):
+    """p(x) for the coefficient sequence p (constant first) at a rational
+    x, by Horner."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over the rationals by Euclid on `Fraction` coefficients
-    (1 for coprime inputs, 0 when both are 0)."""
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.monic()
+    """Monic gcd over the rationals by Euclid on `Fraction` coefficient
+    lists (1 for coprime inputs, 0 when both are 0)."""
+    a, b = list(p.coeffs), list(q.coeffs)
+    while b:
+        a, b = b, divmod_by_fractions(a, b)[1]
+    return Poly(a).monic() if a else Poly()
 
 
 def random_cubic_field(rng, above_one=False):
     """A certified-irreducible monic cubic field with a random real root."""
     while True:
         p = Poly([rng.randint(-5, 5) for _ in range(3)] + [1])
-        if not p or p.degree != 3 or not is_squarefree(p):
+        if not is_squarefree(p):
             continue
         if certify_irreducible(p) is None:
             continue
@@ -44,7 +80,7 @@ def random_cubic_field(rng, above_one=False):
 def random_quartic_field_above_one(rng):
     while True:
         p = Poly([rng.randint(-5, 5) for _ in range(4)] + [1])
-        if not p or p.degree != 4 or not is_squarefree(p):
+        if not is_squarefree(p):
             continue
         if certify_irreducible(p) is None:
             continue
@@ -261,12 +297,12 @@ def field_at_a_real_root(m):
         return None
     lo, hi = roots[-1]
     for k in range(math.floor(lo) + 1, math.floor(hi) + 1):
-        if m(k) == 0:
+        if value_at(m.coeffs, k) == 0:
             width = Fraction(1, 2)
             while count_real_roots(m, k - width, k + width) != 1:
                 width /= 2
             return NumberField(m, k - width, k + width)
-    while m(lo) == 0:          # the root is irrational: no midpoint is a root
+    while value_at(m.coeffs, lo) == 0:          # the root is irrational: no midpoint is a root
         mid = (lo + hi) / 2
         if count_real_roots(m, mid, hi) == 1:
             lo = mid
@@ -319,19 +355,19 @@ def sturm_chain_by_fractions(p):
     over `Fraction`, each remainder negated."""
     if p.is_zero:
         raise PolynomialError("Sturm chain of the zero polynomial")
-    chain = [p]
+    chain = [list(p.coeffs)]
     if p.degree >= 1:
-        chain.append(p.derivative())
-        while not chain[-1].is_zero and chain[-1].degree > 0:
-            chain.append(-(chain[-2] % chain[-1]))
-        if chain[-1].is_zero:
+        chain.append(derivative(chain[0]))
+        while len(chain[-1]) > 1:
+            chain.append([-c for c in divmod_by_fractions(chain[-2], chain[-1])[1]])
+        if not chain[-1]:
             chain.pop()
-    if chain[-1].degree > 0:
+    if len(chain[-1]) > 1:
         raise NonSquarefreeError(
             f"polynomial is not squarefree: gcd with derivative is "
-            f"{chain[-1].monic()}"
+            f"{Poly(chain[-1]).monic()}"
         )
-    return chain
+    return [Poly(q) for q in chain]
 
 
 UNVERIFIED_NOTE = "irreducibility unverified mod trial primes"
@@ -353,7 +389,8 @@ def vanishing_verdicts_chain_first(m, interval=None):
             raise InputError("supplied interval is empty: lo must be below hi")
         if lo < 1:
             raise InputError("supplied interval must lie in [1, oo)")
-        if m(lo) == 0 or m(hi) == 0 or count_real_roots(m, lo, hi, chain) != 1:
+        if (value_at(m.coeffs, lo) == 0 or value_at(m.coeffs, hi) == 0
+                or count_real_roots(m, lo, hi, chain) != 1):
             raise InputError("supplied interval does not isolate one root > 1")
     elif count_real_roots(m, Fraction(1), cauchy_root_bound(m), chain) == 0:
         raise InputError(f"no real root > 1 for {m}")
@@ -377,11 +414,11 @@ def nonlift_certificate_chain_first(m, g):
 
 def count_real_roots_by_fractions(p, lo, hi):
     """Reference for `count_real_roots`: sign variations of the `Fraction`
-    chain, each entry evaluated with `Poly.__call__`."""
+    chain, each entry evaluated by Horner over `Fraction`."""
     chain = sturm_chain_by_fractions(p)
 
     def variations(x):
-        signs = [v > 0 for v in (q(x) for q in chain) if v != 0]
+        signs = [v > 0 for v in (value_at(q.coeffs, x) for q in chain) if v != 0]
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     return variations(lo) - variations(hi)
@@ -391,10 +428,10 @@ def refine_by_fractions(modulus, lo, hi, width):
     """Reference for `NumberField.refine_interval`: bisect (lo, hi) over
     `Fraction` until it is at most `width` wide or a midpoint is a root.
     Returns (lo, hi, exact root or None)."""
-    sign_lo = modulus(lo) > 0
+    sign_lo = value_at(modulus.coeffs, lo) > 0
     while hi - lo > width:
         mid = (lo + hi) / 2
-        value = modulus(mid)
+        value = value_at(modulus.coeffs, mid)
         if value == 0:
             return lo, hi, mid
         if (value > 0) == sign_lo:
@@ -427,10 +464,9 @@ def sign_by_fractions(value):
     if value.is_zero():
         return 0
     field = value.field
-    rep = Poly(value.num)
     for i in range(SIGN_BISECTION_CAP):
         if field.exact_root is not None:
-            exact = rep(field.exact_root)
+            exact = value_at(value.num, field.exact_root)
             return (exact > 0) - (exact < 0)
         lo, hi = power_form_by_fractions(value.num, *field.interval)
         if lo > 0:
@@ -438,7 +474,7 @@ def sign_by_fractions(value):
         if hi < 0:
             return -1
         if i == SIGN_GCD_CHECK_AFTER:
-            g = poly_gcd(rep, field.modulus)
+            g = poly_gcd(Poly(value.num), field.modulus)
             if g.degree > 0:
                 raise ReducibleModulusError(g)
         field._bisect_once()

@@ -29,6 +29,8 @@ from ietsaf.certificates import (
 )
 
 from helpers import (
+    brute_mul,
+    count_calls,
     gf2_completion_by_factoring,
     nonlift_certificate_chain_first,
     random_cubic_field,
@@ -97,16 +99,9 @@ def test_vanishing_with_supplied_interval():
 ], ids=["nonlift", "vanishing", "ay-check"])
 def test_commands_run_no_rational_euclid(argv, monkeypatch, capsys):
     """Squarefreeness, the trace-field polynomial and the sign's zero-divisor
-    check run on integer remainder sequences: no `Fraction` Euclid runs, so
-    `Poly.__divmod__`, which every one of them goes through, is never called."""
-    calls = []
-    divmod_ = Poly.__divmod__
-
-    def counting(*args):
-        calls.append(args)
-        return divmod_(*args)
-
-    monkeypatch.setattr(Poly, "__divmod__", counting)
+    check run on integer remainder sequences: `polys.poly_xgcd`, the one
+    `Fraction` Euclid left in the library, is never called."""
+    calls = count_calls(monkeypatch, polys, "poly_xgcd")
     assert cli.main(argv) == 0
     assert capsys.readouterr().out
     assert calls == []
@@ -298,7 +293,7 @@ else:
         st.lists(st.integers(-6, 6), min_size=1, max_size=8).map(_monic),
         st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=2),
                   st.lists(st.integers(-3, 3), max_size=4)).map(
-            lambda t: _monic(t[0]) ** 2 * _monic(t[1])),
+            lambda t: Poly(brute_mul(brute_mul(t[0] + [1], t[0] + [1]), t[1] + [1]))),
         st.lists(st.integers(-6, 6), max_size=7).map(lambda low: _monic([0] + low)),
     )
 
@@ -353,7 +348,7 @@ def test_bruteforce_degree_is_capped():
     with pytest.raises(IterationCapError, match="^completion degree 25 exceeds the cap 24$"):
         gf2_completion_bruteforce(1, 25)
     assert gf2_completion_bruteforce(1, 24) == 1 << 24 | 1          # x^24 + 1
-    assert gf2_completion_bruteforce(0b11, 24) == 1 << 24 | 1       # (x + 1)(x^24 + 1)
+    assert gf2_completion_bruteforce(0b11, 24) == 1 << 24 | 1       # (x + 1)(x^24 + 1) is a palindrome
 
 
 def test_completion_degree_is_capped_before_any_padding(monkeypatch):

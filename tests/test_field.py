@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -20,14 +21,21 @@ from ietsaf import (
 from ietsaf.field import _integer_dependency, _mul_mod
 from ietsaf.polys import cauchy_root_bound
 
-from helpers import (eval_at, min_poly_by_fractions, mul_mod_by_division,
-                     power_form_by_fractions, random_cubic_field, refine_by_fractions,
-                     sign_by_fractions)
+from helpers import (brute_mul, divmod_by_fractions, eval_at, min_poly_by_fractions,
+                     mul_mod_by_division, power_form_by_fractions, random_cubic_field,
+                     refine_by_fractions, sign_by_fractions, value_at)
 
 
 AY3 = Poly([-1, 1, 1, 1])        # x^3 + x^2 + x - 1, root ~ 0.5437
 TRIB = Poly([-1, -1, -1, 1])     # x^3 - x^2 - x - 1, root ~ 1.8393
 QUAD = Poly([1, -3, 1])          # x^2 - 3x + 1, root ~ 2.618
+
+
+def coords_mod(a, modulus):
+    """The modulus.degree coordinates of the coefficient list a modulo
+    `modulus`, by long division over `Fraction`."""
+    rem = divmod_by_fractions(a, modulus.coeffs)[1]
+    return rem + [0] * (modulus.degree - len(rem))
 
 
 def test_field_new_examples():
@@ -153,7 +161,7 @@ def test_min_poly_degree_divides_field_degree():
 
 def test_reducible_modulus_detected_on_inversion():
     # (x^2+1)(x+2) is squarefree with a single real root -2... use interval around it
-    modulus = Poly([1, 0, 1]) * Poly([2, 1])
+    modulus = Poly(brute_mul([1, 0, 1], [2, 1]))
     field = NumberField(modulus, -3, 0)
     # x^2 + 1 is a zero divisor: inversion must name a factor
     elem = field.element([1, 0, 1])
@@ -199,7 +207,7 @@ def test_approx_accuracy():
     a = k3.gen()
     mid = a.approx(Fraction(1, 10 ** 30))
     # alpha satisfies its polynomial to within the tolerance
-    residual = AY3(mid)
+    residual = value_at(AY3.coeffs, mid)
     assert abs(residual) < Fraction(1, 10 ** 28)
 
 
@@ -216,7 +224,7 @@ def test_nonpositive_tolerance_is_rejected(tolerance):
 
 def test_approx_at_a_rational_root_is_exact(monkeypatch):
     # (x - 1)(x^2 - 2) on (3/4, 5/4): the first midpoint is the root 1
-    field = NumberField(Poly([-1, 1]) * Poly([-2, 0, 1]), Fraction(3, 4), Fraction(5, 4))
+    field = NumberField(Poly(brute_mul([-1, 1], [-2, 0, 1])), Fraction(3, 4), Fraction(5, 4))
     assert field.exact_root == 1
 
     def refuse(self, x):
@@ -406,7 +414,7 @@ def test_equal_elements_compare_through_the_exact_path(monkeypatch):
 
 
 def test_rational_root_hit_exactly_by_bisection():
-    modulus = Poly([-1, 1]) * Poly([-2, 0, 1])   # (x - 1)(x^2 - 2)
+    modulus = Poly(brute_mul([-1, 1], [-2, 0, 1]))   # (x - 1)(x^2 - 2)
     field = NumberField(modulus, Fraction(3, 4), Fraction(5, 4))
     assert field.exact_root == 1          # the first midpoint
     assert field.interval == (Fraction(3, 4), Fraction(5, 4))
@@ -421,7 +429,7 @@ def test_rational_root_hit_exactly_by_bisection():
 def test_field_equality_after_bisection_hit_a_rational_root():
     """A field whose bisection hit the root 1 of (x - 1)(x^2 - 2) equals a
     twin field around 1 and differs from one around sqrt 2, both ways."""
-    modulus = Poly([-1, 1]) * Poly([-2, 0, 1])
+    modulus = Poly(brute_mul([-1, 1], [-2, 0, 1]))
     exact = NumberField(modulus, Fraction(3, 4), Fraction(5, 4))
     assert exact.exact_root == 1
     near_one = NumberField(modulus, 0, Fraction(5, 4))
@@ -432,7 +440,7 @@ def test_field_equality_after_bisection_hit_a_rational_root():
 
 
 def test_zero_divisor_raises_through_the_gcd_check():
-    modulus = Poly([-2, 0, 1]) * Poly([-3, 0, 1])  # x^4 - 5x^2 + 6
+    modulus = Poly(brute_mul([-2, 0, 1], [-3, 0, 1]))  # x^4 - 5x^2 + 6
     field = NumberField(modulus, 1, Fraction(3, 2))
     a = field.gen()
     with pytest.raises(ReducibleModulusError) as info:
@@ -470,7 +478,8 @@ else:
         q = draw(st.sampled_from([3, 5, 7, 9, 11, 21, 99]))
         lo = Fraction(math.floor(a * q) - draw(st.integers(0, 2)), q)
         hi = Fraction(math.ceil(b * q) + draw(st.integers(0, 2)), q)
-        assume(p(lo) != 0 and p(hi) != 0 and count_real_roots(p, lo, hi) == 1)
+        assume(value_at(p.coeffs, lo) != 0 and value_at(p.coeffs, hi) != 0
+               and count_real_roots(p, lo, hi) == 1)
         return p, lo, hi
 
     def coords(degree):
@@ -546,9 +555,9 @@ else:
                                               Fraction(c) + 1))
 
     def oracle_mul(p, x, y):
-        """Coordinates of x*y in Q[t]/(p), by Poly arithmetic over Fraction."""
-        prod = (Poly(x) * Poly(y)) % p
-        return tuple(prod[i] for i in range(p.degree))
+        """Coordinates of x*y in Q[t]/(p), by convolution and long division
+        over Fraction."""
+        return tuple(coords_mod(brute_mul(x, y), p))
 
     def oracle_inverse(p, x):
         """Coordinates of 1/x in Q[t]/(p), or the error naming the monic
@@ -556,8 +565,7 @@ else:
         g, u, _ = poly_xgcd(Poly(x), p)
         if g.degree > 0:
             return ReducibleModulusError(g)
-        u = u % p
-        return tuple(u[i] for i in range(p.degree))
+        return tuple(coords_mod(u.coeffs, p))
 
     @field_settings
     @given(st.one_of(linear, fields()), st.data())
@@ -652,10 +660,11 @@ else:
         """(x - r) * cofactor on an interval that r splits into left and
         2^j - left steps of 1/q: some midpoint is exactly r."""
         assume(left < 2 ** j)
-        modulus = Poly([-r, 1]) * Poly(cofactor + [1])
+        modulus = Poly(brute_mul([-r, 1], cofactor + [1]))
         lo = r - Fraction(left, q)
         hi = r + Fraction(2 ** j - left, q)
-        assume(is_squarefree(modulus) and modulus(lo) != 0 and modulus(hi) != 0)
+        assume(is_squarefree(modulus) and value_at(modulus.coeffs, lo) != 0
+               and value_at(modulus.coeffs, hi) != 0)
         assume(count_real_roots(modulus, lo, hi) == 1)
         field = NumberField(modulus, lo, hi)
         expected = refine_by_fractions(modulus, lo, hi, Fraction(1, 2 ** 20))
@@ -682,7 +691,7 @@ else:
             lambda k: st.lists(st.integers(-4, 4), min_size=k, max_size=k)
         ).map(lambda cs: Poly(cs + [1]))
         product = st.lists(factor, min_size=1, max_size=3).map(
-            lambda fs: math.prod(fs[1:], start=fs[0]))
+            lambda fs: Poly(reduce(brute_mul, (f.coeffs for f in fs))))
         single = st.integers(1, 9).flatmap(
             lambda k: st.lists(st.integers(-6, 6), min_size=k, max_size=k)
         ).map(lambda cs: Poly(cs + [1]))
@@ -694,7 +703,7 @@ else:
         roots = isolate_real_roots(p, -bound, bound)
         assume(roots)
         lo, hi = roots[-1]
-        assume(p(lo) != 0 and p(hi) != 0)
+        assume(value_at(p.coeffs, lo) != 0 and value_at(p.coeffs, hi) != 0)
         return NumberField(p, lo, hi)
 
     @settings(max_examples=60, deadline=None,
@@ -731,11 +740,11 @@ else:
     def test_zero_divisor_inverse_names_the_oracle_factor(f, h, data):
         """A multiple of a proper factor f of the modulus f*h is a zero
         divisor: `inverse` raises with the `poly_xgcd` oracle's gcd."""
-        field = field_of(f * h)
+        field = field_of(Poly(brute_mul(f.coeffs, h.coeffs)))
         r = data.draw(st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=12),
                                min_size=h.degree, max_size=h.degree))
         assume(any(r))
-        x = tuple((f * Poly(r))[i] for i in range(field.degree))
+        x = tuple(coords_mod(brute_mul(f.coeffs, r), field.modulus))
         expected = oracle_inverse(field.modulus, x)
         assert isinstance(expected, ReducibleModulusError)
         with pytest.raises(ReducibleModulusError) as info:
@@ -747,7 +756,8 @@ else:
 def test_mul_mod_at_high_degree_matches_division(g):
     """`_mul_mod` over the AY alpha field of degree g, where a product folds
     up to g - 1 terms above the basis: sparse*dense, dense*sparse and
-    dense*dense against dense long division and against `Poly` arithmetic."""
+    dense*dense against dense long division over the integers and over
+    `Fraction`."""
     field = ay_alpha(g)
     m = field._ints
     rng = random.Random(g)
@@ -758,8 +768,7 @@ def test_mul_mod_at_high_degree_matches_division(g):
     for x, y in [(s, dense[0]) for s in (alpha, top, two_terms)] + [tuple(dense)]:
         expected = mul_mod_by_division(x, y, m)
         assert _mul_mod(x, y, m) == _mul_mod(tuple(y), tuple(x), m) == expected
-        product = (Poly(x) * Poly(y)) % field.modulus
-        assert [product[i] for i in range(g)] == expected
+        assert coords_mod(brute_mul(x, y), field.modulus) == expected
 
 
 try:
