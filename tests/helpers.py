@@ -44,7 +44,8 @@ def derivative(coeffs):
 
 def value_at(coeffs, x):
     """p(x) for the coefficient sequence p (constant first) at a rational
-    x, by Horner."""
+    x, or at a field element x (then in the field, for nonzero p), by
+    Horner."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -232,15 +233,6 @@ def saf_by_fractions(f):
     return tuple(map(tuple, rows))
 
 
-def eval_at(p, a):
-    """p(a) for a rational polynomial p and a field element a, by Horner in
-    the field: the check that a `min_poly` result vanishes at its element."""
-    acc = a.field.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * a + c
-    return acc
-
-
 def min_poly_by_fractions(a):
     """Reference for `AlgNum.min_poly`: Krylov elimination over `Fraction`
     on the powers of a, built with `AlgNum` multiplication."""
@@ -302,7 +294,7 @@ def field_at_a_real_root(m):
             while count_real_roots(m, k - width, k + width) != 1:
                 width /= 2
             return NumberField(m, k - width, k + width)
-    while value_at(m.coeffs, lo) == 0:          # the root is irrational: no midpoint is a root
+    while value_at(m.coeffs, lo) == 0:  # the root is irrational: no midpoint is a root
         mid = (lo + hi) / 2
         if count_real_roots(m, mid, hi) == 1:
             lo = mid
