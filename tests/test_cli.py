@@ -817,3 +817,18 @@ def test_float_output_keeps_the_callers_decimal_precision(capsys):
         code, out, _ = run(capsys, ["ay", "--genus", "3", "--check", "--float"])
         assert code == 0 and "alpha ~ " in out
         assert decimal.getcontext().prec == 28
+
+
+HELP_GOLDEN = json.loads((DATA / "help.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(HELP_GOLDEN))
+def test_help_matches_golden(name, monkeypatch, capsys):
+    """`ietsaf --help` and `ietsaf <command> --help` at 80 columns: the
+    prog, description, usage lines and every option's help text, recorded
+    before the argument tree was built from a command table."""
+    monkeypatch.setenv("COLUMNS", "80")
+    case = HELP_GOLDEN[name]
+    with pytest.raises(SystemExit) as info:
+        cli.main(case["argv"])
+    assert (info.value.code, capsys.readouterr().out) == (case["exit"], case["stdout"])
