@@ -5,18 +5,29 @@ lift, compose, invert.  Results go to stdout (human-readable by
 default, canonical JSON with --json); timing goes to stderr so that
 stdout is byte-identical across reruns.  Exit codes: 0 = computed
 (whatever the verdict), 2 = invalid input, 3 = iteration cap exceeded.
+
+One table, COMMANDS, gives each command's handler, help line and
+arguments.  `_match` reads it to take an argv in the exact grammar: a
+command name, then `--name=value`, `--name value` (a value that does not
+start with '-'), a bare flag `--name` or a positional that does not start
+with '-'; each option at most once, every positional and required option
+given.  Any other argv goes to the argparse tree `build_parser` makes from
+the table: help, --version, abbreviations, '--', repeated options and every
+usage error (exit 2).  argparse is imported on that path only: its import
+and parse cost more than a small command does.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import re
 import sys
 import time
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__, gf2
 from .arnoux_yoccoz import (
@@ -251,7 +262,41 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The command table: each command's handler, help line and arguments, in
+# the order of `ietsaf --help`.  `_match` and `build_parser` both read it.
+Arg = namedtuple("Arg", "name kind required help", defaults=(str, False, None))
+POSITIONAL, FLAG = "positional", "flag"     # the other kinds: str and int values
+_JSON, _FLOAT, _OUT = Arg("--json", FLAG), Arg("--float", FLAG), Arg("--out")
+_IET = Arg("--iet", required=True)
+COMMANDS = {
+    "saf": (cmd_saf, "SAF invariant of an IET file",
+            (Arg("iet", POSITIONAL, help="path to an IET file"), _JSON, _FLOAT)),
+    "vanishing": (cmd_vanishing, "SAF vanishing from a minimal polynomial", (
+        Arg("--minpoly", required=True,
+            help="constant-first integer coefficients, e.g. '-1,-1,-1,1'"),
+        Arg("--interval", help="optional isolating interval 'lo,hi'"), _JSON)),
+    "nonlift": (cmd_nonlift, "nonorientable-lift exclusion certificate", (
+        Arg("--minpoly", required=True), Arg("--genus", int, True),
+        Arg("--oracle", FLAG, help="cross-check with the brute-force completion search"),
+        _JSON)),
+    "ay": (cmd_ay, "Arnoux-Yoccoz construction and checks", (
+        Arg("--genus", int, True),
+        Arg("--check", FLAG, help="run the verification suite instead of emitting the IET"),
+        Arg("--out", help="write the lift IET file here"), _JSON, _FLOAT)),
+    "induce": (cmd_induce, "first-return map on [0, b)", (
+        _IET, Arg("--sub", required=True, help="coordinates of b in the file's field"), _OUT)),
+    "lift": (cmd_lift, "compose with the half-circumference rotation", (_IET, _OUT)),
+    "compose": (cmd_compose, "composition f(g(x)) of two IET files", (
+        Arg("--iet", required=True, help="outer map f"),
+        Arg("--iet2", required=True, help="inner map g"), _OUT)),
+    "invert": (cmd_invert, "inverse of an IET file", (_IET, _OUT)),
+}
+
+
+def build_parser():
+    """The argparse tree of COMMANDS, for the argvs `_match` does not take."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ietsaf",
         description="Exact SAF invariants, vanishing criteria, and "
@@ -259,61 +304,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("saf", help="SAF invariant of an IET file")
-    p.add_argument("iet", help="path to an IET file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--float", action="store_true")
-    p.set_defaults(func=cmd_saf)
-
-    p = sub.add_parser("vanishing", help="SAF vanishing from a minimal polynomial")
-    p.add_argument("--minpoly", required=True,
-                   help="constant-first integer coefficients, e.g. '-1,-1,-1,1'")
-    p.add_argument("--interval", help="optional isolating interval 'lo,hi'")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_vanishing)
-
-    p = sub.add_parser("nonlift", help="nonorientable-lift exclusion certificate")
-    p.add_argument("--minpoly", required=True)
-    p.add_argument("--genus", required=True, type=int)
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check with the brute-force completion search")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_nonlift)
-
-    p = sub.add_parser("ay", help="Arnoux-Yoccoz construction and checks")
-    p.add_argument("--genus", required=True, type=int)
-    p.add_argument("--check", action="store_true",
-                   help="run the verification suite instead of emitting the IET")
-    p.add_argument("--out", help="write the lift IET file here")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--float", action="store_true")
-    p.set_defaults(func=cmd_ay)
-
-    p = sub.add_parser("induce", help="first-return map on [0, b)")
-    p.add_argument("--iet", required=True)
-    p.add_argument("--sub", required=True,
-                   help="coordinates of b in the file's field")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_induce)
-
-    p = sub.add_parser("lift", help="compose with the half-circumference rotation")
-    p.add_argument("--iet", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_lift)
-
-    p = sub.add_parser("compose", help="composition f(g(x)) of two IET files")
-    p.add_argument("--iet", required=True, help="outer map f")
-    p.add_argument("--iet2", required=True, help="inner map g")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_compose)
-
-    p = sub.add_parser("invert", help="inverse of an IET file")
-    p.add_argument("--iet", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_invert)
-
+    for command, (func, text, spec) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for arg in spec:
+            if arg.kind == POSITIONAL:
+                p.add_argument(arg.name, help=arg.help)
+            elif arg.kind == FLAG:
+                p.add_argument(arg.name, action="store_true", help=arg.help)
+            else:
+                p.add_argument(arg.name, required=arg.required, type=arg.kind,
+                               help=arg.help)
+        p.set_defaults(func=func)
     return parser
+
+
+def _match(argv):
+    """The namespace argparse would give an argv in the exact grammar of
+    the module docstring, or None for any other argv."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, spec = COMMANDS[argv[0]]
+    options = {arg.name: arg for arg in spec if arg.kind != POSITIONAL}
+    given, positionals, tokens = {}, [], iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        arg = options.get(name)
+        if arg is None or name in given or (eq and arg.kind == FLAG):
+            return None
+        if arg.kind == FLAG:
+            given[name] = True
+            continue
+        if not eq:
+            value = next(tokens, "-")     # a missing value fails like a '-' one
+            if value.startswith("-"):
+                return None
+        try:
+            given[name] = arg.kind(value)       # int() as argparse's type=int
+        except ValueError:
+            return None
+    names = [arg.name for arg in spec if arg.kind == POSITIONAL]
+    if len(positionals) != len(names) or any(
+            arg.required and arg.name not in given for arg in options.values()):
+        return None
+    given.update(zip(names, positionals))
+    return SimpleNamespace(command=argv[0], func=func, **{
+        arg.name.lstrip("-"): given.get(arg.name, False if arg.kind == FLAG else None)
+        for arg in spec})
 
 
 def _join_signed_values(argv) -> list:
@@ -328,14 +367,14 @@ def _join_signed_values(argv) -> list:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The argument tree, built on first use and kept for the process."""
     return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(
-        _join_signed_values(sys.argv[1:] if argv is None else argv))
+    argv = _join_signed_values(sys.argv[1:] if argv is None else argv)
+    args = _match(argv) or _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         code = args.func(args)

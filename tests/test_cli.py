@@ -832,3 +832,136 @@ def test_help_matches_golden(name, monkeypatch, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(case["argv"])
     assert (info.value.code, capsys.readouterr().out) == (case["exit"], case["stdout"])
+
+
+# -- the command table: the exact match, and argparse for every other argv ---------
+
+
+def test_well_formed_lines_never_build_the_argparse_tree(ay3, tmp_path, monkeypatch,
+                                                         capsys):
+    """Every argv of SUBCOMMANDS, of the error-line golden and of the file
+    goldens is taken by `_match`: with the argparse tree made unbuildable,
+    each gives the exit code, stdout, stderr and --out file it gives when
+    argparse parses it."""
+    monkeypatch.chdir(FILES)
+    out = tmp_path / "out.iet"
+    argvs = ([command(name, ay3, str(out)) for name in SUBCOMMANDS]
+             + [case["argv"] for case in ERROR_GOLDEN.values()]
+             + [[arg.replace("{out}", str(out)) for arg in argv]
+                for argv in FILE_COMMANDS.values()])
+
+    def outcome(argv):
+        out.unlink(missing_ok=True)
+        code, stdout, err = run(capsys, argv)
+        return (code, stdout, [line for line in err.splitlines()
+                               if not line.startswith("elapsed:")],
+                out.read_text(encoding="utf-8") if out.exists() else None)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_match", lambda argv: None)
+        by_argparse = [outcome(argv) for argv in argvs]
+
+    def refuse():
+        raise AssertionError("argparse tree built for a well-formed argv")
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert [outcome(argv) for argv in argvs] == by_argparse
+
+
+def test_a_well_formed_command_does_not_load_argparse():
+    probe = ("import sys; from ietsaf import cli; "
+             "code = cli.main(['vanishing', '--minpoly', '-1,-1,-1,1', '--json']); "
+             "print(code, 'argparse' in sys.modules)")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ietsaf.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env=env, check=True)
+    assert result.stdout.splitlines()[-1] == "0 False"
+
+
+def test_an_abbreviated_option_falls_back_to_argparse(capsys):
+    abbreviated = ["vanishing", "--min=-1,-1,-1,1"]
+    assert cli._match(abbreviated) is None
+    code, out = _same_as_joined(capsys, abbreviated, ["vanishing", "--minpoly=-1,-1,-1,1"])
+    assert code == 0 and out.startswith("minimal polynomial: ")
+
+
+def test_a_bad_int_is_argparses_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["nonlift", "--minpoly=-1,-1,-1,1", "--genus=x"])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    assert err.splitlines()[0].startswith("usage: ietsaf nonlift ")
+    assert err.splitlines()[-1] == (
+        "ietsaf nonlift: error: argument --genus: invalid int value: 'x'")
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is an optional test dependency
+    given = None
+
+# Pieces of each command's well-formed lines: a value joined by '=' or as
+# a separate token (the pairs), signed ints and underscores, spaces.
+OWN_PIECES = {
+    "saf": ["f.iet", "--json", "--float"],
+    "vanishing": [("--minpoly", "-1,-1,-1,1"), "--minpoly=1,-3,1", ("--interval", "1,2"),
+                  "--json"],
+    "nonlift": [("--minpoly", "1,-3,1"), ("--genus", "3"), "--genus=+4", "--oracle",
+                "--json"],
+    "ay": [("--genus", " 3"), "--genus=1_0", "--check", ("--out", "o.iet"), "--json",
+           "--float"],
+    "induce": [("--iet", "a b.iet"), ("--sub", "-1/2,1,0"), "--out=o.iet"],
+    "lift": [("--iet", "f.iet"), ("--out", "o.iet")],
+    "compose": [("--iet", "f.iet"), "--iet2=g.iet", ("--out", "o.iet")],
+    "invert": ["--iet=f.iet", ("--out", "")],
+}
+# Pieces of any command line: every command and option, abbreviations,
+# help, version, '--', '-', values that start with '-', bad ints and
+# empty values.  Repeated options come from repeated draws.
+ARGV_PIECES = [
+    *OWN_PIECES, "--json", "--float", "--oracle", "--check", "--minpoly", "--interval",
+    "--genus", "--out", "--iet", "--iet2", "--sub", ("--out", "-x"), ("--iet", "--json"),
+    ("--genus", "-2"), "--genus=-2", ("--genus", "x"), "--genus=", "--interval=-1, 2",
+    "--json=", "--min=-1,-1,-1,1", "--js", ("--gen", "3"), "--i", "-h", "--help",
+    "--version", "--", "-", "-1", "-x", "a b", "3", "",
+]
+
+
+def _flatten(pieces):
+    return [token for piece in pieces
+            for token in (piece if isinstance(piece, tuple) else (piece,))]
+
+
+if given is None:
+
+    def test_match_agrees_with_argparse():
+        pytest.skip("hypothesis is not installed")
+
+else:
+
+    @st.composite
+    def command_lines(draw):
+        """A command, some of its own pieces and, in half the lines, one or
+        two of any command's."""
+        name = draw(st.sampled_from(sorted(OWN_PIECES)))
+        pieces = (draw(st.lists(st.sampled_from(OWN_PIECES[name]), unique=True))
+                  + draw(st.one_of(st.just([]), st.lists(st.sampled_from(ARGV_PIECES),
+                                                         min_size=1, max_size=2))))
+        return [name, *_flatten(draw(st.permutations(pieces)))]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(command_lines())
+    def test_match_agrees_with_argparse(argv):
+        """Whenever `_match` takes an argv, argparse takes it too, without
+        an exit, and gives a namespace with the same attributes."""
+        argv = cli._join_signed_values(argv)
+        args = cli._match(argv)
+        if args is not None:
+            try:
+                expected = vars(cli._parser().parse_args(argv))
+            except SystemExit:
+                expected = "argparse exits"
+            assert vars(args) == expected
