@@ -604,11 +604,11 @@ def test_compose_builds_one_field_per_field_text(ay3, tmp_path, monkeypatch, cap
     assert counts["init"] == 3 and counts["eq"] >= 1
 
 
-# -- one argument tree per process, and the golden ay reports ----------------------
+# -- in-process calls against separate runs, and the golden ay reports -------------
 
 
 def test_in_process_calls_match_separate_runs(capsys):
-    """The argument tree is built once; no option of one call leaks into the next."""
+    """No option of one in-process call leaks into the next."""
     calls = [
         ["vanishing", "--minpoly", "-1,-1,-1,1", "--json"],
         ["ay", "--genus", "3", "--check"],
